@@ -6,11 +6,11 @@ For each population size it times
 
 * the columnar population build (``Population.from_columns`` straight from
   the random draws — no per-CP objects);
-* one max-min + Eq-(3) rate equilibrium solve (Theorem 1 bisection over
-  the sorted-``theta_hat`` prefix profile) at a mid-load capacity;
+* one max-min + Eq-(3) rate equilibrium solve (the Theorem-1 cap solver
+  over the sorted-``theta_hat`` prefix profile) at a mid-load capacity;
 * a capacity-grid ``solve_caps`` pass (the batched kernel behind the
-  sweep layer), whose memory is kept flat in the grid size by the
-  element-bounded chunking of ``CommonCapProfile._carried_bounded``.
+  sweep layer), which solves one point at a time, so its memory is flat
+  in the grid size.
 
 Per-size wall times and peak RSS are recorded into ``BENCH_summary.json``
 under the ``scale`` key, so the scaling curve is tracked PR over PR next to
@@ -104,10 +104,9 @@ def _scaling_sweep() -> dict:
         equilibrium = solve_rate_equilibrium(population, nu)
         solve_seconds = time.perf_counter() - start
 
-        # Capacity-axis kernel: one multi-target bisection for the whole
-        # grid.  Only the (G,) cap vector is materialised — the carried-load
-        # evaluations are chunked to a bounded element count, which keeps
-        # peak memory flat in the grid length even at 10^6 CPs.
+        # Capacity-axis kernel: one scalar cap solve per grid point.  Only
+        # the (G,) cap vector is materialised, so peak memory stays flat in
+        # the grid length even at 10^6 CPs.
         nu_grid = np.linspace(0.05 * load, 1.2 * load, _GRID_POINTS)
         profile = common_cap_profile(population, MaxMinFairAllocation())
         start = time.perf_counter()

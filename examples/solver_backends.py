@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """SolverConfig: choosing a kernel backend and tuning solver tolerances.
 
-Every layer of the stack — the Theorem-1 bisection, the CP partition game,
+Every layer of the stack — the Theorem-1 cap solver, the CP partition game,
 the migration equilibrium, the sweeps and the runner — accepts a single
 frozen ``SolverConfig`` that bundles:
 

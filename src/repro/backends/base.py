@@ -1,38 +1,30 @@
 """The kernel-backend protocol of the solver stack.
 
-A :class:`KernelBackend` supplies the three numerical primitives behind the
-Theorem-1 bisection on the sorted-``theta_hat`` prefix structure of
-:class:`repro.network.equilibrium.ExponentialMaxMinProfile`:
-
-* the **carried-load tail pass** (:meth:`KernelBackend.carried_scalar`) —
-  the work-conservation LHS at one throughput cap: prefix lookup for the
-  saturated providers plus the exponential-demand tail of Equation (3);
-* the **prefix evaluation** (:meth:`KernelBackend.carried_grid`) — the same
-  quantity at a whole vector of caps, used by each iteration of the
-  vectorised multi-target bisection;
-* optionally a **fused scalar bisection** (``bisect_scalar``) — the entire
-  multi-iteration bisection of one capacity target in a single kernel call,
-  mirroring ``CommonCapProfile.solve_cap``'s bracket and stopping rules.
+A :class:`KernelBackend` supplies the numerical primitive behind the
+Theorem-1 cap solver on the sorted-``theta_hat`` prefix structure of
+:class:`repro.network.equilibrium.ExponentialMaxMinProfile`: the
+**carried-load tail pass** (:meth:`KernelBackend.carried_scalar`) — the
+work-conservation LHS at one throughput cap, a prefix lookup for the
+saturated providers plus the exponential-demand tail of Equation (3).  The
+profile's root-finder (a bracketed Illinois secant) and its grid loop call
+it; they are the same for every backend.
 
 Backends receive the profile object itself and read its sorted column
 arrays (``_theta_hats``, ``_alphas``, ``_betas``, ``_neg_betas``,
-``_prefix``, ``_scratch``); the profile is immutable after construction, so
-a backend may precompute or reuse whatever it likes per call.
+``_prefix``) and its ``_ratio_floor``; the profile is never written after
+construction, so a backend must not write to it either — one profile may
+be evaluated from several threads at once.
 
-The ``reference`` backend is the numpy implementation that previously lived
-inside the profile class and is bit-identical to it; the optional ``numba``
-backend JIT-compiles the same arithmetic (agreeing to well below ``1e-10``)
-and degrades gracefully to reference when numba is not installed.  Select a
-backend with :class:`repro.backends.SolverConfig` or the ``REPRO_BACKEND``
-environment variable.
+The ``reference`` backend is the numpy implementation; the optional
+``numba`` backend JIT-compiles the same arithmetic (agreeing to well below
+``1e-10``) and degrades gracefully to reference when numba is not
+installed.  Select a backend with :class:`repro.backends.SolverConfig` or
+the ``REPRO_BACKEND`` environment variable.
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Optional, Protocol,
-                    runtime_checkable)
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.network.equilibrium import ExponentialMaxMinProfile
@@ -42,42 +34,19 @@ __all__ = ["KernelBackend"]
 
 @runtime_checkable
 class KernelBackend(Protocol):
-    """Numerical kernels for the max-min + exponential-demand profile.
+    """Numerical kernel for the max-min + exponential-demand profile.
 
     Implementations must be pure functions of the profile's arrays and the
-    cap argument(s): two backends may differ in summation order (and hence
-    in the last float bits) but must agree to ``<= 1e-10`` relative — the
-    property-test suite in ``tests/backends`` asserts this.
+    cap argument, finite for every cap: two backends may differ in
+    summation order (and hence in the last float bits) but must agree to
+    ``<= 1e-10`` relative — the property-test suite in ``tests/backends``
+    asserts this.
     """
 
     #: Stable backend identifier used in cache keys and solver provenance.
     name: str
 
-    @property
-    def bisect_scalar(self) -> Optional[Callable[..., float]]:
-        """Fused scalar bisection, or ``None`` for no fused path.
-
-        When ``None`` the profile runs the generic ``solve_cap`` loop over
-        :meth:`carried_scalar`.  Signature when present::
-
-            bisect_scalar(profile, target, iterations,
-                          residual_tolerance, width_tolerance) -> float
-
-        with the same bracket ``[0, profile.upper]``, the same mid-point
-        update order and the same residual/width stopping rules as
-        ``CommonCapProfile.solve_cap`` (guards for empty/uncongested/zero
-        targets are handled by the caller).  Declared as a read-only
-        property so a plain ``bisect_scalar = None`` class attribute and a
-        bound method both satisfy the protocol structurally.
-        """
-        ...
-
     def carried_scalar(self, profile: "ExponentialMaxMinProfile",
                        cap: float) -> float:
         """Per-capita carried load at a single throughput cap."""
-        ...
-
-    def carried_grid(self, profile: "ExponentialMaxMinProfile",
-                     caps: np.ndarray) -> np.ndarray:
-        """Per-capita carried load at each cap of a 1-D float vector."""
         ...

@@ -57,7 +57,10 @@ class SolverConfig:
         ``_UTILITY_TOLERANCE``).
     bisection_tolerance:
         Relative work-conservation residual at which the Theorem-1 cap
-        bisection stops (1e-13, the former ``_RESIDUAL_TOLERANCE``).
+        solver stops (1e-13, the former ``_RESIDUAL_TOLERANCE``).  The
+        solver is no longer a plain bisection, but the field keeps its name:
+        it is part of every artifact's solver provenance, and renaming it
+        would change those keys.
     cache_policy:
         ``"shared"`` uses the registered process-wide caches (entries keyed
         by :meth:`cache_key` so backends never alias); ``"bypass"``

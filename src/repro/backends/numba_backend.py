@@ -1,30 +1,27 @@
 """Optional numba (njit) kernel backend.
 
-The kernels below are plain-Python loop implementations of the carried-load
-tail pass, the grid evaluation and the fused scalar bisection; when numba
-is importable they are compiled with ``numba.njit`` on first use (lazy —
-importing this module never imports numba), and when it is not,
-:func:`load_numba_backend` returns ``None`` so the registry falls back to
-the reference backend.
+The kernel below is a plain-Python loop implementation of the carried-load
+tail pass; when numba is importable it is compiled with ``numba.njit`` on
+first use (lazy — importing this module never imports numba), and when it
+is not, :func:`load_numba_backend` returns ``None`` so the registry falls
+back to the reference backend.
 
-Numerics: the loops accumulate the tail sum serially (left to right over
+Numerics: the loop accumulates the tail sum serially (left to right over
 the sorted columns) instead of numpy's pairwise tree, so results differ
 from the reference backend only in summation order — well inside the
 ``1e-10`` equivalence bound the backend contract requires (and the
-property-test suite asserts).  The bisection kernel mirrors
-``CommonCapProfile.solve_cap`` exactly: bracket ``[0, upper]``, mid-point
-first, residual exit, then bracket update, then width exit, returning
-``high`` on iteration exhaustion.
+property-test suite asserts).  The cap solver that drives it is the
+profile's own, shared with the reference backend.
 
-The undecorated Python functions remain directly callable; the equivalence
-tests run them interpreted, so the kernel arithmetic is validated even on
+The undecorated Python function remains directly callable; the equivalence
+tests run it interpreted, so the kernel arithmetic is validated even on
 machines (like the no-numba CI lane) where the JIT path cannot execute.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
@@ -36,16 +33,15 @@ __all__ = ["NumbaBackend", "load_numba_backend", "numba_available",
 
 
 # --------------------------------------------------------------------------- #
-# Kernels (plain Python; njit-compiled when numba is present)
+# Kernel (plain Python; njit-compiled when numba is present)
 # --------------------------------------------------------------------------- #
-# Each kernel is self-contained (no cross-kernel calls) so the njit
-# compilation of one never depends on another being compiled; the saturated
-# count is an inlined ``side="right"`` binary search on the sorted
-# ``theta_hats``.
+# The saturated count is an inlined ``side="right"`` binary search on the
+# sorted ``theta_hats``; ``theta / cap`` divides by at least ``ratio_floor``
+# (the profile's), so a subnormal cap cannot overflow it to ``inf``.
 
 def _kernel_carried_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
                            betas: np.ndarray, prefix: np.ndarray,
-                           cap: float) -> float:
+                           ratio_floor: float, cap: float) -> float:
     if cap <= 0.0:
         return 0.0
     n = theta_hats.shape[0]
@@ -57,69 +53,12 @@ def _kernel_carried_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
             low = mid + 1
         else:
             high = mid
+    ratio_cap = max(cap, ratio_floor)
     total = prefix[low]
     for i in range(low, n):
-        total += alphas[i] * math.exp(-betas[i] * (theta_hats[i] / cap - 1.0)) * cap
+        total += (alphas[i]
+                  * math.exp(-betas[i] * (theta_hats[i] / ratio_cap - 1.0)) * cap)
     return total
-
-
-def _kernel_carried_grid(theta_hats: np.ndarray, alphas: np.ndarray,
-                         betas: np.ndarray, prefix: np.ndarray,
-                         caps: np.ndarray) -> np.ndarray:
-    n = theta_hats.shape[0]
-    out = np.empty(caps.shape[0])
-    for g in range(caps.shape[0]):
-        cap = caps[g]
-        if cap <= 0.0:
-            out[g] = 0.0
-            continue
-        low = 0
-        high = n
-        while low < high:
-            mid = (low + high) // 2
-            if theta_hats[mid] <= cap:
-                low = mid + 1
-            else:
-                high = mid
-        total = prefix[low]
-        for i in range(low, n):
-            total += (alphas[i]
-                      * math.exp(-betas[i] * (theta_hats[i] / cap - 1.0)) * cap)
-        out[g] = total
-    return out
-
-
-def _kernel_bisect_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
-                          betas: np.ndarray, prefix: np.ndarray, upper: float,
-                          target: float, iterations: int,
-                          residual_tolerance: float,
-                          width_tolerance: float) -> float:
-    n = theta_hats.shape[0]
-    low = 0.0
-    high = upper
-    for _ in range(iterations):
-        mid = 0.5 * (low + high)
-        count_low = 0
-        count_high = n
-        while count_low < count_high:
-            count_mid = (count_low + count_high) // 2
-            if theta_hats[count_mid] <= mid:
-                count_low = count_mid + 1
-            else:
-                count_high = count_mid
-        value = prefix[count_low]
-        for i in range(count_low, n):
-            value += (alphas[i]
-                      * math.exp(-betas[i] * (theta_hats[i] / mid - 1.0)) * mid)
-        if abs(value - target) <= residual_tolerance:
-            return mid
-        if value < target:
-            low = mid
-        else:
-            high = mid
-        if high - low <= width_tolerance:
-            return high
-    return high
 
 
 # --------------------------------------------------------------------------- #
@@ -127,7 +66,7 @@ def _kernel_bisect_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
 # --------------------------------------------------------------------------- #
 _NUMBA_MODULE: Any = None
 _NUMBA_CHECKED = False
-_COMPILED: Optional[Tuple[Any, Any, Any]] = None
+_COMPILED: Any = None
 
 
 def _numba_module() -> Any:
@@ -155,53 +94,36 @@ def numba_version() -> Optional[str]:
     return getattr(module, "__version__", None) if module is not None else None
 
 
-def _compiled_kernels() -> Optional[Tuple[Any, Any, Any]]:
-    """The njit-compiled kernel triple (compiled once per process)."""
+def _compiled_kernel() -> Any:
+    """The njit-compiled tail-pass kernel (compiled once per process)."""
     global _COMPILED
     if _COMPILED is None:
         module = _numba_module()
         if module is None:
             return None
         njit = module.njit(cache=False, fastmath=False, nogil=True)
-        _COMPILED = (njit(_kernel_carried_scalar),
-                     njit(_kernel_carried_grid),
-                     njit(_kernel_bisect_scalar))
+        _COMPILED = njit(_kernel_carried_scalar)
     return _COMPILED
 
 
 class NumbaBackend:
-    """njit-compiled kernels for the sorted-prefix max-min profile."""
+    """njit-compiled tail pass for the sorted-prefix max-min profile."""
 
     name = "numba"
 
-    def __init__(self, kernels: Tuple[Any, Any, Any]) -> None:
-        self._carried_scalar, self._carried_grid, self._bisect = kernels
+    def __init__(self, kernel: Any) -> None:
+        self._carried_scalar = kernel
 
     def carried_scalar(self, profile: ExponentialMaxMinProfile,
                        cap: float) -> float:
         return float(self._carried_scalar(
             profile._theta_hats, profile._alphas, profile._betas,
-            profile._prefix, float(cap)))
-
-    def carried_grid(self, profile: ExponentialMaxMinProfile,
-                     caps: np.ndarray) -> np.ndarray:
-        return self._carried_grid(
-            profile._theta_hats, profile._alphas, profile._betas,
-            profile._prefix, np.ascontiguousarray(caps, dtype=np.float64))
-
-    def bisect_scalar(self, profile: ExponentialMaxMinProfile,
-                      target: float, iterations: int,
-                      residual_tolerance: float,
-                      width_tolerance: float) -> float:
-        return float(self._bisect(
-            profile._theta_hats, profile._alphas, profile._betas,
-            profile._prefix, float(profile.upper), float(target),
-            iterations, residual_tolerance, width_tolerance))
+            profile._prefix, profile._ratio_floor, float(cap)))
 
 
 def load_numba_backend() -> Optional[NumbaBackend]:
     """A :class:`NumbaBackend`, or ``None`` when numba is not installed."""
-    kernels = _compiled_kernels()
-    if kernels is None:
+    kernel = _compiled_kernel()
+    if kernel is None:
         return None
-    return NumbaBackend(kernels)
+    return NumbaBackend(kernel)

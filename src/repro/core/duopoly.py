@@ -207,7 +207,7 @@ class DuopolyGame:
         all the paper's experiments) resolves such a probe with the
         *full-population* rate equilibrium at ``nu_isp = gamma nu / share``.
         Those capacities are known for the whole grid up front, so one
-        vectorised multi-target bisection (:func:`solve_rate_equilibria`
+        grid solve (:func:`solve_rate_equilibria`
         via :func:`warm_equilibrium_cache`) seeds the equilibrium cache and
         turns the per-point bracket solves into lookups.
         """

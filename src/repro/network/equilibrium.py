@@ -11,12 +11,15 @@ Two solution paths are provided:
 
 * an exact path for :class:`~repro.network.allocation.CommonCapAllocation`
   mechanisms (including the paper's max-min fair mechanism): the equilibrium
-  is characterised by a scalar throughput cap, found by bisection on the
-  work-conservation equation of Axiom 2.  The bisection kernel is
-  *vectorised over capacity targets*: it solves a whole vector of ``nu``
-  values at once (:func:`solve_common_caps`), and the scalar solver simply
-  calls it with a one-element grid, so the batched engine of
-  :mod:`repro.simulation.batch` and the scalar path agree bit-for-bit;
+  is characterised by a scalar throughput cap, the root of the
+  work-conservation equation of Axiom 2.  For the paper's workload (max-min
+  fairness with Equation-(3) demand) a bracketed Illinois secant finds the
+  root from about ten scalar carried-load evaluations
+  (:meth:`ExponentialMaxMinProfile.solve_cap`), and a capacity grid
+  (:func:`solve_common_caps`) runs that same solver once per point, so the
+  batched engine of :mod:`repro.simulation.batch` and the scalar path agree
+  bit-for-bit; other cap mechanisms solve a grid by one vectorised
+  multi-target bisection;
 * a generic damped fixed-point iteration for arbitrary mechanisms.
 """
 
@@ -59,27 +62,39 @@ __all__ = [
 ]
 
 _BISECTION_ITERATIONS = 200
+#: Steps the secant cap solver may take before its bracket must start
+#: halving once per two steps.  On the paper's 1000-CP population the
+#: secant converges within 8-15 evaluations, so the budget almost never
+#: forces a bisection step; it bounds the worst case at about twice the
+#: ~47 steps of plain bisection.
+_SECANT_GRACE_STEPS = 10
+_SQRT_HALF = math.sqrt(0.5)
 #: Bracket-width stopping rule (relative to the cap upper bound).
 _CAP_WIDTH_TOLERANCE = 1e-14
-#: Carried-load residual stopping rule (relative to the target): the
-#: bisection exits as soon as the work-conservation equation is satisfied to
+#: Carried-load residual stopping rule (relative to the target): the cap
+#: solvers exit as soon as the work-conservation equation is satisfied to
 #: this tolerance, instead of always burning the full iteration budget.
 _RESIDUAL_TOLERANCE = 1e-13
 #: Slack below the unconstrained load within which a capacity counts as
-#: uncongested (the bisection would otherwise chase a root at the bracket
+#: uncongested (the solver would otherwise chase a root at the bracket
 #: edge that rounding already erased).
 _UNCONGESTED_SLACK = 1e-15
 #: Slack on the congestion predicate ``nu < unconstrained_load`` exposed by
 #: :attr:`RateEquilibrium.is_congested`.
 _CONGESTION_SLACK = 1e-12
-#: Working-set bound (elements) of one vectorised ``carried`` evaluation.
-#: Above it the grid is evaluated in cap-chunks so peak memory stays flat in
-#: the grid size (the million-CP scaling sweep).  The bound is far above any
-#: grid the paper experiments solve (n=1000 populations with <100-point
-#: grids), so their float sequences — and the pinned goldens — are
-#: untouched: chunking changes only the pairwise-summation grouping, and
-#: only for workloads that could not run unchunked anyway.
+#: Working-set bound (elements) of one vectorised ``carried`` evaluation of
+#: :class:`GenericCapProfile`.  Above it the grid is evaluated in cap-chunks
+#: so peak memory stays flat in the grid size.  Chunking changes only the
+#: grouping of the per-cap sums, never a grid entry's own arithmetic.
 _CARRIED_BATCH_ELEMENTS = 1 << 22
+#: Floor on the divisor of ``theta_hat / cap`` in the exponential tail pass,
+#: relative to the largest ``theta_hat``.  A subnormal cap would overflow the
+#: ratio to ``inf``, and a ``beta = 0`` column would then give
+#: ``exp(-0 * inf) = NaN``.  Capping the ratio at 1e200 changes no value:
+#: each term it touches is exactly ``alpha * cap`` for ``beta = 0`` and
+#: underflows to 0 for any ``beta`` above ~1e-197 either way, while
+#: ``beta * 1e200`` stays finite for any ``beta`` below ~1e108.
+_RATIO_FLOOR = 1e-200
 
 
 @dataclass(frozen=True)
@@ -200,17 +215,17 @@ def _zero_capacity_equilibrium(population: Population,
 
 
 # --------------------------------------------------------------------------- #
-# Carried-load profiles and the vectorised multi-target bisection kernel
+# Carried-load profiles and the cap solvers
 # --------------------------------------------------------------------------- #
 class CommonCapProfile:
-    """Evaluates the work-conservation LHS at a *vector* of throughput caps.
+    """The work-conservation LHS of a cap-parameterised mechanism, and its root.
 
     For a cap-parameterised mechanism the equilibrium cap at per-capita
     capacity ``nu`` solves ``carried(cap) = min(nu, unconstrained_load)``
-    where ``carried`` is continuous and non-decreasing (Assumption 1), so a
-    whole grid of ``nu`` targets can be bisected simultaneously with numpy.
-    Subclasses provide :meth:`carried`; :meth:`solve_caps` is the shared
-    kernel used by both the scalar and the batched equilibrium solvers.
+    where ``carried`` is continuous and non-decreasing (Assumption 1).
+    Subclasses provide :meth:`carried` and the single-target solver
+    :meth:`solve_cap`; :meth:`solve_caps` solves a grid point by point with
+    it, so every grid entry is bit-identical to its single-point solve.
     """
 
     #: Number of providers covered by the profile.
@@ -224,15 +239,6 @@ class CommonCapProfile:
         """Per-capita carried load at each cap in a 1-D vector."""
         raise NotImplementedError
 
-    def carried_scalar(self, cap: float) -> float:
-        """Carried load at a single cap.
-
-        The default delegates to the vector kernel with a one-element grid;
-        subclasses may provide a dispatch-free scalar path, which must be
-        bit-identical to the one-element vector evaluation.
-        """
-        return float(self.carried(np.array([cap]))[0])
-
     def carried_at_upper(self) -> float:
         """Carried load at the saturation cap, computed once per profile."""
         cached = getattr(self, "_carried_at_upper", None)
@@ -241,12 +247,60 @@ class CommonCapProfile:
             self._carried_at_upper = cached
         return cached
 
+    def solve_cap(self, nu: float,
+                  residual_tolerance: float = _RESIDUAL_TOLERANCE) -> float:
+        """Equilibrium cap at a single per-capita capacity.
+
+        ``0.0`` for ``nu <= 0``, ``+inf`` when ``nu`` is uncongested (or the
+        profile is empty), and the root of the work-conservation equation
+        otherwise.
+        """
+        raise NotImplementedError
+
+    def solve_caps(self, nus: np.ndarray,
+                   residual_tolerance: float = _RESIDUAL_TOLERANCE
+                   ) -> np.ndarray:
+        """Equilibrium caps for a vector of per-capita capacities.
+
+        One :meth:`solve_cap` per entry of ``nus``: a grid entry never
+        depends on the rest of the grid, so batched and scalar solves agree
+        bit for bit by construction.
+        """
+        nus = np.asarray(nus, dtype=float)
+        return np.array([self.solve_cap(nu, residual_tolerance)
+                         for nu in nus.tolist()], dtype=float)
+
+
+class GenericCapProfile(CommonCapProfile):
+    """Profile for any :class:`CommonCapAllocation` over a full population.
+
+    Its carried load has no scalar shortcut (each evaluation recomputes the
+    mechanism's throughput profile), so grids keep a vectorised
+    multi-target bisection that shares every ``carried`` call across all
+    grid points; a single point is solved as a one-element grid.
+    """
+
+    def __init__(self, population: Population,
+                 mechanism: CommonCapAllocation) -> None:
+        self._population = population
+        self._mechanism = mechanism
+        self._alphas = population.alphas
+        self.size = len(population)
+        self.upper = mechanism.cap_upper_bound(population)
+        self.unconstrained_load = population.unconstrained_per_capita_load
+
+    def carried(self, caps: np.ndarray) -> np.ndarray:
+        caps = np.asarray(caps, dtype=float)
+        thetas = self._mechanism.theta_at_caps(self._population, caps)
+        demands = self._population.demands_at(thetas)
+        return np.sum(self._alphas * demands * thetas, axis=-1)
+
     def _carried_bounded(self, caps: np.ndarray) -> np.ndarray:
         """``carried`` with the working set bounded for huge populations.
 
-        One tail evaluation touches ``len(caps) * size`` elements; past
+        One evaluation touches ``len(caps) * size`` elements; past
         :data:`_CARRIED_BATCH_ELEMENTS` the caps are processed in chunks so
-        a million-CP profile can bisect arbitrarily large capacity grids in
+        a large population can bisect arbitrarily large capacity grids in
         flat memory.
         """
         count = len(caps)
@@ -258,55 +312,20 @@ class CommonCapProfile:
 
     def solve_cap(self, nu: float,
                   residual_tolerance: float = _RESIDUAL_TOLERANCE) -> float:
-        """Equilibrium cap at a single per-capita capacity (scalar path).
-
-        A dispatch-free mirror of :meth:`solve_caps` for one target: same
-        bracket, same stopping rules, same update order, evaluating
-        :meth:`carried_scalar` instead of a one-element vector — so the
-        returned float is bit-identical to ``solve_caps([nu])[0]``.
-        """
-        if self.size == 0:
-            return math.inf
-        if nu <= 0.0:
-            return 0.0
-        target = min(nu, self.unconstrained_load)
-        if (nu >= self.unconstrained_load - _UNCONGESTED_SLACK
-                or self.carried_at_upper() <= target + _UNCONGESTED_SLACK):
-            return math.inf
-        low = 0.0
-        high = self.upper
-        residual_tol = residual_tolerance * max(1.0, target)
-        width_tol = _CAP_WIDTH_TOLERANCE * max(1.0, self.upper)
-        for _ in range(_BISECTION_ITERATIONS):
-            mid = 0.5 * (low + high)
-            value = self.carried_scalar(mid)
-            if abs(value - target) <= residual_tol:
-                return mid
-            if value < target:
-                low = mid
-            else:
-                high = mid
-            if high - low <= width_tol:
-                return high
-        return high
+        return float(self.solve_caps(np.array([nu]), residual_tolerance)[0])
 
     def solve_caps(self, nus: np.ndarray,
                    residual_tolerance: float = _RESIDUAL_TOLERANCE
                    ) -> np.ndarray:
-        """Equilibrium caps for a vector of per-capita capacities.
+        """Vectorised multi-target bisection over the whole grid.
 
-        Returns one cap per entry of ``nus``: ``0.0`` for ``nu <= 0``,
-        ``+inf`` for uncongested capacities, and the bisected root of the
-        work-conservation equation otherwise.  All grid points share each
-        bisection iteration (one vectorised ``carried`` evaluation); a point
-        drops out early once its carried-load residual — not merely the
-        bracket width — falls below tolerance.
+        All grid points share each bisection iteration (one vectorised
+        ``carried`` evaluation); a point drops out early once its
+        carried-load residual — not merely the bracket width — falls below
+        tolerance.  The grid points never interact, so an entry equals the
+        one-element solve of its capacity.
         """
         nus = np.asarray(nus, dtype=float)
-        if nus.ndim == 1 and nus.shape[0] == 1:
-            # Scalar fast path: one target needs no vector bookkeeping (and
-            # the game layers' best-response loops are all single-target).
-            return np.array([self.solve_cap(float(nus[0]), residual_tolerance)])
         caps = np.full(nus.shape, np.inf)
         if self.size == 0:
             return caps
@@ -352,25 +371,6 @@ class CommonCapProfile:
         return caps
 
 
-class GenericCapProfile(CommonCapProfile):
-    """Profile for any :class:`CommonCapAllocation` over a full population."""
-
-    def __init__(self, population: Population,
-                 mechanism: CommonCapAllocation) -> None:
-        self._population = population
-        self._mechanism = mechanism
-        self._alphas = population.alphas
-        self.size = len(population)
-        self.upper = mechanism.cap_upper_bound(population)
-        self.unconstrained_load = population.unconstrained_per_capita_load
-
-    def carried(self, caps: np.ndarray) -> np.ndarray:
-        caps = np.asarray(caps, dtype=float)
-        thetas = self._mechanism.theta_at_caps(self._population, caps)
-        demands = self._population.demands_at(thetas)
-        return np.sum(self._alphas * demands * thetas, axis=-1)
-
-
 class ExponentialMaxMinProfile(CommonCapProfile):
     """Sorted-``theta_hat`` prefix structure for max-min + exponential demand.
 
@@ -379,14 +379,15 @@ class ExponentialMaxMinProfile(CommonCapProfile):
     the carried load is the constant ``alpha_i theta_hat_i``.  Sorting by
     ``theta_hat`` turns the saturated part of the work-conservation sum into
     a prefix-sum lookup (``searchsorted`` + ``cumsum``); only the congested
-    tail needs the exponential demand of Equation (3).  One evaluation of
-    ``carried`` at a G-vector of caps is a single vectorised pass instead of
-    G full demand-profile recomputations.
+    tail needs the exponential demand of Equation (3).  One carried-load
+    evaluation is therefore one cheap scalar pass, and :meth:`solve_cap`
+    needs fewer than ten of them per capacity on the paper's workload.
 
-    The numerical kernels themselves live on a pluggable
+    The tail pass itself lives on a pluggable
     :class:`~repro.backends.base.KernelBackend` (default: the ``reference``
-    numpy backend, which is the exact implementation that used to be inlined
-    here); the profile owns the sorted column arrays and the solve logic.
+    numpy backend); the profile owns the sorted column arrays and the
+    solver.  A profile is never written after construction, so one profile
+    may be solved from several threads at once.
     """
 
     def __init__(self, alphas: np.ndarray, theta_hats: np.ndarray,
@@ -430,43 +431,56 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         self.size = len(self._theta_hats)
         self.upper = float(self._theta_hats[-1]) if self.size else 0.0
         self.unconstrained_load = float(self._prefix[-1])
-        # Scalar-kernel scratch: ``-beta`` is precomputed (multiplying by the
-        # negated factor is bit-identical to negating the product) and the
-        # tail buffer is reused across the ~50 bisection evaluations of a
-        # ``solve_cap`` call, avoiding five allocations per evaluation.
+        # ``-beta`` is precomputed for the tail pass (multiplying by the
+        # negated factor is bit-identical to negating the product).
         self._neg_betas = -self._betas
-        self._scratch = np.empty(self.size)
+        self._ratio_floor = self.upper * _RATIO_FLOOR
 
     def carried_at_upper(self) -> float:
-        # At the saturation cap every provider is saturated: searchsorted
-        # (side="right") counts all of them, the tail sum is empty, and the
-        # vector kernel returns exactly ``prefix[-1]``.
+        # At the saturation cap every provider is saturated: the tail is
+        # empty and the carried load is exactly ``prefix[-1]``.
         return self.unconstrained_load
 
     def carried_scalar(self, cap: float) -> float:
-        """Scalar twin of :meth:`carried` (see the backend's contract).
+        """Carried load at one cap (see the backend's contract).
 
-        On the reference backend the result is bit-identical to the
-        one-element vector path; other backends agree to ``<= 1e-10``.
+        Finite for every cap; ``0.0`` for ``cap <= 0``.
         """
         return self._backend.carried_scalar(self, cap)
 
     def carried(self, caps: np.ndarray) -> np.ndarray:
         caps = np.asarray(caps, dtype=float)
-        return self._backend.carried_grid(self, caps)
+        return np.array([self.carried_scalar(cap) for cap in caps.tolist()],
+                        dtype=float)
 
     def solve_cap(self, nu: float,
                   residual_tolerance: float = _RESIDUAL_TOLERANCE) -> float:
-        """Scalar solve, using the backend's fused bisection when it has one.
+        """Equilibrium cap at one capacity, by a bracketed Illinois secant.
 
-        The guards and the bisection parameters mirror
-        :meth:`CommonCapProfile.solve_cap` exactly; backends without a fused
-        kernel (the reference backend) fall through to the generic loop over
-        :meth:`carried_scalar`.
+        The root of ``carried(cap) = target`` stays bracketed in
+        ``[low, high]``, starting from ``[0, upper]`` whose residuals
+        ``-target`` and ``unconstrained_load - target`` need no evaluation.
+        Each step evaluates the secant (regula falsi) point of the bracket;
+        when the same endpoint survives two steps in a row its residual is
+        halved — the Illinois modification (Dowell & Jarratt, BIT 1971),
+        which makes the iteration converge superlinearly.  A bisection step
+        replaces the secant point whenever that point is not strictly
+        inside the bracket, or the bracket is wider than a budget that
+        allows ``_SECANT_GRACE_STEPS`` free steps and then one halving per
+        two steps; the worst case thus stays within about twice the step
+        count of plain bisection.  (A budget rather than a sliding
+        two-step window: the secant approaches the root from one side
+        before the bracket collapses, and a window forced bisections into
+        that approach, undoing the Illinois halvings.)
+
+        The iteration exits when ``|carried(cap) - target|`` falls to
+        ``residual_tolerance * target`` (relative: a fixed absolute bound
+        would accept any tiny cap for a tiny target), when the bracket is
+        narrower than ``_CAP_WIDTH_TOLERANCE * max(1, upper)``, or after
+        ``_BISECTION_ITERATIONS`` steps.  The result depends only on the
+        profile and the arguments: it is never warm-started from an earlier
+        cap, so cached caps do not depend on the order they were computed in.
         """
-        bisect = self._backend.bisect_scalar
-        if bisect is None:
-            return super().solve_cap(nu, residual_tolerance)
         if self.size == 0:
             return math.inf
         if nu <= 0.0:
@@ -475,9 +489,37 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         if (nu >= self.unconstrained_load - _UNCONGESTED_SLACK
                 or self.carried_at_upper() <= target + _UNCONGESTED_SLACK):
             return math.inf
-        return float(bisect(self, target, _BISECTION_ITERATIONS,
-                            residual_tolerance * max(1.0, target),
-                            _CAP_WIDTH_TOLERANCE * max(1.0, self.upper)))
+        residual_tol = residual_tolerance * target
+        width_tol = _CAP_WIDTH_TOLERANCE * max(1.0, self.upper)
+        low, high = 0.0, self.upper
+        low_residual = -target
+        high_residual = self.carried_at_upper() - target
+        # Widest bracket allowed at this step: ``upper`` after the grace
+        # steps, then halved every two steps.
+        allowed_width = self.upper * 2.0 ** (0.5 * _SECANT_GRACE_STEPS)
+        moved = 0  # the endpoint the last step moved: -1 low, +1 high
+        for _ in range(_BISECTION_ITERATIONS):
+            width = high - low
+            cap = low - low_residual * width / (high_residual - low_residual)
+            if not low < cap < high or width > allowed_width:
+                cap = 0.5 * (low + high)
+            allowed_width *= _SQRT_HALF
+            residual = self.carried_scalar(cap) - target
+            if abs(residual) <= residual_tol:
+                return cap
+            if residual < 0.0:
+                low, low_residual = cap, residual
+                if moved < 0:
+                    high_residual *= 0.5
+                moved = -1
+            else:
+                high, high_residual = cap, residual
+                if moved > 0:
+                    low_residual *= 0.5
+                moved = 1
+            if high - low <= width_tol:
+                return high
+        return high
 
 
 def common_cap_profile(population: Population,
@@ -518,7 +560,7 @@ def solve_common_caps(population: Population, nus: Sequence[float],
     Returns ``(caps, thetas, demands)`` with shapes ``(G,)``, ``(G, n)`` and
     ``(G, n)``; ``caps`` is ``+inf`` at uncongested points and ``0`` where
     ``nu <= 0``.  This is the exact Theorem-1 solution at every grid point,
-    computed with one shared vectorised bisection.
+    computed by the profile's :meth:`~CommonCapProfile.solve_caps`.
     """
     config = resolve_config(config)
     nus_arr = np.asarray(nus, dtype=float)
@@ -544,9 +586,9 @@ def _common_cap_equilibrium(population: Population, nu: float,
     the work-conservation equation
     ``sum_i alpha_i d_i(theta_i(cap)) theta_i(cap) = min(nu, sum_i alpha_i theta_hat_i)``.
     The left side is continuous and non-decreasing in the cap (demands are
-    non-decreasing in throughput by Assumption 1), so bisection finds the
-    unique solution of Theorem 1.  Delegates to the vectorised kernel with a
-    one-element grid, guaranteeing scalar/batch equivalence.
+    non-decreasing in throughput by Assumption 1), so a bracketed root
+    search finds the unique solution of Theorem 1.  Delegates to the grid
+    solver with a one-element grid, guaranteeing scalar/batch equivalence.
     """
     caps, thetas, demands = solve_common_caps(population, (nu,), mechanism,
                                               config)
@@ -574,7 +616,7 @@ def solve_rate_equilibrium(population: Population, nu: float,
         The rate-allocation mechanism; defaults to the paper's max-min fair
         mechanism.
     config:
-        Solver configuration (kernel backend + bisection tolerance);
+        Solver configuration (kernel backend + cap residual tolerance);
         ``None`` uses the ambient/default config.
 
     Returns
@@ -612,7 +654,7 @@ _EQUILIBRIUM_CACHE = LRUCache(maxsize=2048, name="equilibria")
 _CLASS_CAP_CACHE = LRUCache(maxsize=16384, name="class_caps")
 #: Per-class sorted-prefix profiles (max-min + exponential fast path).  One
 #: profile serves *every* capacity the class is solved at — the capacity
-#: axis of the duopoly/migration best-response loops re-bisects the same
+#: axis of the duopoly/migration best-response loops re-solves the same
 #: class at many ``nu`` values, and the profile is the nu-independent part.
 _PROFILE_CACHE = LRUCache(maxsize=1024, name="maxmin_profiles")
 
@@ -786,12 +828,12 @@ def cached_class_cap_for_mask(population: Population,
 
     ``mask`` is a boolean array over the parent population (``None`` — or an
     all-true mask — means the full population).  For the paper's workload
-    (max-min fairness, exponential demand) the cap is bisected on the
+    (max-min fairness, exponential demand) the cap is solved on the
     class's cached sorted-prefix profile, built from column views of the
     parent — no ``Population`` object, index tuple or argsort per call,
     which is what makes the CP-game best-response inner loop cheap.  The
     value equals ``cached_subset_equilibrium(...).common_cap`` exactly
-    (both run the same bisection kernel on the same floats).
+    (both run the same scalar cap solver on the same floats).
     """
     mechanism = mechanism if mechanism is not None else _DEFAULT_MECHANISM
     config = resolve_config(config)

@@ -4,14 +4,14 @@ The serving hot path: requests arriving within a short window that share a
 ``(population fingerprint, mechanism key, config.cache_key())`` batch key
 are fused into **one** ``warm_equilibrium_cache`` call over the union of
 their nu-grids and fanned back out, so k concurrent what-if queries against
-one population cost one vectorised multi-target bisection (and leave the
+one population cost one grid cap solve (and leave the
 shared LRU caches warm for every later request).  Identical in-flight
 requests — same batch key *and* same grid — are coalesced onto a single
 awaitable future, so a thundering herd of equal queries costs one solve.
 
 Solves run on a small thread-pool executor, never on the event loop: the
 loop keeps reading sockets (and filling the next batch window) while a
-bisection runs.  That is why :class:`repro.cache.LRUCache` is lock-guarded
+solve runs.  That is why :class:`repro.cache.LRUCache` is lock-guarded
 — the executor threads and any concurrent batches share the caches.
 
 Scheduling uses only the event loop's monotonic clock
@@ -42,7 +42,7 @@ from repro.simulation.batch import (
 __all__ = ["MicroBatchScheduler", "DEFAULT_WINDOW_SECONDS"]
 
 #: Default micro-batch window: long enough to fuse a concurrent burst,
-#: short enough to be invisible next to a bisection.
+#: short enough to be invisible next to a cap solve.
 DEFAULT_WINDOW_SECONDS = 0.002
 
 _BatchKey = Tuple[Hashable, ...]
@@ -247,8 +247,8 @@ def _narrow(union: BatchRateEquilibrium, nus: Tuple[float, ...],
 
     Fancy indexing copies the rows, so per-request results never alias the
     union arrays (or each other); the row *values* are bit-identical to a
-    direct solve of the same grid because the multi-target bisection treats
-    every grid point independently.
+    direct solve of the same grid because the cap solvers treat every grid
+    point independently.
     """
     indices = np.asarray([index_of[nu] for nu in nus], dtype=np.intp)
     return BatchRateEquilibrium(

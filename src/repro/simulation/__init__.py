@@ -1,7 +1,7 @@
 """Experiment harness: sweeps, result containers and figure reproductions.
 
 * :mod:`repro.simulation.batch` — the batched equilibrium engine: whole
-  capacity grids solved in one vectorised multi-target bisection, plus the
+  capacity grids solved in one grid cap solve, plus the
   shared equilibrium/partition memoisation the game layer runs on;
 * :mod:`repro.simulation.results` — light containers for series and sweep
   results, with plain-text table rendering (no plotting dependency);

@@ -3,10 +3,10 @@
 The paper's headline figures are parameter sweeps — price × capacity × kappa
 grids over the 1000-CP workload — and each grid point needs the rate
 equilibrium of Theorem 1 at some per-capita capacity.  Solving the points
-one by one costs a full scalar bisection each; this module instead:
+one by one costs a full equilibrium construction each; this module instead:
 
-* solves *all* capacities of a grid at once with the vectorised multi-target
-  bisection of :func:`repro.network.equilibrium.solve_common_caps`
+* solves *all* capacities of a grid in one call to
+  :func:`repro.network.equilibrium.solve_common_caps`
   (:func:`solve_rate_equilibria`, returning a :class:`BatchRateEquilibrium`
   with array-shaped throughput/demand/surplus accessors);
 * memoises (class, capacity) equilibria in shared LRU caches
@@ -145,7 +145,7 @@ def solve_rate_equilibria(population: Population, nus: Sequence[float],
     The batched counterpart of
     :func:`~repro.network.equilibrium.solve_rate_equilibrium`.  For
     cap-parameterised mechanisms (the paper's max-min fair mechanism
-    included) all grid points share one vectorised multi-target bisection;
+    included) the grid's caps come from one ``solve_caps`` call;
     other mechanisms fall back to per-point scalar solves but still return
     the batched container.  Degenerate grid points (``nu = 0``, uncongested
     capacities, empty populations) are handled exactly like the scalar path.

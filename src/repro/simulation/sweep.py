@@ -7,8 +7,8 @@ the quantities plotted in the paper's Figures 4, 5, 7 and 8.
 
 All four sweeps run on the batched equilibrium engine
 (:mod:`repro.simulation.batch`): the full-population rate equilibria at
-every service-class capacity in the grid are solved in one vectorised
-multi-target bisection up front, and the per-point second-stage games then
+every service-class capacity in the grid are solved in one grid cap solve
+up front, and the per-point second-stage games then
 draw their class equilibria, class caps and partition outcomes from the
 engine's shared memoisation.
 """

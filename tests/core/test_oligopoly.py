@@ -113,9 +113,11 @@ class TestBestResponse:
 class TestAgainstDuopolySolver:
     """At N=2 the oligopoly game must agree exactly with ``DuopolyGame``.
 
-    Both front-ends drive the identical ``solve_market_split`` bisection
-    (same ISP order, same tolerances), so the agreement is exact equality,
-    not approximate.
+    Both front-ends drive the identical ``solve_market_split`` share search
+    (same ISP order, same tolerances) on the same capacity floats, so the
+    agreement is exact equality, not approximate.  The capacities must match
+    to the last bit: the cap solver's iterates depend on the carried-load
+    values, so a one-ulp change in an ISP's capacity can move its caps.
     """
 
     @pytest.mark.parametrize("strategy", [ISPStrategy(1.0, 0.3),
@@ -145,7 +147,9 @@ class TestAgainstDuopolySolver:
                               strategic_capacity_share=0.7)
         oligopoly = OligopolyGame(
             small_random_population, total_nu=3.0,
-            capacity_shares={"ISP-I": 0.7, "ISP-J": 0.3},
+            # ``DuopolyGame`` gives the other ISP ``1 - 0.7``, which is
+            # 0.30000000000000004, not 0.3.
+            capacity_shares={"ISP-I": 0.7, "ISP-J": 1.0 - 0.7},
             migration_tolerance=duopoly.migration_tolerance,
             migration_iterations=duopoly.migration_iterations)
         strategy = ISPStrategy(1.0, 0.4)

@@ -1,0 +1,159 @@
+"""The Theorem-1 cap solver against an independent oracle.
+
+``ExponentialMaxMinProfile.solve_cap`` finds the root of the carried-load
+function with a bracketed Illinois secant.  These tests check it against a
+plain sign-only bisection written here (it shares nothing with the solver
+but ``carried_scalar``), check the solver's own exit conditions from the
+outside, bound its evaluation count, and check that grids and threads do
+not change a single bit of its answers.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from repro.network.equilibrium import ExponentialMaxMinProfile
+from repro.workloads.populations import paper_population
+
+#: The solver's documented exits (``_RESIDUAL_TOLERANCE`` and
+#: ``_CAP_WIDTH_TOLERANCE`` in ``repro.network.equilibrium``).
+RESIDUAL_TOLERANCE = 1e-13
+WIDTH_TOLERANCE = 1e-14
+#: Agreement with the oracle, relative to the cap.
+AGREEMENT = 1e-10
+#: Evaluations a single solve may spend (plain bisection needs ~45).
+MAX_EVALUATIONS = 60
+
+
+def oracle_cap(profile: ExponentialMaxMinProfile, target: float) -> float:
+    """Root of ``carried(cap) = target`` by bisection to ``1e-15 * upper``."""
+    low, high = 0.0, profile.upper
+    while high - low > 1e-15 * profile.upper:
+        mid = 0.5 * (low + high)
+        if not low < mid < high:
+            break
+        if profile.carried_scalar(mid) < target:
+            low = mid
+        else:
+            high = mid
+    return 0.5 * (low + high)
+
+
+def counted_solve(profile: ExponentialMaxMinProfile,
+                  nu: float) -> tuple[float, int]:
+    """``profile.solve_cap(nu)`` and the number of carried evaluations."""
+    calls = []
+    carried = profile.carried_scalar
+    profile.carried_scalar = lambda cap: (calls.append(cap), carried(cap))[1]
+    try:
+        cap = profile.solve_cap(nu)
+    finally:
+        del profile.carried_scalar
+    return cap, len(calls)
+
+
+def check_against_oracle(profile: ExponentialMaxMinProfile,
+                         nu: float) -> None:
+    cap, evaluations = counted_solve(profile, nu)
+    assert evaluations <= MAX_EVALUATIONS
+    target = min(nu, profile.unconstrained_load)
+    if np.isinf(cap):
+        assert nu >= profile.unconstrained_load - 1e-15
+        return
+    width_tolerance = WIDTH_TOLERANCE * max(1.0, profile.upper)
+    value = profile.carried_scalar(cap)
+    # Either the relative residual exit held, or the width exit did: the
+    # cap is the top of a bracket narrower than the width tolerance whose
+    # bottom still carried less than the target.
+    assert (abs(value - target) <= RESIDUAL_TOLERANCE * target
+            or (value >= target
+                and profile.carried_scalar(max(cap - width_tolerance, 0.0))
+                < target))
+    expected = oracle_cap(profile, target)
+    assert abs(cap - expected) <= AGREEMENT * expected + width_tolerance
+
+
+# Ties come from a small pool of theta_hat values; beta mixes elastic
+# (beta = 0) and stiff (beta = 50) columns with a continuous range.
+thetas_st = st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                      st.floats(min_value=0.05, max_value=20.0))
+betas_st = st.one_of(st.sampled_from([0.0, 50.0]),
+                     st.floats(min_value=0.0, max_value=30.0))
+columns_st = st.integers(min_value=1, max_value=25).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(min_value=0.01, max_value=2.0),
+                 min_size=n, max_size=n),
+        st.lists(thetas_st, min_size=n, max_size=n),
+        st.lists(betas_st, min_size=n, max_size=n)))
+
+
+@given(columns=columns_st,
+       nu_fraction=st.floats(min_value=1e-3, max_value=1.0))
+@example(columns=([1.0], [1.0], [0.0]), nu_fraction=0.5)
+@example(columns=([0.3], [2.0], [50.0]), nu_fraction=0.01)
+@example(columns=([1.0] * 4, [2.0] * 4, [0.0, 1.0, 2.0, 3.0]),
+         nu_fraction=0.25)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_solve_cap_matches_oracle(columns, nu_fraction):
+    profile = ExponentialMaxMinProfile(*(np.asarray(column, dtype=float)
+                                         for column in columns))
+    check_against_oracle(profile, nu_fraction * profile.unconstrained_load)
+
+
+@pytest.fixture(scope="module")
+def paper_profile() -> ExponentialMaxMinProfile:
+    population = paper_population(count=1000)
+    return ExponentialMaxMinProfile(population.alphas,
+                                    *population.exponential_parameters)
+
+
+@pytest.mark.parametrize("fraction", [1e-3, 0.01, 0.05, 0.2, 0.5, 0.8, 0.99,
+                                      0.999999])
+def test_paper_population_matches_oracle(paper_profile, fraction):
+    check_against_oracle(paper_profile,
+                         fraction * paper_profile.unconstrained_load)
+
+
+def test_guards_spend_no_evaluation(paper_profile):
+    load = paper_profile.unconstrained_load
+    for nu, expected in ((0.0, 0.0), (-1.0, 0.0), (load, np.inf),
+                         (2.0 * load, np.inf)):
+        assert counted_solve(paper_profile, nu) == (expected, 0)
+
+
+def test_grid_entries_equal_single_point_solves(paper_profile):
+    load = paper_profile.unconstrained_load
+    nus = np.array([0.0, 1e-9, 0.05, 0.3, 0.7, 1.0, 1.5]) * load
+    grid = paper_profile.solve_caps(nus)
+    assert grid.tolist() == [paper_profile.solve_cap(float(nu)) for nu in nus]
+
+
+def test_threads_sharing_a_profile_match_a_serial_run(paper_profile):
+    load = paper_profile.unconstrained_load
+    nus = [fraction * load for fraction in np.linspace(0.01, 0.99, 200)]
+    serial = [paper_profile.solve_cap(nu) for nu in nus]
+    results: dict[int, list[float]] = {}
+    start = threading.Barrier(4)
+
+    def work(index: int) -> None:
+        start.wait()
+        results[index] = [paper_profile.solve_cap(nu) for nu in nus]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(index,))
+                   for index in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [results[index] for index in range(4)] == [serial] * 4

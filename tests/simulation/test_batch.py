@@ -2,7 +2,7 @@
 
 The batched equilibrium engine promises that ``solve_rate_equilibria`` is
 *exactly* the scalar ``solve_rate_equilibrium`` applied per grid point (they
-share one bisection kernel), and that every cache layer is pure memoisation
+share one cap solver), and that every cache layer is pure memoisation
 (cached results identical to cold recomputation).  These tests pin both
 claims across mechanisms, demand families and degenerate cases.
 """
@@ -414,7 +414,7 @@ class TestCapacityAxisBatching:
         for nu in (0.0, 1e-9, 0.05 * load, 0.5 * load, load, 2.0 * load):
             vector = float(profile.solve_caps(np.array([nu]))[0])
             scalar = profile.solve_cap(nu)
-            # Same bisection, same carried kernel: exact equality.
+            # Same solver, same carried kernel: exact equality.
             assert scalar == vector or (np.isinf(scalar) and np.isinf(vector))
 
     @given(count=st.integers(min_value=1, max_value=40),
@@ -432,11 +432,8 @@ class TestCapacityAxisBatching:
         nus = np.array([fraction * load for fraction in fractions])
         grid = profile.solve_caps(nus)
         for nu, cap in zip(nus, grid):
-            scalar = profile.solve_cap(float(nu))
-            if np.isinf(scalar) or np.isinf(cap):
-                assert np.isinf(scalar) and np.isinf(cap)
-            else:
-                assert abs(scalar - cap) <= TOL
+            # A grid runs the scalar solver once per point: bit-identical.
+            assert profile.solve_cap(float(nu)) == cap
 
     def test_class_cap_for_mask_matches_index_form_exactly(self):
         from repro.network.equilibrium import (
@@ -501,17 +498,16 @@ class TestCapacityAxisBatching:
         from repro.network import equilibrium
 
         population = exponential_population()
-        profile = equilibrium.common_cap_profile(population,
-                                                 MaxMinFairAllocation())
+        # Only the generic profile evaluates whole grids at once (the
+        # sorted-prefix profile loops over its scalar kernel).
+        profile = equilibrium.GenericCapProfile(population,
+                                                MaxMinFairAllocation())
         caps = np.linspace(0.0, 1.2 * profile.upper, 37)
         unchunked = profile.carried(caps)
         # Force the element bound low enough that every call chunks.
         monkeypatch.setattr(equilibrium, "_CARRIED_BATCH_ELEMENTS",
                             4 * len(population))
         chunked = profile._carried_bounded(caps)
-        # Chunk boundaries change the tail zero-padding and therefore the
-        # pairwise-summation grouping, so agreement is at the engine's
-        # batch-vs-scalar tolerance, not bit-exact.
         np.testing.assert_allclose(chunked, unchunked, rtol=0.0, atol=TOL)
 
     def test_capacity_sweep_warming_matches_per_point_outcomes(self):
