@@ -74,13 +74,17 @@ def _cold_solver_caches():
     yield
 
 
-@pytest.fixture(scope="session")
+# The population fixtures are function-scoped on purpose: a population
+# memoises its sorted max-min profiles and sort order on itself, out of reach
+# of ``clear_all_caches()``, so a shared instance would let every benchmark
+# after the first start warm.  A 1000-CP build costs about 10 ms.
+@pytest.fixture
 def paper_cps():
     """The paper's main-text workload: 1000 CPs, phi ~ U[0, beta]."""
     return paper_population(count=1000, utility_model="beta_correlated")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def paper_cps_appendix():
     """The appendix workload: same CPs, phi ~ U[0, U[0, 10]] independent of beta."""
     return paper_population(count=1000, utility_model="independent")

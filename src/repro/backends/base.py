@@ -1,17 +1,26 @@
 """The kernel-backend protocol of the solver stack.
 
-A :class:`KernelBackend` supplies the numerical primitive behind the
+A :class:`KernelBackend` supplies the numerical primitives behind the
 Theorem-1 cap solver on the sorted-``theta_hat`` prefix structure of
-:class:`repro.network.equilibrium.ExponentialMaxMinProfile`: the
-**carried-load tail pass** (:meth:`KernelBackend.carried_scalar`) — the
-work-conservation LHS at one throughput cap, a prefix lookup for the
-saturated providers plus the exponential-demand tail of Equation (3).  The
-profile's root-finder (a bracketed Illinois secant) and its grid loop call
-it; they are the same for every backend.
+:class:`repro.network.equilibrium.ExponentialMaxMinProfile`:
+
+* the **carried-load tail pass** (:meth:`KernelBackend.carried_scalar`) —
+  the work-conservation LHS at one throughput cap, a prefix lookup for the
+  saturated providers plus the exponential-demand tail of Equation (3).
+  The profile's root-finder (a bracketed Illinois secant) and its grid loop
+  call it; they are the same for every backend;
+* the **fused aggregate pass** (:meth:`KernelBackend.carried_and_surplus`)
+  — the same tail pass returning the carried load *and* the consumer
+  surplus ``Phi = sum_i phi_i alpha_i d_i theta_i`` at one cap, so a grid's
+  aggregate series need no per-provider matrices.  It takes the sorted
+  utility rates ``phis`` and their ``phi * alpha * theta_hat`` prefix
+  ``phi_prefix`` as arguments.  Its carried load must equal
+  :meth:`~KernelBackend.carried_scalar` bit for bit (both share one tail
+  computation).
 
 Backends receive the profile object itself and read its sorted column
 arrays (``_theta_hats``, ``_alphas``, ``_betas``, ``_neg_betas``,
-``_prefix``) and its ``_ratio_floor``; the profile is never written after
+``_prefix``) and its ``_tiny_cap``; the profile is never written after
 construction, so a backend must not write to it either — one profile may
 be evaluated from several threads at once.
 
@@ -25,6 +34,8 @@ the ``REPRO_BACKEND`` environment variable.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.network.equilibrium import ExponentialMaxMinProfile
@@ -49,4 +60,10 @@ class KernelBackend(Protocol):
     def carried_scalar(self, profile: "ExponentialMaxMinProfile",
                        cap: float) -> float:
         """Per-capita carried load at a single throughput cap."""
+        ...
+
+    def carried_and_surplus(self, profile: "ExponentialMaxMinProfile",
+                            cap: float, phis: np.ndarray,
+                            phi_prefix: np.ndarray) -> tuple[float, float]:
+        """``(carried load, consumer surplus)`` at one cap, in one pass."""
         ...

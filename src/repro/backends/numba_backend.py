@@ -36,14 +36,19 @@ __all__ = ["NumbaBackend", "load_numba_backend", "numba_available",
 # Kernel (plain Python; njit-compiled when numba is present)
 # --------------------------------------------------------------------------- #
 # The saturated count is an inlined ``side="right"`` binary search on the
-# sorted ``theta_hats``; ``theta / cap`` divides by at least ``ratio_floor``
-# (the profile's), so a subnormal cap cannot overflow it to ``inf``.
+# sorted ``theta_hats``.  A ``beta = 0`` term is ``alpha * cap`` exactly (the
+# exponential is ``exp(-0.0) = 1``); computing it directly also covers a
+# tiny cap whose ``theta / cap`` overflows, where ``-0 * inf`` would be NaN.
+# One kernel serves both the scalar carried load and the fused carried-load
+# + surplus pass: an empty ``phis`` column skips the ``phi``-weighted sum,
+# so the two share one tail loop and agree on the carried load bit for bit.
 
-def _kernel_carried_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
-                           betas: np.ndarray, prefix: np.ndarray,
-                           ratio_floor: float, cap: float) -> float:
+def _kernel_carried_sums(theta_hats: np.ndarray, alphas: np.ndarray,
+                         betas: np.ndarray, prefix: np.ndarray,
+                         phis: np.ndarray, phi_prefix: np.ndarray,
+                         cap: float) -> "tuple[float, float]":
     if cap <= 0.0:
-        return 0.0
+        return 0.0, 0.0
     n = theta_hats.shape[0]
     low = 0
     high = n
@@ -53,12 +58,19 @@ def _kernel_carried_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
             low = mid + 1
         else:
             high = mid
-    ratio_cap = max(cap, ratio_floor)
+    weighted = phis.shape[0] > 0
     total = prefix[low]
+    surplus = phi_prefix[low] if weighted else 0.0
     for i in range(low, n):
-        total += (alphas[i]
-                  * math.exp(-betas[i] * (theta_hats[i] / ratio_cap - 1.0)) * cap)
-    return total
+        if betas[i] == 0.0:
+            term = alphas[i] * cap
+        else:
+            term = (alphas[i]
+                    * math.exp(-betas[i] * (theta_hats[i] / cap - 1.0)) * cap)
+        total += term
+        if weighted:
+            surplus += phis[i] * term
+    return total, surplus
 
 
 # --------------------------------------------------------------------------- #
@@ -102,8 +114,12 @@ def _compiled_kernel() -> Any:
         if module is None:
             return None
         njit = module.njit(cache=False, fastmath=False, nogil=True)
-        _COMPILED = njit(_kernel_carried_scalar)
+        _COMPILED = njit(_kernel_carried_sums)
     return _COMPILED
+
+
+#: The ``phis``/``phi_prefix`` arguments of a carried-load-only pass.
+_NO_WEIGHTS = np.zeros(0)
 
 
 class NumbaBackend:
@@ -112,13 +128,21 @@ class NumbaBackend:
     name = "numba"
 
     def __init__(self, kernel: Any) -> None:
-        self._carried_scalar = kernel
+        self._carried_sums = kernel
 
     def carried_scalar(self, profile: ExponentialMaxMinProfile,
                        cap: float) -> float:
-        return float(self._carried_scalar(
+        return float(self._carried_sums(
             profile._theta_hats, profile._alphas, profile._betas,
-            profile._prefix, profile._ratio_floor, float(cap)))
+            profile._prefix, _NO_WEIGHTS, _NO_WEIGHTS, float(cap))[0])
+
+    def carried_and_surplus(self, profile: ExponentialMaxMinProfile,
+                            cap: float, phis: np.ndarray,
+                            phi_prefix: np.ndarray) -> tuple[float, float]:
+        carried, surplus = self._carried_sums(
+            profile._theta_hats, profile._alphas, profile._betas,
+            profile._prefix, phis, phi_prefix, float(cap))
+        return float(carried), float(surplus)
 
 
 def load_numba_backend() -> Optional[NumbaBackend]:

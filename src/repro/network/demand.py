@@ -211,10 +211,13 @@ class ExponentialSensitivityDemand(DemandFunction):
             congestion = np.where(
                 positive, theta_hats / np.where(positive, clipped, 1.0) - 1.0, np.inf)
             demands = np.exp(-betas * congestion)
-        # theta <= 0: demand limit is 1 for beta == 0 and 0 otherwise.
-        zero_limit = (betas == 0.0).astype(float)
-        demands = np.where(positive, demands, zero_limit)
-        demands = np.where(clipped >= theta_hats, 1.0, demands)
+        # theta <= 0: demand limit is 0 for beta > 0.  Demand is exactly 1
+        # for beta == 0 at every theta: setting it explicitly also covers a
+        # subnormal theta, whose ratio overflows to inf and would give
+        # exp(-0 * inf) = NaN.
+        demands = np.where(positive, demands, 0.0)
+        demands = np.where((clipped >= theta_hats) | (betas == 0.0), 1.0,
+                           demands)
         return np.clip(demands, 0.0, 1.0)
 
     def demand_at_zero(self) -> float:

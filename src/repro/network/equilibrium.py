@@ -48,14 +48,17 @@ __all__ = [
     "RateEquilibrium",
     "solve_rate_equilibrium",
     "solve_common_caps",
+    "common_cap_row",
     "CommonCapProfile",
     "ExponentialMaxMinProfile",
     "common_cap_profile",
+    "population_surplus_weights",
     "cached_subset_equilibrium",
     "cached_class_cap",
     "cached_class_cap_for_mask",
     "mechanism_cache_key",
     "default_equilibrium_cache",
+    "default_class_cap_cache",
     "frozen_equilibrium",
     "equilibrium_cache_stats",
     "clear_equilibrium_caches",
@@ -87,14 +90,13 @@ _CONGESTION_SLACK = 1e-12
 #: so peak memory stays flat in the grid size.  Chunking changes only the
 #: grouping of the per-cap sums, never a grid entry's own arithmetic.
 _CARRIED_BATCH_ELEMENTS = 1 << 22
-#: Floor on the divisor of ``theta_hat / cap`` in the exponential tail pass,
-#: relative to the largest ``theta_hat``.  A subnormal cap would overflow the
-#: ratio to ``inf``, and a ``beta = 0`` column would then give
-#: ``exp(-0 * inf) = NaN``.  Capping the ratio at 1e200 changes no value:
-#: each term it touches is exactly ``alpha * cap`` for ``beta = 0`` and
-#: underflows to 0 for any ``beta`` above ~1e-197 either way, while
-#: ``beta * 1e200`` stays finite for any ``beta`` below ~1e108.
-_RATIO_FLOOR = 1e-200
+#: Caps below this fraction of the largest ``theta_hat`` take the
+#: overflow-safe exponential tail pass.  There ``theta_hat / cap`` may
+#: overflow to ``inf``, and a ``beta = 0`` column would then give
+#: ``exp(-0 * inf) = NaN``; the safe pass sets those terms to their exact
+#: value ``alpha * cap``.  Above the threshold the ratio stays below 1e200,
+#: so the fast pass needs no floating-point error guard.
+_TINY_CAP = 1e-200
 
 
 @dataclass(frozen=True)
@@ -388,6 +390,12 @@ class ExponentialMaxMinProfile(CommonCapProfile):
     numpy backend); the profile owns the sorted column arrays and the
     solver.  A profile is never written after construction, so one profile
     may be solved from several threads at once.
+
+    :meth:`carried_and_surplus` also returns the consumer surplus from the
+    same tail pass, given the utility-rate columns of
+    :meth:`surplus_weights`.  Those are built by the caller (once per
+    batch) and never stored here: most profiles (the CP-game classes) are
+    never asked for a surplus.
     """
 
     def __init__(self, alphas: np.ndarray, theta_hats: np.ndarray,
@@ -434,7 +442,7 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         # ``-beta`` is precomputed for the tail pass (multiplying by the
         # negated factor is bit-identical to negating the product).
         self._neg_betas = -self._betas
-        self._ratio_floor = self.upper * _RATIO_FLOOR
+        self._tiny_cap = self.upper * _TINY_CAP
 
     def carried_at_upper(self) -> float:
         # At the saturation cap every provider is saturated: the tail is
@@ -447,6 +455,30 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         Finite for every cap; ``0.0`` for ``cap <= 0``.
         """
         return self._backend.carried_scalar(self, cap)
+
+    def surplus_weights(self, sorted_utility_rates: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """``(phis, phi_prefix)`` columns for :meth:`carried_and_surplus`.
+
+        ``sorted_utility_rates`` are the providers' ``phi`` in this
+        profile's stable ``theta_hat`` order; ``phi_prefix`` is the prefix
+        sum of ``phi * alpha * theta_hat``, the surplus of the saturated
+        providers.
+        """
+        phis = np.ascontiguousarray(sorted_utility_rates, dtype=float)
+        return phis, np.concatenate(
+            ([0.0], np.cumsum(phis * self._alphas * self._theta_hats)))
+
+    def carried_and_surplus(self, cap: float,
+                            weights: tuple[np.ndarray, np.ndarray]
+                            ) -> tuple[float, float]:
+        """Carried load and consumer surplus ``Phi`` at one cap, in one pass.
+
+        ``weights`` comes from :meth:`surplus_weights`.  The carried load
+        equals :meth:`carried_scalar` bit for bit.
+        """
+        phis, phi_prefix = weights
+        return self._backend.carried_and_surplus(self, cap, phis, phi_prefix)
 
     def carried(self, caps: np.ndarray) -> np.ndarray:
         caps = np.asarray(caps, dtype=float)
@@ -553,27 +585,37 @@ def common_cap_profile(population: Population,
 
 def solve_common_caps(population: Population, nus: Sequence[float],
                       mechanism: CommonCapAllocation,
-                      config: Optional[SolverConfig] = None
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Equilibria of a cap-parameterised mechanism at a vector of capacities.
+                      config: Optional[SolverConfig] = None) -> np.ndarray:
+    """Equilibrium caps of a cap-parameterised mechanism on a capacity grid.
 
-    Returns ``(caps, thetas, demands)`` with shapes ``(G,)``, ``(G, n)`` and
-    ``(G, n)``; ``caps`` is ``+inf`` at uncongested points and ``0`` where
-    ``nu <= 0``.  This is the exact Theorem-1 solution at every grid point,
-    computed by the profile's :meth:`~CommonCapProfile.solve_caps`.
+    Returns the ``(G,)`` cap vector: ``+inf`` at uncongested points (and
+    for an empty population), ``0`` where ``nu <= 0``, and otherwise the
+    exact Theorem-1 root computed by the profile's
+    :meth:`~CommonCapProfile.solve_caps`.  The cap determines the whole
+    equilibrium: :func:`common_cap_row` rebuilds any grid point's
+    per-provider profile from it.
     """
     config = resolve_config(config)
-    nus_arr = np.asarray(nus, dtype=float)
     profile = common_cap_profile(population, mechanism, config)
-    caps = profile.solve_caps(nus_arr,
+    return profile.solve_caps(np.asarray(nus, dtype=float),
                               residual_tolerance=config.bisection_tolerance)
+
+
+def common_cap_row(population: Population, mechanism: CommonCapAllocation,
+                   cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Equilibrium ``(thetas, demands)`` of the providers at one cap.
+
+    The one per-row function behind every per-provider view of a
+    cap-defined equilibrium (scalar solves, batch rows and matrices,
+    streamed service rows), so they all agree bit for bit.  An infinite
+    (uncongested) cap is evaluated at the mechanism's saturation cap.
+    """
     if len(population) == 0:
-        empty = np.zeros((len(nus_arr), 0))
-        return caps, empty, empty
-    evaluation_caps = np.where(np.isfinite(caps), caps, profile.upper)
-    thetas = mechanism.theta_at_caps(population, evaluation_caps)
-    demands = population.demands_at(thetas)
-    return caps, thetas, demands
+        return np.zeros(0), np.zeros(0)
+    if not math.isfinite(cap):
+        cap = mechanism.cap_upper_bound(population)
+    thetas = mechanism.theta_at_caps(population, np.array([cap]))[0]
+    return thetas, population.demands_at(thetas)
 
 
 def _common_cap_equilibrium(population: Population, nu: float,
@@ -587,14 +629,15 @@ def _common_cap_equilibrium(population: Population, nu: float,
     ``sum_i alpha_i d_i(theta_i(cap)) theta_i(cap) = min(nu, sum_i alpha_i theta_hat_i)``.
     The left side is continuous and non-decreasing in the cap (demands are
     non-decreasing in throughput by Assumption 1), so a bracketed root
-    search finds the unique solution of Theorem 1.  Delegates to the grid
-    solver with a one-element grid, guaranteeing scalar/batch equivalence.
+    search finds the unique solution of Theorem 1.  The cap comes from the
+    grid solver with a one-element grid and the profile from
+    :func:`common_cap_row`, so a scalar solve equals its batch row.
     """
-    caps, thetas, demands = solve_common_caps(population, (nu,), mechanism,
-                                              config)
-    return RateEquilibrium(population, nu, thetas[0], demands[0],
+    cap = float(solve_common_caps(population, (nu,), mechanism, config)[0])
+    thetas, demands = common_cap_row(population, mechanism, cap)
+    return RateEquilibrium(population, nu, thetas, demands,
                            mechanism_name=type(mechanism).__name__,
-                           common_cap=float(caps[0]))
+                           common_cap=cap)
 
 
 def solve_rate_equilibrium(population: Population, nu: float,
@@ -664,6 +707,11 @@ def default_equilibrium_cache() -> LRUCache:
     return _EQUILIBRIUM_CACHE
 
 
+def default_class_cap_cache() -> LRUCache:
+    """The shared class-cap cache (for pre-seeding caps without rows)."""
+    return _CLASS_CAP_CACHE
+
+
 def mechanism_cache_key(mechanism: Optional[RateAllocationMechanism],
                         ) -> tuple[Any, ...]:
     """Cache key of ``mechanism`` (``None`` means the default max-min)."""
@@ -676,7 +724,7 @@ def frozen_equilibrium(equilibrium: RateEquilibrium) -> RateEquilibrium:
     """A copy of ``equilibrium`` whose arrays are detached and read-only.
 
     Entries that enter a shared cache must not alias writable solver
-    buffers: batch solves hand out row *views* of the whole ``(G, n)``
+    buffers: a fixed-point batch hands out row *views* of its ``(G, n)``
     grid matrices, so an aliased entry would both pin the grid's memory
     and let any caller mutate what every later cache hit observes.
     """
@@ -735,6 +783,16 @@ def _maxmin_order(population: Population) -> np.ndarray:
         order.flags.writeable = False
         population._maxmin_order_cache = order  # type: ignore[attr-defined]
     return order
+
+
+def population_surplus_weights(population: Population,
+                               profile: ExponentialMaxMinProfile
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`ExponentialMaxMinProfile.surplus_weights` of the population's
+    own profile (``common_cap_profile``), sorted by the population's cached
+    stable ``theta_hat`` order — the order that profile was built in."""
+    return profile.surplus_weights(
+        population.utility_rates[_maxmin_order(population)])
 
 
 def _subset_profile(population: Population, mask: np.ndarray,

@@ -18,10 +18,14 @@ A ``POST /solve`` body is a JSON object::
 and the response echoes the request identity plus the equilibrium series
 (grid axis first) and the solver provenance.  By default the series are
 the per-grid-point aggregate curves (``aggregate_rates``,
-``utilizations``, ``consumer_surpluses``, optional ``premium_revenues``);
-``"detail": true`` additionally ships the per-provider ``(G, n)`` matrices
-(``thetas``, ``demands``, ``per_capita_rates``), which at the paper's
-1000-CP workload are ~200 KB of JSON per response and therefore opt-in.
+``utilizations``, ``consumer_surpluses``, optional ``premium_revenues``),
+computed from the grid's Theorem-1 caps in ``O(G + n)`` memory;
+``"detail": true`` additionally ships the per-provider ``(G, n)`` series
+(``thetas``, ``demands``, ``per_capita_rates``), built row by row from the
+caps.  At the paper's 1000-CP workload those are ~200 KB of JSON per
+response, so they are opt-in, and a detail request over
+``MAX_DETAIL_CELLS`` grid points x providers is refused with a 413
+``grid_too_large`` error.
 Parsing is strict: unknown
 fields, non-finite grids and malformed specs raise :class:`RequestError`,
 which the server maps to a structured 4xx-style JSON error without tearing
@@ -89,6 +93,11 @@ _POPULATION_FIELDS = frozenset({"count", "seed", "utility_model"})
 #: a malformed request, not a workload.
 MAX_GRID_POINTS = 4096
 MAX_POPULATION_COUNT = 1_000_000
+#: Largest per-provider payload (grid points x providers) of a ``detail``
+#: request.  The aggregate series need O(G + n) memory at any admitted size,
+#: but ``detail`` ships three ``(G, n)`` matrices; 2**22 cells still admits
+#: the paper's 1000 CPs at the full 4096-point grid.
+MAX_DETAIL_CELLS = 1 << 22
 
 #: Resolved populations, keyed by spec and by fingerprint.  Warm
 #: cross-request state like the solver caches; population construction is
@@ -265,6 +274,15 @@ def parse_solve_request(payload: Any) -> SolveRequest:
     detail = body.get("detail", False)
     if not isinstance(detail, bool):
         raise RequestError("bad_request", "detail must be a boolean")
+    cells = len(nus) * len(population)
+    if detail and cells > MAX_DETAIL_CELLS:
+        raise RequestError(
+            "grid_too_large",
+            f"a detail response for {len(nus)} grid points x "
+            f"{len(population)} providers has {cells} cells; the server "
+            f"caps detail responses at {MAX_DETAIL_CELLS} cells (drop "
+            "'detail' for the aggregate series, or split the grid)",
+            status=413)
     config = _parse_config(body.get("config"))
     return SolveRequest(population=population, mechanism_name=mechanism_name,
                         mechanism=_MECHANISMS[mechanism_name], nus=nus,
@@ -281,9 +299,9 @@ def build_solve_response(request: SolveRequest, batch: BatchRateEquilibrium,
     ``solve_rate_equilibria`` call for the same request under the reference
     backend.  The default ``series`` block carries the per-grid-point
     aggregate curves; ``detail`` requests additionally get the per-provider
-    ``(G, n)`` matrices under ``providers``.  Solver provenance (effective
-    backend + the full cache key) is echoed so clients can attribute every
-    number.
+    ``(G, n)`` matrices under ``providers`` (stacked from the caps).  Solver
+    provenance (effective backend + the full cache key) is echoed so
+    clients can attribute every number.
     """
     response = _response_base(request, batch, coalesced=coalesced,
                               batch_size=batch_size)
@@ -324,21 +342,21 @@ def _response_base(request: SolveRequest, batch: BatchRateEquilibrium, *,
 
 def _provider_row(batch: BatchRateEquilibrium, name: str,
                   index: int) -> Any:
-    """One grid point's per-provider series, materialised lazily.
+    """One grid point's per-provider series, built from its cap.
 
-    ``per_capita_rates`` is recomputed per row from the equilibrium arrays
-    instead of through the ``(G, n)`` property so the streaming path never
-    holds a full derived matrix.
+    The row comes from :meth:`BatchRateEquilibrium.provider_row`, the
+    function the lazy ``(G, n)`` matrices are stacked from, so the
+    streaming path never holds a ``(G, n)`` array and its bytes match the
+    buffered body.
     """
+    thetas, demands = batch.provider_row(index)
     if name == "thetas":
-        return batch.thetas[index].tolist()
+        return thetas.tolist()
     if name == "demands":
-        return batch.demands[index].tolist()
+        return demands.tolist()
     # Same association order as the (G, n) property — alphas * (d * theta),
-    # via the rhos intermediate — so streamed bytes match the buffered body.
-    row = (batch.population.alphas
-           * (batch.demands[index] * batch.thetas[index]))
-    return row.tolist()
+    # via the rhos intermediate.
+    return (batch.population.alphas * (demands * thetas)).tolist()
 
 
 #: ``providers`` sub-keys in canonical (sorted) order — the streaming
@@ -355,9 +373,10 @@ def solve_response_chunks(request: SolveRequest, batch: BatchRateEquilibrium,
     Yields UTF-8 fragments whose concatenation is **byte-identical** to
     ``json.dumps(build_solve_response(...), sort_keys=True)`` for the same
     request — the streamed and buffered wire bodies are the same JSON
-    document.  The per-provider ``(G, n)`` matrices are serialised one grid
-    row at a time, so the peak resident footprint of a response is one
-    row's Python list plus its JSON string instead of three full matrices;
+    document.  The per-provider series are built from the caps and
+    serialised one grid row at a time, so no ``(G, n)`` array exists and
+    the peak resident footprint of a response is one row's Python list plus
+    its JSON string;
     the server writes each fragment as one HTTP chunk and drains the
     transport between fragments (bounded buffering at the socket too).
     """

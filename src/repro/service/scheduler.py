@@ -4,10 +4,12 @@ The serving hot path: requests arriving within a short window that share a
 ``(population fingerprint, mechanism key, config.cache_key())`` batch key
 are fused into **one** ``warm_equilibrium_cache`` call over the union of
 their nu-grids and fanned back out, so k concurrent what-if queries against
-one population cost one grid cap solve (and leave the
-shared LRU caches warm for every later request).  Identical in-flight
-requests — same batch key *and* same grid — are coalesced onto a single
-awaitable future, so a thundering herd of equal queries costs one solve.
+one population cost one grid cap solve (and leave the shared class-cap
+cache warm for every later request: only the caps are cached, one float
+per grid point, since every served series is computed from them).
+Identical in-flight requests — same batch key *and* same grid — are
+coalesced onto a single awaitable future, so a thundering herd of equal
+queries costs one solve.
 
 Solves run on a small thread-pool executor, never on the event loop: the
 loop keeps reading sockets (and filling the next batch window) while a
@@ -26,8 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
-
-import numpy as np
 
 from repro.backends.config import SolverConfig, resolve_config
 from repro.network.allocation import RateAllocationMechanism
@@ -226,38 +226,26 @@ class MicroBatchScheduler:
             solved = await loop.run_in_executor(
                 self._executor,
                 partial(warm_equilibrium_cache, pending.population, union,
-                        pending.mechanism, config=pending.config))
+                        pending.mechanism, config=pending.config,
+                        rows=False))
         except Exception as error:
             self.errors += 1
             for entry in entries:
                 if not entry.future.done():
                     entry.future.set_exception(error)
             return
+        # Each request gets its own rows of the union, in its grid order:
+        # ``take`` copies the grid and caps, and every per-request series is
+        # computed from those caps.  They are bit-identical to a direct solve
+        # of the same grid because the cap solvers treat every grid point
+        # independently.
         index_of = {nu: index for index, nu in enumerate(union)}
         for entry in entries:
             if entry.future.done():  # pragma: no cover - cancelled client
                 continue
             entry.future.set_result(
-                (_narrow(solved, entry.nus, index_of), len(entries)))
-
-
-def _narrow(union: BatchRateEquilibrium, nus: Tuple[float, ...],
-            index_of: Dict[float, int]) -> BatchRateEquilibrium:
-    """One request's rows of the union batch, in the request's grid order.
-
-    Fancy indexing copies the rows, so per-request results never alias the
-    union arrays (or each other); the row *values* are bit-identical to a
-    direct solve of the same grid because the cap solvers treat every grid
-    point independently.
-    """
-    indices = np.asarray([index_of[nu] for nu in nus], dtype=np.intp)
-    return BatchRateEquilibrium(
-        population=union.population,
-        nus=union.nus[indices],
-        thetas=union.thetas[indices],
-        demands=union.demands[indices],
-        common_caps=union.common_caps[indices],
-        mechanism_name=union.mechanism_name)
+                (solved.take([index_of[nu] for nu in entry.nus]),
+                 len(entries)))
 
 
 async def _wait(future: "asyncio.Future[_Outcome]") -> _Outcome:

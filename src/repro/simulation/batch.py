@@ -1,14 +1,18 @@
-"""Batched equilibrium engine: whole sweep grids in one vectorised pass.
+"""Batched equilibrium engine: whole sweep grids from one cap vector.
 
 The paper's headline figures are parameter sweeps — price × capacity × kappa
 grids over the 1000-CP workload — and each grid point needs the rate
-equilibrium of Theorem 1 at some per-capita capacity.  Solving the points
-one by one costs a full equilibrium construction each; this module instead:
+equilibrium of Theorem 1 at some per-capita capacity.  Under a
+cap-parameterised mechanism that equilibrium is a function of one number,
+the Theorem-1 cap.  This module:
 
 * solves *all* capacities of a grid in one call to
   :func:`repro.network.equilibrium.solve_common_caps`
   (:func:`solve_rate_equilibria`, returning a :class:`BatchRateEquilibrium`
-  with array-shaped throughput/demand/surplus accessors);
+  that holds only the ``(G,)`` cap vector).  Its aggregate series (carried
+  rate, utilisation, consumer surplus, premium revenue) come from the caps
+  in ``O(G + n)`` memory; the per-provider ``(G, n)`` matrices are built
+  only when asked for;
 * memoises (class, capacity) equilibria in shared LRU caches
   (:func:`repro.network.equilibrium.cached_subset_equilibrium` /
   :func:`cached_class_cap`) so the monopoly, duopoly and CP-partition games
@@ -18,15 +22,16 @@ one by one costs a full equilibrium construction each; this module instead:
   sweep layer into lookups.
 
 The scalar path (:func:`repro.network.equilibrium.solve_rate_equilibrium`)
-is retained and delegates to the same kernel, so batch and scalar results
-are bit-for-bit identical — a property the test suite asserts across
-mechanisms and demand families.
+runs the same cap solver and builds its profile with the same row function
+(:func:`repro.network.equilibrium.common_cap_row`), so batch and scalar
+results are bit-for-bit identical — a property the test suite asserts
+across mechanisms and demand families.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,14 +44,20 @@ from repro.network.allocation import (
     RateAllocationMechanism,
 )
 from repro.network.equilibrium import (
+    CommonCapProfile,
+    ExponentialMaxMinProfile,
     RateEquilibrium,
     cached_class_cap,
     cached_subset_equilibrium,
     clear_equilibrium_caches,
+    common_cap_profile,
+    common_cap_row,
+    default_class_cap_cache,
     default_equilibrium_cache,
     equilibrium_cache_stats,
     frozen_equilibrium,
     mechanism_cache_key,
+    population_surplus_weights,
     solve_common_caps,
     solve_rate_equilibrium,
 )
@@ -62,24 +73,44 @@ __all__ = [
     "clear_equilibrium_caches",
 ]
 
+_T = TypeVar("_T")
+
 
 @dataclass(frozen=True)
 class BatchRateEquilibrium:
     """Rate equilibria of one population at a whole grid of capacities.
 
-    The arrays are stacked along the grid axis: ``thetas[g, i]`` is provider
-    ``i``'s equilibrium throughput at per-capita capacity ``nus[g]``.  Rows
-    are bit-identical to the scalar solver's output at the same ``nu``;
-    :meth:`equilibrium_at` materialises one row as a scalar
-    :class:`~repro.network.equilibrium.RateEquilibrium`.
+    A cap-parameterised equilibrium is defined by its grid of Theorem-1
+    caps alone: ``common_caps[g]`` is the cap at per-capita capacity
+    ``nus[g]``.  The aggregate accessors (:attr:`aggregate_rates`,
+    :attr:`utilizations`, :meth:`consumer_surpluses`,
+    :meth:`premium_revenues`) are computed from the caps in ``O(G + n)``
+    memory — on the paper's path one fused tail pass per grid point
+    (:meth:`ExponentialMaxMinProfile.carried_and_surplus`), otherwise one
+    grid row at a time — and each is computed at most once per batch.
+
+    The per-provider arrays (``thetas[g, i]`` is provider ``i``'s
+    equilibrium throughput at ``nus[g]``) are stacked on first access from
+    :meth:`provider_row`, the row function that :meth:`equilibrium_at` and
+    the scalar solver use too, so rows are bit-identical to the scalar
+    solver's output at the same ``nu``.  Only mechanisms without a cap (the
+    fixed-point fallback) carry explicit ``fixed_point_rows``.
     """
 
     population: Population
     nus: np.ndarray
-    thetas: np.ndarray
-    demands: np.ndarray
     common_caps: np.ndarray
-    mechanism_name: str = "MaxMinFairAllocation"
+    mechanism: RateAllocationMechanism = field(
+        default_factory=MaxMinFairAllocation)
+    #: The resolved solver configuration the caps were solved under (it
+    #: selects the kernel backend of the aggregate pass).
+    config: Optional[SolverConfig] = None
+    #: ``(thetas, demands)`` matrices, only for mechanisms without a cap.
+    fixed_point_rows: Optional[tuple[np.ndarray, np.ndarray]] = None
+    # Lazily computed arrays by name.  Every value is a pure function of the
+    # fields above, so threads racing on one key store equal arrays.
+    _memo: dict[str, Any] = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nus)
@@ -88,9 +119,50 @@ class BatchRateEquilibrium:
         for index in range(len(self.nus)):
             yield self.equilibrium_at(index)
 
+    @property
+    def mechanism_name(self) -> str:
+        """Class name of the rate-allocation mechanism."""
+        return type(self.mechanism).__name__
+
     # ---------------------------------------------------------------- #
-    # Array-shaped derived quantities (grid axis first).
+    # Per-provider data, built on request (grid axis first).
     # ---------------------------------------------------------------- #
+    def provider_row(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Equilibrium ``(thetas, demands)`` at grid point ``index``."""
+        if self.fixed_point_rows is not None:
+            thetas, demands = self.fixed_point_rows
+            return thetas[index], demands[index]
+        assert isinstance(self.mechanism, CommonCapAllocation)
+        return common_cap_row(self.population, self.mechanism,
+                              float(self.common_caps[index]))
+
+    def _memoised(self, name: str, compute: Callable[[], _T]) -> _T:
+        """``compute()``, evaluated at most once per batch (idempotent)."""
+        value: Optional[_T] = self._memo.get(name)
+        if value is None:
+            value = compute()
+            self._memo[name] = value
+        return value
+
+    def _stack_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.fixed_point_rows is not None:
+            return self.fixed_point_rows
+        shape = (len(self.nus), len(self.population))
+        thetas, demands = np.empty(shape), np.empty(shape)
+        for index in range(shape[0]):
+            thetas[index], demands[index] = self.provider_row(index)
+        return _read_only(thetas), _read_only(demands)
+
+    @property
+    def thetas(self) -> np.ndarray:
+        """Equilibrium throughputs ``theta_i``, shape ``(G, n)``."""
+        return self._memoised("matrices", self._stack_rows)[0]
+
+    @property
+    def demands(self) -> np.ndarray:
+        """Equilibrium demand fractions ``d_i(theta_i)``, shape ``(G, n)``."""
+        return self._memoised("matrices", self._stack_rows)[1]
+
     @property
     def rhos(self) -> np.ndarray:
         """Per-user-base throughput ``d_i theta_i``, shape ``(G, n)``."""
@@ -101,22 +173,75 @@ class BatchRateEquilibrium:
         """Per-consumer rates ``alpha_i d_i theta_i``, shape ``(G, n)``."""
         return self.population.alphas[np.newaxis, :] * self.rhos
 
+    def equilibrium_at(self, index: int) -> RateEquilibrium:
+        """One grid row as a scalar :class:`RateEquilibrium`."""
+        thetas, demands = self.provider_row(index)
+        return RateEquilibrium(
+            population=self.population,
+            nu=float(self.nus[index]),
+            thetas=thetas,
+            demands=demands,
+            mechanism_name=self.mechanism_name,
+            common_cap=float(self.common_caps[index]),
+        )
+
+    def take(self, indices: Sequence[int]) -> "BatchRateEquilibrium":
+        """The batch restricted to (and reordered by) grid ``indices``."""
+        picked = np.asarray(indices, dtype=np.intp)
+        rows = self.fixed_point_rows
+        if rows is not None:
+            rows = (rows[0][picked], rows[1][picked])
+        return BatchRateEquilibrium(
+            population=self.population, nus=self.nus[picked],
+            common_caps=self.common_caps[picked], mechanism=self.mechanism,
+            config=self.config, fixed_point_rows=rows)
+
+    # ---------------------------------------------------------------- #
+    # Aggregate series from the caps, ``(G,)`` each.
+    # ---------------------------------------------------------------- #
+    def _cap_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Aggregate carried rate and consumer surplus at every grid point."""
+        count = len(self.nus)
+        rates, surpluses = np.zeros(count), np.zeros(count)
+        profile: Optional[CommonCapProfile] = None
+        if self.fixed_point_rows is None and len(self.population):
+            assert isinstance(self.mechanism, CommonCapAllocation)
+            profile = common_cap_profile(self.population, self.mechanism,
+                                         self.config)
+        if isinstance(profile, ExponentialMaxMinProfile):
+            weights = population_surplus_weights(self.population, profile)
+            for index, cap in enumerate(self.common_caps.tolist()):
+                rates[index], surpluses[index] = \
+                    profile.carried_and_surplus(cap, weights)
+        else:
+            alphas = self.population.alphas
+            utility_rates = self.population.utility_rates
+            for index in range(count):
+                thetas, demands = self.provider_row(index)
+                per_capita = alphas * (demands * thetas)
+                rates[index] = np.sum(per_capita)
+                surpluses[index] = np.sum(utility_rates * per_capita)
+        return _read_only(rates), _read_only(surpluses)
+
+    def _utilizations(self) -> np.ndarray:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratio = self.aggregate_rates / self.nus
+        return _read_only(np.where(self.nus > 0.0, np.minimum(1.0, ratio),
+                                   0.0))
+
     @property
     def aggregate_rates(self) -> np.ndarray:
         """Per-capita aggregate carried rate at each grid point, ``(G,)``."""
-        return np.sum(self.per_capita_rates, axis=-1)
+        return self._memoised("sums", self._cap_sums)[0]
 
     @property
     def utilizations(self) -> np.ndarray:
         """Fraction of each capacity actually carried, ``(G,)``."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = self.aggregate_rates / self.nus
-        return np.where(self.nus > 0.0, np.minimum(1.0, ratio), 0.0)
+        return self._memoised("utilizations", self._utilizations)
 
     def consumer_surpluses(self) -> np.ndarray:
         """Per-capita consumer surplus ``Phi`` at each grid point, ``(G,)``."""
-        utility_rates = self.population.utility_rates[np.newaxis, :]
-        return np.sum(utility_rates * self.per_capita_rates, axis=-1)
+        return self._memoised("sums", self._cap_sums)[1]
 
     def premium_revenues(self, price: float) -> np.ndarray:
         """Per-capita ISP revenue at each grid point if all paid ``price``."""
@@ -124,16 +249,15 @@ class BatchRateEquilibrium:
             raise ModelValidationError("price must be non-negative")
         return price * self.aggregate_rates
 
-    def equilibrium_at(self, index: int) -> RateEquilibrium:
-        """One grid row as a scalar :class:`RateEquilibrium`."""
-        return RateEquilibrium(
-            population=self.population,
-            nu=float(self.nus[index]),
-            thetas=self.thetas[index],
-            demands=self.demands[index],
-            mechanism_name=self.mechanism_name,
-            common_cap=float(self.common_caps[index]),
-        )
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` marked read-only: memoised arrays are shared by readers."""
+    array.flags.writeable = False
+    return array
+
+
+def _capacity_grid(nus: Sequence[float]) -> np.ndarray:
+    return np.asarray([float(nu) for nu in nus], dtype=float)
 
 
 def solve_rate_equilibria(population: Population, nus: Sequence[float],
@@ -145,12 +269,13 @@ def solve_rate_equilibria(population: Population, nus: Sequence[float],
     The batched counterpart of
     :func:`~repro.network.equilibrium.solve_rate_equilibrium`.  For
     cap-parameterised mechanisms (the paper's max-min fair mechanism
-    included) the grid's caps come from one ``solve_caps`` call;
-    other mechanisms fall back to per-point scalar solves but still return
-    the batched container.  Degenerate grid points (``nu = 0``, uncongested
-    capacities, empty populations) are handled exactly like the scalar path.
+    included) the grid's caps come from one ``solve_caps`` call and are all
+    the batch stores; other mechanisms fall back to per-point scalar solves
+    and keep their ``(G, n)`` rows.  Degenerate grid points (``nu = 0``,
+    uncongested capacities, empty populations) are handled exactly like the
+    scalar path.
     """
-    nus_arr = np.asarray([float(nu) for nu in nus], dtype=float)
+    nus_arr = _capacity_grid(nus)
     if nus_arr.ndim != 1:
         raise ModelValidationError("nus must be a 1-D sequence of capacities")
     if np.any(~np.isfinite(nus_arr)) or np.any(nus_arr < 0.0):
@@ -158,87 +283,103 @@ def solve_rate_equilibria(population: Population, nus: Sequence[float],
             "per-capita capacities must all be finite and >= 0")
     if mechanism is None:
         mechanism = MaxMinFairAllocation()
+    config = resolve_config(config)
     if isinstance(mechanism, CommonCapAllocation):
-        caps, thetas, demands = solve_common_caps(population, nus_arr, mechanism,
-                                                  config)
-        return BatchRateEquilibrium(
-            population=population, nus=nus_arr, thetas=thetas, demands=demands,
-            common_caps=caps, mechanism_name=type(mechanism).__name__)
+        caps = solve_common_caps(population, nus_arr, mechanism, config)
+        return BatchRateEquilibrium(population=population, nus=nus_arr,
+                                    common_caps=caps, mechanism=mechanism,
+                                    config=config)
     # Scalar fallback for arbitrary mechanisms (fixed-point iteration): no
-    # batched kernel exists, so solve per point and stack.
-    size = len(population)
-    thetas = np.empty((len(nus_arr), size))
-    demands = np.empty((len(nus_arr), size))
-    caps = np.empty(len(nus_arr))
-    for index, nu in enumerate(nus_arr):
-        equilibrium = solve_rate_equilibrium(population, float(nu), mechanism,
-                                             config)
-        thetas[index] = equilibrium.thetas
-        demands[index] = equilibrium.demands
-        caps[index] = equilibrium.common_cap
+    # cap describes the equilibrium, so solve per point and stack.
+    rows = [solve_rate_equilibrium(population, float(nu), mechanism, config)
+            for nu in nus_arr]
+    return _fixed_point_batch(population, nus_arr, rows, mechanism, config)
+
+
+def _fixed_point_batch(population: Population, nus: np.ndarray,
+                       rows: Sequence[RateEquilibrium],
+                       mechanism: RateAllocationMechanism,
+                       config: SolverConfig) -> BatchRateEquilibrium:
+    """A batch of explicit equilibrium rows (mechanisms without a cap)."""
+    shape = (len(nus), len(population))
+    thetas, demands = np.empty(shape), np.empty(shape)
+    for index, row in enumerate(rows):
+        thetas[index] = row.thetas
+        demands[index] = row.demands
     return BatchRateEquilibrium(
-        population=population, nus=nus_arr, thetas=thetas, demands=demands,
-        common_caps=caps, mechanism_name=type(mechanism).__name__)
+        population=population, nus=nus,
+        common_caps=np.array([row.common_cap for row in rows], dtype=float),
+        mechanism=mechanism, config=config,
+        fixed_point_rows=(thetas, demands))
 
 
 def warm_equilibrium_cache(population: Population, nus: Sequence[float],
                            mechanism: Optional[RateAllocationMechanism] = None,
                            cache: Optional[LRUCache] = None,
-                           config: Optional[SolverConfig] = None
-                           ) -> BatchRateEquilibrium:
+                           config: Optional[SolverConfig] = None,
+                           *, rows: bool = True) -> BatchRateEquilibrium:
     """Solve a capacity grid in one pass and seed the equilibrium cache.
 
     After this call, ``cached_subset_equilibrium(population, None, nu, ...)``
     (and therefore the game layer's full-population solves) is a lookup for
     every ``nu`` in the grid.  Only grid points not already cached are
     solved, so re-warming the same grid (e.g. repeated sweeps over one
-    population) costs a handful of dictionary lookups.  Returns the batch,
-    so callers can also read the grid directly.  The cache keys mirror
+    population) costs a handful of dictionary lookups: a cached entry
+    contributes only its cap to the returned batch.  Returns the batch, so
+    callers can also read the grid directly.  The cache keys mirror
     :func:`cached_subset_equilibrium` exactly (including the config's
     ``cache_key()``); a ``bypass`` cache policy skips seeding entirely.
+
+    ``rows=False`` is for callers that read back only caps and the series
+    computed from them (the equilibrium service): it reads and seeds the
+    class-cap cache of :func:`cached_class_cap` (same keys, one float per
+    grid point) instead of frozen ``(thetas, demands)`` rows, so a warmed
+    grid holds ``O(G)`` memory instead of ``O(G * n)``.  Mechanisms
+    without a cap always seed rows.  ``cache`` replaces whichever cache
+    the mode uses.
     """
     config = resolve_config(config)
     if config.cache_policy == "bypass":
         return solve_rate_equilibria(population, nus, mechanism, config)
-    cache = default_equilibrium_cache() if cache is None else cache
+    if mechanism is None:
+        mechanism = MaxMinFairAllocation()
+    rows = rows or not isinstance(mechanism, CommonCapAllocation)
+    if cache is None:
+        cache = default_equilibrium_cache() if rows else default_class_cap_cache()
     mechanism_key = mechanism_cache_key(mechanism)
     config_key = config.cache_key()
-    nus_arr = np.asarray([float(nu) for nu in nus], dtype=float)
+    nus_arr = _capacity_grid(nus)
     keys = [(population, None, float(nu), mechanism_key, config_key)
             for nu in nus_arr]
     # Read hits up front and keep local references: the seeding puts below
     # may LRU-evict earlier grid keys, so the cache must not be re-read
     # during assembly.
-    rows: dict[int, RateEquilibrium] = {}
+    entries: dict[int, Any] = {}
     missing = []
     for index, key in enumerate(keys):
-        equilibrium = cache.get(key)
-        if equilibrium is None:
+        entry = cache.get(key)
+        if entry is None:
             missing.append(index)
         else:
-            rows[index] = equilibrium
+            entries[index] = entry
     if missing:
         solved = solve_rate_equilibria(population, nus_arr[missing], mechanism,
                                        config)
         for batch_index, grid_index in enumerate(missing):
-            # Frozen copies: cache entries must not alias the writable
-            # (G, n) grid matrices (mutation and memory-pinning hazards).
-            equilibrium = frozen_equilibrium(solved.equilibrium_at(batch_index))
-            cache.put(keys[grid_index], equilibrium)
-            rows[grid_index] = equilibrium
+            # Rows enter the cache as frozen copies: entries must not alias
+            # the batch's buffers (mutation and memory-pinning hazards).
+            entry = (frozen_equilibrium(solved.equilibrium_at(batch_index))
+                     if rows else float(solved.common_caps[batch_index]))
+            cache.put(keys[grid_index], entry)
+            entries[grid_index] = entry
         if len(missing) == len(nus_arr):
             return solved
-    size = len(population)
-    thetas = np.empty((len(nus_arr), size))
-    demands = np.empty((len(nus_arr), size))
-    caps = np.empty(len(nus_arr))
-    mechanism_name = (type(mechanism).__name__ if mechanism is not None
-                      else "MaxMinFairAllocation")
-    for index in range(len(nus_arr)):
-        equilibrium = rows[index]
-        thetas[index] = equilibrium.thetas
-        demands[index] = equilibrium.demands
-        caps[index] = equilibrium.common_cap
+    ordered = [entries[index] for index in range(len(nus_arr))]
+    if not isinstance(mechanism, CommonCapAllocation):
+        return _fixed_point_batch(population, nus_arr, ordered, mechanism,
+                                  config)
+    caps = [entry.common_cap if rows else entry for entry in ordered]
     return BatchRateEquilibrium(
-        population=population, nus=nus_arr, thetas=thetas, demands=demands,
-        common_caps=caps, mechanism_name=mechanism_name)
+        population=population, nus=nus_arr,
+        common_caps=np.array(caps, dtype=float), mechanism=mechanism,
+        config=config)

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.backends import NumbaBackend, SolverConfig, reference_backend
 from repro.backends import registry as backends_registry
-from repro.backends.numba_backend import _kernel_carried_scalar
+from repro.backends.numba_backend import _kernel_carried_sums
 from repro.network.allocation import (
     MaxMinFairAllocation,
     ProportionalFairAllocation,
@@ -44,7 +44,7 @@ TOL = 1e-10
 
 def python_numba_backend() -> NumbaBackend:
     """A NumbaBackend running the uncompiled (interpreted) kernel."""
-    return NumbaBackend(_kernel_carried_scalar)
+    return NumbaBackend(_kernel_carried_sums)
 
 
 def make_profiles(alphas, theta_hats, betas):
@@ -183,6 +183,69 @@ def test_solve_cap_property(columns, nu_fraction):
     else:
         assert num_cap == pytest.approx(
             ref_cap, rel=1e-9, abs=1e-9 * max(1.0, reference.upper))
+
+
+# --------------------------------------------------------------------------- #
+# The fused carried-load + surplus pass
+# --------------------------------------------------------------------------- #
+
+weighted_columns_st = st.integers(min_value=1, max_value=30).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(min_value=0.01, max_value=2.0),
+                 min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.5, 1.0, 2.5, 7.0]) | st.floats(
+            min_value=0.05, max_value=20.0), min_size=n, max_size=n),
+        st.lists(st.just(0.0) | st.floats(min_value=0.0, max_value=30.0),
+                 min_size=n, max_size=n),
+        st.lists(st.floats(min_value=0.0, max_value=5.0),
+                 min_size=n, max_size=n)))
+
+
+def make_weighted_profiles(alphas, theta_hats, betas, phis):
+    """Reference- and numba-backed profiles, plus their surplus weights."""
+    columns = [np.asarray(column, dtype=float)
+               for column in (alphas, theta_hats, betas)]
+    profiles = tuple(ExponentialMaxMinProfile(*columns, backend=backend)
+                     for backend in (reference_backend(),
+                                     python_numba_backend()))
+    order = np.argsort(columns[1], kind="stable")
+    weights = profiles[0].surplus_weights(np.asarray(phis, dtype=float)[order])
+    return profiles + (weights,)
+
+
+@given(columns=weighted_columns_st,
+       cap_fraction=st.floats(min_value=0.0, max_value=1.5))
+@example(columns=([1.0], [1.0], [0.0], [2.0]),
+         cap_fraction=2.225073858507e-311)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_carried_and_surplus_property(columns, cap_fraction):
+    reference, numba_like, weights = make_weighted_profiles(*columns)
+    cap = cap_fraction * reference.upper
+    carried, surplus = reference.carried_and_surplus(cap, weights)
+    assert math.isfinite(carried) and math.isfinite(surplus)
+    # The fused pass shares the scalar pass's tail arithmetic: its carried
+    # load is the scalar carried load bit for bit, on both backends.
+    assert carried == reference.carried_scalar(cap)
+    numba_carried, numba_surplus = numba_like.carried_and_surplus(cap,
+                                                                  weights)
+    assert numba_carried == numba_like.carried_scalar(cap)
+    assert_close(numba_carried, carried)
+    assert_close(numba_surplus, surplus)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_carried_and_surplus_equivalence_on_workloads(workload):
+    population = WORKLOADS[workload]()
+    reference, numba_like, weights = make_weighted_profiles(
+        population.alphas, population.theta_hats, population.betas,
+        population.utility_rates)
+    for cap in np.concatenate([np.linspace(0.0, 1.5 * reference.upper, 23),
+                               [-1.0, 1e-9, reference.upper, math.inf]]):
+        ref_sums = reference.carried_and_surplus(float(cap), weights)
+        num_sums = numba_like.carried_and_surplus(float(cap), weights)
+        assert_close(num_sums[0], ref_sums[0])
+        assert_close(num_sums[1], ref_sums[1])
 
 
 # --------------------------------------------------------------------------- #

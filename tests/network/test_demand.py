@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ModelValidationError
@@ -78,6 +79,16 @@ class TestExponentialSensitivity:
         demand = ExponentialSensitivityDemand(theta_hat=1.0, beta=0.0)
         assert demand(0.01) == pytest.approx(1.0)
         assert demand.demand_at_zero() == 1.0
+
+    def test_zero_beta_is_unit_demand_at_subnormal_throughput(self):
+        # theta_hat / theta overflows to inf; the vectorised kernel must not
+        # turn exp(-0 * inf) into NaN.
+        packed = ExponentialSensitivityDemand.pack_parameters(
+            [ExponentialSensitivityDemand(1.0, 0.0),
+             ExponentialSensitivityDemand(1.0, 2.0)])
+        demands = ExponentialSensitivityDemand.batch_evaluate_packed(
+            packed, np.array([[4.45e-311, 4.45e-311], [0.0, 0.0]]))
+        assert demands.tolist() == [[1.0, 0.0], [1.0, 0.0]]
 
     def test_zero_throughput_limit(self):
         demand = ExponentialSensitivityDemand(theta_hat=1.0, beta=2.0)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.backends.config import SolverConfig
 from repro.service.protocol import (
+    MAX_DETAIL_CELLS,
     MAX_GRID_POINTS,
     MECHANISM_NAMES,
     RequestError,
@@ -131,6 +132,47 @@ class TestParseSolveRequest:
         with pytest.raises(RequestError) as excinfo:
             parse_solve_request(payload)
         assert excinfo.value.code == "bad_population"
+
+
+class TestDetailCellLimit:
+    """``detail`` responses are capped at ``MAX_DETAIL_CELLS`` grid cells."""
+
+    @staticmethod
+    def grid(points):
+        return [10.0 + index for index in range(points)]
+
+    def test_limit_itself_is_admitted(self):
+        # 1024 CPs x the 4096-point grid cap is exactly the limit.
+        assert 1024 * MAX_GRID_POINTS == MAX_DETAIL_CELLS
+        request = parse_solve_request({
+            "population": {"count": 1024, "seed": 3},
+            "nus": self.grid(MAX_GRID_POINTS), "detail": True})
+        assert len(request.nus) * len(request.population) == MAX_DETAIL_CELLS
+
+    def test_one_cell_over_the_limit_is_413(self):
+        # 2**22 + 1 = 5 x 838861: the smallest request over the limit.
+        count = (MAX_DETAIL_CELLS + 1) // 5
+        assert 5 * count == MAX_DETAIL_CELLS + 1
+        payload = {"population": {"count": count, "seed": 3},
+                   "nus": self.grid(5)}
+        assert parse_solve_request(payload).detail is False
+        with pytest.raises(RequestError) as excinfo:
+            parse_solve_request(dict(payload, detail=True))
+        assert excinfo.value.code == "grid_too_large"
+        assert excinfo.value.status == 413
+        assert str(MAX_DETAIL_CELLS) in excinfo.value.message
+
+    def test_fingerprint_addressed_request_is_checked(self):
+        resident = parse_solve_request({
+            "population": {"count": 1025, "seed": 3}, "nus": [10.0]})
+        fingerprint = resident.population.fingerprint().hex()
+        payload = {"fingerprint": fingerprint,
+                   "nus": self.grid(MAX_GRID_POINTS)}
+        assert parse_solve_request(payload).population is resident.population
+        with pytest.raises(RequestError) as excinfo:
+            parse_solve_request(dict(payload, detail=True))
+        assert excinfo.value.code == "grid_too_large"
+        assert excinfo.value.status == 413
 
 
 class TestBuildSolveResponse:

@@ -159,6 +159,24 @@ class TestErrorHandling:
         assert recovered[0] == 200
         assert stats["server"]["request_errors"] == 4
 
+    def test_oversized_detail_request_is_413_and_connection_survives(self):
+        nus = [10.0 + index for index in range(4096)]
+        oversized = {"population": {"count": 1025, "seed": 3}, "nus": nus,
+                     "detail": True}
+
+        async def body(host, port, server):
+            async with ServiceClient(host, port) as client:
+                refused = await client.solve(oversized)
+                aggregates = await client.solve(
+                    dict(oversized, detail=False, nus=nus[:8]))
+            return refused, aggregates
+
+        refused, aggregates = run(with_server(body))
+        assert (refused[0], refused[1]["error"]["code"]) == (
+            413, "grid_too_large")
+        assert aggregates[0] == 200
+        assert len(aggregates[1]["series"]["aggregate_rates"]) == 8
+
     def test_http_violation_closes_connection_with_400(self):
         async def body(host, port, server):
             reader, writer = await asyncio.open_connection(host, port)
