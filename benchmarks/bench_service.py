@@ -4,8 +4,8 @@ Spins up in-process :class:`~repro.service.server.EquilibriumServer`
 instances on ephemeral ports and replays deterministic request streams
 (see :mod:`repro.service.loadgen`) across three key distributions:
 
-* ``hot``   — identical requests: in-flight coalescing should collapse a
-  thundering herd to one engine solve per batch window;
+* ``hot``   — identical requests: coalescing onto the in-flight or the
+  retained outcome should collapse the whole run to one engine solve;
 * ``cold``  — per-request unique grids: no coalescing, but micro-batching
   still fuses compatible grids into union solves;
 * ``mixed`` — 80% hot / 20% cold, the realistic in-between;
@@ -159,6 +159,9 @@ def test_service_serving_workloads():
     # Coalescing must actually engage on hot keys...
     assert workloads["hot"]["coalesced"] > 0
     assert workloads["hot"]["coalesce_rate"] > 0.5
+    # ...and one solve answers the whole hot run: every later request
+    # shares its in-flight future or its retained outcome.
+    assert workloads["hot"]["engine_solves"] == 1
     # ...and by construction cannot engage on cold keys.
     assert workloads["cold"]["coalesced"] == 0
     # Micro-batching fuses cold compatible grids into union solves.

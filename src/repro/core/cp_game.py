@@ -345,7 +345,9 @@ class CPPartitionGame:
         if destination_nu <= 0.0:
             impact = np.ones_like(own_load)
         else:
-            impact = np.minimum(1.0, own_load / destination_nu)
+            # Clip before dividing: ``own_load / destination_nu`` overflows
+            # at a subnormal class capacity, and the quotient is the same.
+            impact = np.minimum(own_load, destination_nu) / destination_nu
         return np.maximum(self.switching_tolerance, impact)
 
     def _violators(self, mask: np.ndarray, cap_ordinary: float,

@@ -6,8 +6,8 @@ service with cross-request performance structure:
 * :mod:`repro.service.protocol` — the strict JSON request/response schema
   (documented in ARTIFACTS.md) and the population registry.
 * :mod:`repro.service.scheduler` — micro-batching (union-grid fusion of
-  concurrent compatible requests) and in-flight coalescing of identical
-  requests; solves run on executor threads against the shared, lock-guarded
+  concurrent compatible requests) and coalescing of identical requests,
+  in flight or already answered; solves run on executor threads against the shared, lock-guarded
   LRU caches, which become warm cross-request state.
 * :mod:`repro.service.server` — the minimal stdlib HTTP/1.1 front end
   (``POST /solve``, ``GET /stats``, ``GET /healthz``) behind

@@ -25,7 +25,10 @@ computed from the grid's Theorem-1 caps in ``O(G + n)`` memory;
 caps.  At the paper's 1000-CP workload those are ~200 KB of JSON per
 response, so they are opt-in, and a detail request over
 ``MAX_DETAIL_CELLS`` grid points x providers is refused with a 413
-``grid_too_large`` error.
+``grid_too_large`` error.  ``served.coalesced`` is true when the request
+shared another request's solve: one still in flight, or one already
+answered whose outcome the scheduler retained; ``served.batch_size`` is the
+number of requests fused into the batch that solved it.
 Parsing is strict: unknown
 fields, non-finite grids and malformed specs raise :class:`RequestError`,
 which the server maps to a structured 4xx-style JSON error without tearing
@@ -299,7 +302,9 @@ def build_solve_response(request: SolveRequest, batch: BatchRateEquilibrium,
     ``solve_rate_equilibria`` call for the same request under the reference
     backend.  The default ``series`` block carries the per-grid-point
     aggregate curves; ``detail`` requests additionally get the per-provider
-    ``(G, n)`` matrices under ``providers`` (stacked from the caps).  Solver
+    ``(G, n)`` series under ``providers``, built row by row from the caps
+    like the streamed body, so no ``(G, n)`` array is memoised on a batch
+    the scheduler may retain.  Solver
     provenance (effective backend + the full cache key) is echoed so
     clients can attribute every number.
     """
@@ -307,9 +312,9 @@ def build_solve_response(request: SolveRequest, batch: BatchRateEquilibrium,
                               batch_size=batch_size)
     if request.detail:
         response["providers"] = {
-            "thetas": batch.thetas.tolist(),
-            "demands": batch.demands.tolist(),
-            "per_capita_rates": batch.per_capita_rates.tolist(),
+            name: [_provider_row(batch, name, index)
+                   for index in range(len(batch.nus))]
+            for name in _PROVIDER_MATRICES
         }
     return response
 
@@ -345,9 +350,9 @@ def _provider_row(batch: BatchRateEquilibrium, name: str,
     """One grid point's per-provider series, built from its cap.
 
     The row comes from :meth:`BatchRateEquilibrium.provider_row`, the
-    function the lazy ``(G, n)`` matrices are stacked from, so the
-    streaming path never holds a ``(G, n)`` array and its bytes match the
-    buffered body.
+    function the lazy ``(G, n)`` matrices are stacked from, so neither the
+    streamed nor the buffered body builds a ``(G, n)`` array, and both
+    carry the same bytes.
     """
     thetas, demands = batch.provider_row(index)
     if name == "thetas":

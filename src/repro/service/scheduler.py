@@ -7,9 +7,16 @@ their nu-grids and fanned back out, so k concurrent what-if queries against
 one population cost one grid cap solve (and leave the shared class-cap
 cache warm for every later request: only the caps are cached, one float
 per grid point, since every served series is computed from them).
-Identical in-flight requests — same batch key *and* same grid — are
-coalesced onto a single awaitable future, so a thundering herd of equal
-queries costs one solve.
+Identical requests — same batch key *and* same grid — are coalesced: one
+still in flight shares its awaitable future, so a thundering herd of equal
+queries costs one solve, and one already answered is served at once from a
+small per-scheduler LRU of completed outcomes (bounded by
+``RETAINED_POINTS`` grid points in total).  A retained hit skips the
+window and the executor and returns the very batch that answered the first
+request, with its memoised aggregates.  Only successful outcomes are
+retained, so a failed solve is retried by the next request; a retained
+batch holds its grid and caps, ``O(G)``, and references a population the
+``class_caps`` cache keys already hold.
 
 Solves run on a small thread-pool executor, never on the event loop: the
 loop keeps reading sockets (and filling the next batch window) while a
@@ -24,6 +31,7 @@ payload derived from it (rule RL003 covers this package).
 from __future__ import annotations
 
 import asyncio
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -39,11 +47,17 @@ from repro.simulation.batch import (
     warm_equilibrium_cache,
 )
 
-__all__ = ["MicroBatchScheduler", "DEFAULT_WINDOW_SECONDS"]
+__all__ = ["MicroBatchScheduler", "DEFAULT_WINDOW_SECONDS",
+           "RETAINED_POINTS"]
 
 #: Default micro-batch window: long enough to fuse a concurrent burst,
 #: short enough to be invisible next to a cap solve.
 DEFAULT_WINDOW_SECONDS = 0.002
+
+#: Total grid points of completed outcomes a scheduler keeps for repeated
+#: grids, least recently used evicted first.  A point costs ~75 bytes (its
+#: key float, grid, cap and memoised aggregates): ~5 MB when full.
+RETAINED_POINTS = 1 << 16
 
 _BatchKey = Tuple[Hashable, ...]
 _SolveKey = Tuple[_BatchKey, Tuple[float, ...]]
@@ -70,7 +84,8 @@ class MicroBatchScheduler:
     """Fuses and coalesces concurrent equilibrium solves (see module doc).
 
     ``naive=True`` disables every serving-layer optimisation — no window,
-    no fusion, no coalescing, no warm-cache reuse: each request runs its own
+    no fusion, no coalescing, no retained outcomes, no warm-cache reuse:
+    each request runs its own
     ``solve_rate_equilibria`` on the executor.  The benchmark suite uses it
     as the one-solve-per-request baseline.
     """
@@ -90,6 +105,8 @@ class MicroBatchScheduler:
         self._pending: Dict[_BatchKey, _PendingBatch] = {}
         self._timers: Dict[_BatchKey, asyncio.TimerHandle] = {}
         self._inflight: Dict[_SolveKey, "asyncio.Future[_Outcome]"] = {}
+        self._retained: "OrderedDict[_SolveKey, _Outcome]" = OrderedDict()
+        self.retained_points = 0
         self._tasks: Set["asyncio.Task[None]"] = set()
         # Counters (all monotonic; exposed through /stats).
         self.requests = 0
@@ -101,6 +118,7 @@ class MicroBatchScheduler:
         self.union_points = 0
         self.engine_solves = 0
         self.errors = 0
+        self.retained_hits = 0
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -132,11 +150,17 @@ class MicroBatchScheduler:
             self.coalesced += 1
             batch, size = await _wait(existing)
             return batch, size, True
+        retained = self._retained.get(solve_key)
+        if retained is not None:
+            self._retained.move_to_end(solve_key)
+            self.coalesced += 1
+            self.retained_hits += 1
+            batch, size = retained
+            return batch, size, True
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[_Outcome]" = loop.create_future()
         self._inflight[solve_key] = future
-        future.add_done_callback(
-            lambda _done, key=solve_key: self._inflight.pop(key, None))
+        future.add_done_callback(partial(self._settle, solve_key))
         pending = self._pending.get(batch_key)
         if pending is None:
             pending = _PendingBatch(population=population,
@@ -165,6 +189,8 @@ class MicroBatchScheduler:
             "union_points": self.union_points,
             "engine_solves": self.engine_solves,
             "errors": self.errors,
+            "retained_hits": self.retained_hits,
+            "retained_points": self.retained_points,
         }
 
     async def drain(self) -> None:
@@ -200,6 +226,23 @@ class MicroBatchScheduler:
             self.errors += 1
             raise
         return batch, 1
+
+    def _settle(self, solve_key: _SolveKey,
+                future: "asyncio.Future[_Outcome]") -> None:
+        """Move a completed solve from in-flight to retained on success."""
+        self._inflight.pop(solve_key, None)
+        if future.cancelled() or future.exception() is not None:
+            return
+        batch, size = future.result()
+        points = len(solve_key[1])
+        if batch.fixed_point_rows is not None \
+                or not 0 < points <= RETAINED_POINTS:
+            return  # (G, n) rows, an empty grid, or over the whole budget
+        self._retained[solve_key] = (batch, size)
+        self.retained_points += points
+        while self.retained_points > RETAINED_POINTS:
+            evicted_key, _ = self._retained.popitem(last=False)
+            self.retained_points -= len(evicted_key[1])
 
     def _start_flush(self, batch_key: _BatchKey) -> None:
         self._timers.pop(batch_key, None)

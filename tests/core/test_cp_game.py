@@ -66,6 +66,16 @@ class TestTrivialProfiles:
         assert outcome.aggregate_rate == 0.0
         assert outcome.consumer_surplus == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_capacity_raises_no_warning(self):
+        # A subnormal class capacity must not overflow the move-impact
+        # tolerance (own load / class capacity).
+        population = rich_and_poor_population()
+        outcome = competitive_equilibrium(population, nu=1e-310,
+                                          strategy=ISPStrategy(0.5, 0.3))
+        assert (sorted(outcome.ordinary_indices + outcome.premium_indices)
+                == list(range(len(population))))
+
     def test_empty_population(self):
         outcome = competitive_equilibrium(Population([]), nu=1.0,
                                           strategy=ISPStrategy(0.5, 0.5))

@@ -76,6 +76,15 @@ class TestMergeWorkerStats:
         assert equilibria["maxsize"] == 2048  # config, not summed
         assert equilibria["size"] == 6  # entries are per-worker, so summed
 
+    def test_retention_counters_sum_across_workers(self):
+        payloads = [_worker_payload(0), _worker_payload(1)]
+        for payload, hits, points in zip(payloads, (5, 7), (8, 12)):
+            payload["scheduler"].update(retained_hits=hits,
+                                        retained_points=points)
+        scheduler = merge_worker_stats(payloads)["scheduler"]
+        assert scheduler["retained_hits"] == 12
+        assert scheduler["retained_points"] == 20  # retained per worker
+
     def test_workers_list_is_ordered_by_index(self):
         merged = merge_worker_stats([_worker_payload(2),
                                      _worker_payload(0),

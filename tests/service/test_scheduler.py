@@ -1,10 +1,12 @@
 """Micro-batching and coalescing semantics of the scheduler.
 
 The acceptance contract lives here: identical concurrent requests cost one
-engine solve, compatible overlapping grids fuse into one union solve with
-exact per-request fan-out, and every served series is bit-identical to a
-direct ``solve_rate_equilibria`` call (property-tested under the reference
-backend, whose multi-target bisection treats grid points independently).
+engine solve, a grid already answered is served again from the retained
+outcome without a solve, compatible overlapping grids fuse into one union
+solve with exact per-request fan-out, and every served series is
+bit-identical to a direct ``solve_rate_equilibria`` call (property-tested
+under the reference backend, whose per-point secant cap solver treats grid
+points independently).
 """
 
 from __future__ import annotations
@@ -19,9 +21,13 @@ from hypothesis import strategies as st
 from repro.backends.config import SolverConfig
 from repro.network.allocation import (
     MaxMinFairAllocation,
+    ProportionalFairAllocation,
     ProportionalToDemandAllocation,
 )
+from repro.service import scheduler as scheduler_module
+from repro.service.protocol import SolveRequest, build_solve_response
 from repro.service.scheduler import MicroBatchScheduler
+from repro.simulation import batch as batch_module
 from repro.simulation.batch import solve_rate_equilibria
 from repro.workloads.populations import paper_population
 
@@ -85,6 +91,169 @@ class TestCoalescing:
         stats = run(with_scheduler(body, window_seconds=0.01))
         assert stats["coalesced"] == 0
         assert stats["engine_solves"] == 1  # fused instead: one union solve
+
+
+class TestRetainedOutcomes:
+    def test_repeated_grid_skips_the_window_and_the_solve(self):
+        async def body(scheduler):
+            task = asyncio.create_task(
+                scheduler.solve(POPULATION, (50.0, 100.0), MAXMIN, CONFIG))
+            await asyncio.sleep(0)  # let the request register
+            await scheduler.drain()
+            first = await task
+            # A 30 s window: only a retained hit can answer at once.
+            repeat = await asyncio.wait_for(
+                scheduler.solve(POPULATION, (50.0, 100.0), MAXMIN, CONFIG),
+                timeout=5.0)
+            return first, repeat, scheduler.stats()
+
+        (first, size, _), (batch, repeat_size, coalesced), stats = run(
+            with_scheduler(body, window_seconds=30.0))
+        assert batch is first  # the very object that answered first
+        assert (repeat_size, coalesced) == (size, True)
+        assert stats["engine_solves"] == 1
+        assert stats["coalesced"] == 1
+        assert stats["retained_hits"] == 1
+        assert stats["retained_points"] == 2
+
+    def test_failed_solve_is_not_retained(self, monkeypatch):
+        real = batch_module.warm_equilibrium_cache
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("bisection diverged")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("repro.service.scheduler.warm_equilibrium_cache",
+                            fail_once)
+
+        async def body(scheduler):
+            with pytest.raises(RuntimeError):
+                await scheduler.solve(POPULATION, (50.0,), MAXMIN, CONFIG)
+            assert scheduler.stats()["retained_points"] == 0
+            retried = await scheduler.solve(POPULATION, (50.0,), MAXMIN,
+                                            CONFIG)
+            repeat = await scheduler.solve(POPULATION, (50.0,), MAXMIN,
+                                           CONFIG)
+            return retried, repeat, scheduler.stats()
+
+        retried, repeat, stats = run(with_scheduler(body,
+                                                    window_seconds=0.0))
+        assert retried[2] is False and repeat[2] is True
+        assert repeat[0] is retried[0]
+        assert stats["engine_solves"] == 2
+        assert stats["errors"] == 1
+        assert stats["retained_hits"] == 1
+        assert_batches_equal(retried[0], solve_rate_equilibria(
+            POPULATION, (50.0,), MAXMIN, CONFIG))
+
+    def test_points_budget_evicts_least_recently_used_grid(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(scheduler_module, "RETAINED_POINTS", 4)
+        grid_a, grid_b, grid_c = (50.0, 60.0), (70.0, 80.0), (90.0, 95.0)
+
+        async def body(scheduler):
+            for grid in (grid_a, grid_b, grid_a, grid_c):
+                await scheduler.solve(POPULATION, grid, MAXMIN, CONFIG)
+            # a was used after b, so c evicted b, the oldest.
+            assert scheduler.stats()["retained_points"] == 4
+            hits = scheduler.stats()["retained_hits"]
+            for grid in (grid_a, grid_c):
+                await scheduler.solve(POPULATION, grid, MAXMIN, CONFIG)
+            assert scheduler.stats()["retained_hits"] == hits + 2
+            _, _, coalesced = await scheduler.solve(POPULATION, grid_b,
+                                                    MAXMIN, CONFIG)
+            return coalesced, scheduler.stats()
+
+        coalesced, stats = run(with_scheduler(body, window_seconds=0.0))
+        assert coalesced is False
+        assert stats["engine_solves"] == 4  # a, b, c, then b again
+        assert stats["retained_points"] == 4
+
+    def test_grid_larger_than_the_budget_is_not_retained(self,
+                                                         monkeypatch):
+        monkeypatch.setattr(scheduler_module, "RETAINED_POINTS", 1)
+
+        async def body(scheduler):
+            for _ in range(2):
+                await scheduler.solve(POPULATION, (50.0, 60.0), MAXMIN,
+                                      CONFIG)
+            return scheduler.stats()
+
+        stats = run(with_scheduler(body, window_seconds=0.0))
+        assert stats["engine_solves"] == 2
+        assert stats["retained_points"] == 0
+
+    def test_fixed_point_rows_are_not_retained(self):
+        # A mechanism without a cap keeps (G, n) rows: not O(G) to retain.
+        async def body(scheduler):
+            for _ in range(2):
+                await scheduler.solve(POPULATION, (50.0,),
+                                      ProportionalFairAllocation(), CONFIG)
+            return scheduler.stats()
+
+        stats = run(with_scheduler(body, window_seconds=0.0))
+        assert stats["engine_solves"] == 2
+        assert stats["retained_points"] == 0
+
+    def test_other_mechanism_or_config_never_shares_an_outcome(self):
+        async def body(scheduler):
+            for mechanism, config in (
+                    (MAXMIN, CONFIG),
+                    (ProportionalToDemandAllocation(), CONFIG),
+                    (MAXMIN, SolverConfig(bisection_tolerance=1e-12))):
+                _, _, coalesced = await scheduler.solve(
+                    POPULATION, (50.0,), mechanism, config)
+                assert coalesced is False
+            return scheduler.stats()
+
+        stats = run(with_scheduler(body, window_seconds=0.0))
+        assert stats["engine_solves"] == 3
+        assert stats["coalesced"] == 0
+        assert stats["retained_points"] == 3
+
+    def test_naive_mode_never_retains(self):
+        async def body(scheduler):
+            for _ in range(3):
+                await scheduler.solve(POPULATION, (50.0,), MAXMIN, CONFIG)
+            return scheduler.stats()
+
+        stats = run(with_scheduler(body, naive=True, window_seconds=0.0))
+        assert stats["engine_solves"] == 3
+        assert stats["coalesced"] == stats["retained_hits"] == 0
+        assert stats["retained_points"] == 0
+
+    def test_buffered_detail_response_memoises_no_matrix(self):
+        nus = (50.0, 100.0, 150.0)
+        request = SolveRequest(population=POPULATION, mechanism_name="maxmin",
+                               mechanism=MAXMIN, nus=nus, price=1.0,
+                               detail=True, config=CONFIG)
+
+        async def body(scheduler):
+            batch, size, coalesced = await scheduler.solve(
+                POPULATION, nus, MAXMIN, CONFIG)
+            response = build_solve_response(request, batch,
+                                             coalesced=coalesced,
+                                             batch_size=size)
+            retained, _, _ = await scheduler.solve(POPULATION, nus, MAXMIN,
+                                                   CONFIG)
+            return batch, retained, response
+
+        batch, retained, response = run(with_scheduler(body,
+                                                       window_seconds=0.0))
+        assert retained is batch
+        memoised = [np.asarray(array) for value in batch._memo.values()
+                    for array in (value if isinstance(value, tuple)
+                                  else (value,))]
+        assert memoised and all(array.ndim == 1 for array in memoised)
+        direct = solve_rate_equilibria(POPULATION, nus, MAXMIN, CONFIG)
+        assert response["providers"] == {
+            "thetas": direct.thetas.tolist(),
+            "demands": direct.demands.tolist(),
+            "per_capita_rates": direct.per_capita_rates.tolist(),
+        }
 
 
 class TestUnionGridFusion:
@@ -209,17 +378,27 @@ class TestFailureAndLifecycle:
 )
 def test_property_served_series_bit_identical_to_direct_solve(
         grids, mechanism_index):
-    """Any mix of concurrently fused grids serves bit-identical numbers."""
+    """Any mix of concurrently fused grids serves bit-identical numbers,
+    and repeating the grids serves the very same retained batches."""
     mechanism = (MAXMIN, ProportionalToDemandAllocation())[mechanism_index]
     tuple_grids = [tuple(grid) for grid in grids]
 
     async def body(scheduler):
-        return await asyncio.gather(*[
-            scheduler.solve(POPULATION, grid, mechanism, CONFIG)
-            for grid in tuple_grids])
+        rounds = []
+        for _ in range(2):
+            rounds.append(await asyncio.gather(*[
+                scheduler.solve(POPULATION, grid, mechanism, CONFIG)
+                for grid in tuple_grids]))
+        return rounds, scheduler.stats()
 
-    outcomes = run(with_scheduler(body, window_seconds=0.02))
-    for grid, (batch, _, _) in zip(tuple_grids, outcomes):
+    (outcomes, repeats), stats = run(with_scheduler(body,
+                                                    window_seconds=0.02))
+    assert stats["engine_solves"] == 1
+    assert stats["retained_hits"] == len(tuple_grids)
+    for grid, (batch, size, _), (repeat, repeat_size, coalesced) in zip(
+            tuple_grids, outcomes, repeats):
         direct = solve_rate_equilibria(POPULATION, grid, mechanism, CONFIG)
         assert tuple(batch.nus.tolist()) == grid
         assert_batches_equal(batch, direct)
+        assert repeat is batch
+        assert (repeat_size, coalesced) == (size, True)
