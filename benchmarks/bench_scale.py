@@ -27,13 +27,8 @@ import numpy as np
 
 from conftest import record_extra, run_once
 
-from repro.backends import get_backend, numba_available
 from repro.network.allocation import MaxMinFairAllocation
-from repro.network.equilibrium import (
-    ExponentialMaxMinProfile,
-    common_cap_profile,
-    solve_rate_equilibrium,
-)
+from repro.network.equilibrium import common_cap_profile, solve_rate_equilibrium
 from repro.workloads.populations import PopulationSpec, random_population
 
 #: Population sizes swept (log-spaced decades), capped by the environment.
@@ -50,42 +45,6 @@ def _peak_rss_mb() -> float:
 def _sizes() -> tuple[int, ...]:
     ceiling = int(os.environ.get("REPRO_BENCH_SCALE_MAX_CPS", _SIZES[-1]))
     return tuple(size for size in _SIZES if size <= ceiling) or _SIZES[:1]
-
-
-def _backend_axis(population, nu: float) -> dict:
-    """Per-backend scalar solve times at this population size.
-
-    Each backend gets its own profile (reference- and numba-backed profiles
-    never alias) and a warm-up solve before the timed one, so the numba
-    entry measures the compiled kernel, not JIT compilation.  When numba is
-    not installed only the reference entry carries timings and the numba
-    entry records ``available: false`` — the summary schema is identical
-    either way, which keeps ``bench_compare`` diffs meaningful across
-    machines with and without the accelerator.
-    """
-    import time
-
-    axis: dict = {}
-    caps: dict[str, float] = {}
-    for name in ("reference", "numba"):
-        available = name == "reference" or numba_available()
-        entry: dict = {"available": available}
-        if available:
-            profile = ExponentialMaxMinProfile(
-                population.alphas, population.theta_hats, population.betas,
-                backend=get_backend(name))
-            profile.solve_cap(nu)  # warm-up (JIT compile + cache fills)
-            start = time.perf_counter()
-            caps[name] = profile.solve_cap(nu)
-            entry["solve_cap_seconds"] = time.perf_counter() - start
-            entry["cap"] = caps[name]
-        axis[name] = entry
-    if "numba" in caps:
-        # The backend contract: both kernels solve the same equation to
-        # <= 1e-10 (absolute + relative).
-        scale = max(1.0, abs(caps["reference"]))
-        assert abs(caps["numba"] - caps["reference"]) <= 1e-10 * scale
-    return axis
 
 
 def _scaling_sweep() -> dict:
@@ -121,7 +80,6 @@ def _scaling_sweep() -> dict:
             "grid_points": _GRID_POINTS,
             "common_cap": equilibrium.common_cap,
             "peak_rss_mb": _peak_rss_mb(),
-            "backends": _backend_axis(population, nu),
         })
         # Work conservation sanity at every size: the congested solve
         # carries exactly nu (the batch shares the same kernel).

@@ -65,8 +65,8 @@ def compare(golden: dict, current: dict) -> tuple[list[str], bool]:
         lines.append(f"scale mismatch: {golden.get('scale')!r} != "
                      f"{current.get('scale')!r}")
     if golden.get("solver") != current.get("solver"):
-        # Comparing runs from different solver backends (or tolerance
-        # settings) is apples-to-oranges even when the hashes happen to
+        # Comparing runs under different solver settings (tolerances or
+        # cache policy) is apples-to-oranges even when the hashes happen to
         # agree — flag it exactly like a scale mismatch.
         lines.append(f"solver mismatch: {golden.get('solver')!r} != "
                      f"{current.get('solver')!r}")

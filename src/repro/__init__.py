@@ -24,7 +24,7 @@ Quickstart::
     print(outcome.isp_surplus, outcome.consumer_surplus)
 """
 
-from repro.backends import SolverConfig, use_config
+from repro.config import SolverConfig, use_config
 from repro.errors import (
     AxiomViolationError,
     ConvergenceError,

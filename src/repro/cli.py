@@ -30,7 +30,6 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.backends import BACKEND_NAMES, SolverConfig
 from repro.cache import all_cache_stats
 from repro.core.regulation import compare_regimes
 from repro.errors import ModelValidationError
@@ -82,12 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--json", action="store_true",
                             help="print the canonical JSON artifact instead "
                                  "of the plain-text report")
-    run_parser.add_argument("--backend", default=None,
-                            choices=BACKEND_NAMES,
-                            help="solver kernel backend (default: reference, "
-                                 "or the REPRO_BACKEND environment "
-                                 "variable; 'numba' falls back to reference "
-                                 "with a warning when numba is missing)")
     run_parser.add_argument("--cache-stats", action="store_true",
                             help="after the run, print the solver caches' "
                                  "hit/miss statistics to stderr")
@@ -113,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     all_parser.add_argument("--seed", type=int, default=None,
                             help="override the population seed of seed-aware "
                                  "experiments")
-    all_parser.add_argument("--backend", default=None,
-                            choices=BACKEND_NAMES,
-                            help="solver kernel backend for every "
-                                 "experiment; recorded in the artifacts "
-                                 "and the manifest's solver block")
     all_parser.add_argument("--strict-findings", action="store_true",
                             help="exit non-zero when an expected finding "
                                  "does not hold")
@@ -161,10 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "compatible requests arriving within it "
                                    "are fused into one union-grid solve "
                                    "(default: 2.0)")
-    serve_parser.add_argument("--backend", default=None,
-                              choices=BACKEND_NAMES,
-                              help="default solver backend for requests "
-                                   "without a config field")
     serve_parser.add_argument("--naive", action="store_true",
                               help="disable batching and coalescing (one "
                                    "solve per request); the benchmark "
@@ -190,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = subparsers.add_parser(
         "lint",
-        help="run the solver-invariant static analysis (rules RL001-RL006)")
+        help="run the solver-invariant static analysis (rules RL001-RL003, RL005, RL006)")
     lint_parser.add_argument("paths", nargs="*", default=["src"],
                              help="files or directories to lint (default: src)")
     lint_parser.add_argument("--select", action="append", metavar="CODES",
@@ -241,21 +225,13 @@ def _warn_ignored(experiment_id: str, ignored: Sequence[str]) -> None:
               "the flag is ignored", file=sys.stderr)
 
 
-def _solver_config(args: argparse.Namespace) -> Optional[SolverConfig]:
-    """The SolverConfig implied by --backend, or None for the default."""
-    if getattr(args, "backend", None) is None:
-        return None
-    return SolverConfig(backend=args.backend)
-
-
 def _run_experiment(args: argparse.Namespace) -> str:
     spec = get_spec(args.experiment)
     _warn_ignored(spec.experiment_id,
                   spec.ignored_overrides(count=args.count, seed=args.seed))
     result = spec.run(scale=args.scale,
                       count=args.count if spec.count_aware else None,
-                      seed=args.seed if spec.seed_aware else None,
-                      config=_solver_config(args))
+                      seed=args.seed if spec.seed_aware else None)
     if args.json:
         return result_to_artifact_bytes(result).decode("ascii").rstrip("\n")
     return result.report(max_rows=args.max_rows)
@@ -272,8 +248,7 @@ def _reproduce_all(args: argparse.Namespace) -> int:
                           count=args.count, seed=args.seed))
     summary = reproduce_all(ids=ids, scale=args.scale, workers=args.workers,
                             shards=args.shards, output_dir=args.output,
-                            count=args.count, seed=args.seed,
-                            config=_solver_config(args))
+                            count=args.count, seed=args.seed)
     print(f"reproduced {len(summary.experiment_ids)} experiments at scale "
           f"'{summary.scale}' with {summary.workers} worker(s) in "
           f"{summary.elapsed_seconds:.1f}s")
@@ -317,7 +292,6 @@ def _serve(args: argparse.Namespace) -> int:
             window_seconds=args.window_ms / 1000.0,
             naive=args.naive,
             max_solver_threads=args.solver_threads,
-            config=_solver_config(args),
             max_requests=args.max_requests,
             idle_timeout=idle_timeout)
         return serve_multiprocess(settings, args.workers)
@@ -328,7 +302,6 @@ def _serve(args: argparse.Namespace) -> int:
             window_seconds=args.window_ms / 1000.0,
             naive=args.naive,
             max_solver_threads=args.solver_threads,
-            config=_solver_config(args),
             max_requests=args.max_requests,
             idle_timeout=idle_timeout)
         loop = asyncio.get_running_loop()

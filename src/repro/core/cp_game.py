@@ -27,8 +27,8 @@ from typing import Any, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends.config import SolverConfig, resolve_config
 from repro.cache import LRUCache
+from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.core.strategy import ISPStrategy
 from repro.network.allocation import (
@@ -211,7 +211,7 @@ class CPPartitionGame:
         the paper's 1000-CP workload the slack is negligible (< 1%).
         ``None`` (the default) uses ``config.switching_tolerance`` (1e-6).
     config:
-        Solver configuration (kernel backend, tolerances, cache policy);
+        Solver configuration (tolerances, cache policy);
         ``None`` uses the ambient/default config.  The explicit
         ``switching_tolerance`` keyword, when given, wins over the config.
     """

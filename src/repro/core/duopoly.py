@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.backends.config import SolverConfig, resolve_config
+from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.core.cp_game import PartitionOutcome
 from repro.core.migration import (

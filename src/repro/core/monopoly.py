@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.backends.config import SolverConfig, resolve_config
+from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.core.cp_game import CPPartitionGame, PartitionOutcome
 from repro.core.strategy import ISPStrategy, NEUTRAL_STRATEGY

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.backends.config import SolverConfig, resolve_config
+from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.core.migration import IspConfig, MarketSplit, solve_market_split
 from repro.core.strategy import ISPStrategy

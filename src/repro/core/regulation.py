@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.backends.config import SolverConfig
+from repro.config import SolverConfig
 from repro.errors import ModelValidationError
 from repro.core.duopoly import DuopolyGame
 from repro.core.monopoly import MonopolyGame

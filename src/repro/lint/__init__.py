@@ -1,9 +1,9 @@
 """Solver-invariant static analysis (``repro-lint``).
 
-An AST-based lint pass with six repo-specific rules (RL001-RL006) that
-protect the invariants the golden-regression suite can only catch late:
-cache-key completeness, Population column immutability, artifact
-determinism, njit kernel purity, tolerance discipline.  Run it as::
+An AST-based lint pass with five repo-specific rules (RL001-RL003, RL005,
+RL006) that protect the invariants the golden-regression suite can only
+catch late: cache-key completeness, Population column immutability,
+artifact determinism, tolerance discipline.  Run it as::
 
     python -m repro.lint src/
     repro-netneutrality lint --select RL001,RL006 --format json src/

@@ -28,7 +28,8 @@ def build_parser(prog: str = "repro-lint") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
         description="Solver-invariant static analysis for the "
-                    "repro-netneutrality codebase (rules RL001-RL006)")
+                    "repro-netneutrality codebase (rules RL001-RL003, "
+                    "RL005, RL006)")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--select", action="append", metavar="CODES",

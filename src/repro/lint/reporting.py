@@ -52,11 +52,7 @@ def render_rule_list() -> str:
     lines = []
     for code in sorted(RULES):
         rule = RULES[code]
-        scope_parts = []
-        if rule.path_components:
-            scope_parts.append("/".join(sorted(rule.path_components)))
-        if rule.filenames:
-            scope_parts.append(", ".join(rule.filenames))
-        scope = " [" + "; ".join(scope_parts) + "]" if scope_parts else ""
+        scope = (" [" + "/".join(sorted(rule.path_components)) + "]"
+                 if rule.path_components else "")
         lines.append(f"{code} {rule.name}{scope}: {rule.summary}")
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""The repo-specific lint rules (RL001-RL006) and their registry.
+"""The repo-specific lint rules (RL001-RL003, RL005, RL006) and their registry.
 
 Each rule protects one of the solver invariants the test suite can only
 catch indirectly (and expensively) through golden regressions:
@@ -7,7 +7,7 @@ catch indirectly (and expensively) through golden regressions:
   :class:`repro.cache.LRUCache` must build keys that thread a
   ``cache_key()`` value (directly, through a same-module helper whose body
   contains one, or through a local name assigned from either), so
-  reference/numba entries can never alias.
+  entries computed under different solver tolerances can never alias.
 * **RL002 column immutability** — no attribute or subscript stores into
   :class:`~repro.network.provider.Population` column views (or any object
   obtained from ``.alphas`` / ``.theta_hats`` / ...), and no
@@ -19,10 +19,6 @@ catch indirectly (and expensively) through golden regressions:
   direct iteration over sets, and no ``json.dumps`` without
   ``sort_keys=True``: artifact bytes must be identical across processes
   and worker counts.
-* **RL004 njit purity** (``numba_backend.py``) — kernel functions may not
-  close over module globals (``math``/``numpy`` excepted), take
-  ``**kwargs``, or call Python-object helpers: they must stay compilable
-  in numba's nopython mode and bit-identical to the reference path.
 * **RL005 float-equality ban** (``core/`` + ``network/``) — no ``==`` /
   ``!=`` against non-zero float literals in solver paths; bracket and
   convergence logic must compare against tolerances.  Comparisons against
@@ -38,7 +34,8 @@ The checks are deliberately heuristic AST passes, tuned to this codebase's
 idioms; each rule's fixture corpus (``tests/lint/fixtures/``) pins the
 exact behaviour.  False positives are suppressed inline with
 ``# repro-lint: disable=RL###`` plus a justification (see
-``CONTRIBUTING.md``).
+``CONTRIBUTING.md``).  Codes are never reused: RL004 (njit kernel purity)
+was retired with the kernel it checked.
 """
 
 from __future__ import annotations
@@ -107,8 +104,7 @@ class Rule:
     """One registered lint rule.
 
     ``path_components`` scopes the rule to files with at least one matching
-    path component (empty = every file); ``filenames`` scopes it to exact
-    file names (empty = every file name).  Both scopes must match.
+    path component (empty = every file).
     """
 
     code: str
@@ -116,15 +112,10 @@ class Rule:
     summary: str
     check: CheckFunction
     path_components: Tuple[str, ...] = ()
-    filenames: Tuple[str, ...] = ()
 
     def applies_to(self, path: PurePath) -> bool:
-        parts = set(path.parts)
-        if self.path_components and not parts.intersection(self.path_components):
-            return False
-        if self.filenames and path.name not in self.filenames:
-            return False
-        return True
+        return (not self.path_components
+                or not set(path.parts).isdisjoint(self.path_components))
 
 
 RULES: Dict[str, Rule] = {}
@@ -271,7 +262,7 @@ def _check_rl001(module: ast.Module, path: PurePath) -> Iterator[RawFinding]:
                        f"{node.func.attr}() does not thread a cache_key() "
                        "value; keys of registered caches must include "
                        "SolverConfig.cache_key() (directly or via a helper) "
-                       "so backend/tolerance variants never alias")
+                       "so tolerance variants never alias")
 
 
 _register(Rule(
@@ -463,96 +454,6 @@ _register(Rule(
             "JSON in runner/ + simulation/ + service/",
     check=_check_rl003,
     path_components=("runner", "simulation", "service"),
-))
-
-
-# --------------------------------------------------------------------------- #
-# RL004 — njit kernel purity
-# --------------------------------------------------------------------------- #
-_KERNEL_PREFIX = "_kernel_"
-_KERNEL_GLOBAL_WHITELIST = frozenset({
-    "math", "np", "numpy",
-    "range", "len", "float", "int", "bool", "abs", "min", "max",
-    "enumerate", "zip", "divmod", "round",
-})
-
-
-def _kernel_names(module: ast.Module) -> FrozenSet[str]:
-    names = set()
-    for node in ast.walk(module):
-        if isinstance(node, ast.Call) and _callee_name(node) == "njit":
-            for arg in node.args:
-                if isinstance(arg, ast.Name):
-                    names.add(arg.id)
-        elif isinstance(node, ast.FunctionDef):
-            if node.name.startswith(_KERNEL_PREFIX):
-                names.add(node.name)
-            for decorator in node.decorator_list:
-                target = (decorator.func if isinstance(decorator, ast.Call)
-                          else decorator)
-                decorator_name = (
-                    target.id if isinstance(target, ast.Name)
-                    else target.attr if isinstance(target, ast.Attribute)
-                    else None)
-                if decorator_name == "njit":
-                    names.add(node.name)
-    return frozenset(names)
-
-
-def _bound_names(func: ast.FunctionDef) -> FrozenSet[str]:
-    bound = set()
-    args = func.args
-    for arg in (args.posonlyargs + args.args + args.kwonlyargs):
-        bound.add(arg.arg)
-    if args.vararg is not None:
-        bound.add(args.vararg.arg)
-    if args.kwarg is not None:
-        bound.add(args.kwarg.arg)
-    for node in ast.walk(func):
-        if isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                     (ast.Store, ast.Del)):
-            bound.add(node.id)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            bound.add(node.name)
-    return frozenset(bound)
-
-
-def _check_rl004(module: ast.Module, path: PurePath) -> Iterator[RawFinding]:
-    kernels = _kernel_names(module)
-    if not kernels:
-        return
-    for node in module.body:
-        if not (isinstance(node, ast.FunctionDef) and node.name in kernels):
-            continue
-        if node.args.kwarg is not None:
-            yield (node.lineno, node.col_offset,
-                   f"kernel {node.name} takes **{node.args.kwarg.arg}; "
-                   "nopython mode cannot compile **kwargs")
-        bound = _bound_names(node)
-        reported: set[str] = set()
-        for sub in ast.walk(node):
-            if not (isinstance(sub, ast.Name)
-                    and isinstance(sub.ctx, ast.Load)):
-                continue
-            name = sub.id
-            if (name in bound or name in _KERNEL_GLOBAL_WHITELIST
-                    or name in reported):
-                continue
-            reported.add(name)
-            yield (sub.lineno, sub.col_offset,
-                   f"kernel {node.name} closes over module global "
-                   f"{name!r}; kernels must only touch their arguments, "
-                   "locals, math and numpy (globals are frozen at compile "
-                   "time and break the reference-path equivalence)")
-
-
-_register(Rule(
-    code="RL004",
-    name="njit-purity",
-    summary="numba kernels: no module-global closures, no **kwargs, no "
-            "Python-object helpers",
-    check=_check_rl004,
-    filenames=("numba_backend.py",),
 ))
 
 

@@ -31,10 +31,8 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.backends.base import KernelBackend
-from repro.backends.config import SolverConfig, resolve_config
-from repro.backends.reference import reference_backend
 from repro.cache import LRUCache, all_cache_stats
+from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.network.allocation import (
     CommonCapAllocation,
@@ -385,11 +383,10 @@ class ExponentialMaxMinProfile(CommonCapProfile):
     evaluation is therefore one cheap scalar pass, and :meth:`solve_cap`
     needs fewer than ten of them per capacity on the paper's workload.
 
-    The tail pass itself lives on a pluggable
-    :class:`~repro.backends.base.KernelBackend` (default: the ``reference``
-    numpy backend); the profile owns the sorted column arrays and the
-    solver.  A profile is never written after construction, so one profile
-    may be solved from several threads at once.
+    The tail pass runs through ``out=`` kernels into one buffer per call
+    and sums with ``np.add.reduce`` (the pairwise summation ``ndarray.sum``
+    dispatches to).  A profile is never written after construction, so one
+    profile may be solved from several threads at once.
 
     :meth:`carried_and_surplus` also returns the consumer surplus from the
     same tail pass, given the utility-rate columns of
@@ -399,19 +396,15 @@ class ExponentialMaxMinProfile(CommonCapProfile):
     """
 
     def __init__(self, alphas: np.ndarray, theta_hats: np.ndarray,
-                 betas: np.ndarray,
-                 backend: Optional[KernelBackend] = None) -> None:
+                 betas: np.ndarray) -> None:
         order = np.argsort(theta_hats, kind="stable")
         self._init_sorted(np.ascontiguousarray(alphas[order]),
                           np.ascontiguousarray(theta_hats[order]),
-                          np.ascontiguousarray(betas[order]),
-                          backend)
+                          np.ascontiguousarray(betas[order]))
 
     @classmethod
     def from_sorted(cls, alphas: np.ndarray, theta_hats: np.ndarray,
-                    betas: np.ndarray,
-                    backend: Optional[KernelBackend] = None
-                    ) -> "ExponentialMaxMinProfile":
+                    betas: np.ndarray) -> "ExponentialMaxMinProfile":
         """Profile from arrays already in stable ``theta_hat`` order.
 
         Used by the subset-profile cache: filtering a parent population's
@@ -423,14 +416,11 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         self = object.__new__(cls)
         self._init_sorted(np.ascontiguousarray(alphas),
                           np.ascontiguousarray(theta_hats),
-                          np.ascontiguousarray(betas),
-                          backend)
+                          np.ascontiguousarray(betas))
         return self
 
     def _init_sorted(self, alphas: np.ndarray, theta_hats: np.ndarray,
-                     betas: np.ndarray,
-                     backend: Optional[KernelBackend] = None) -> None:
-        self._backend = backend if backend is not None else reference_backend()
+                     betas: np.ndarray) -> None:
         self._theta_hats = theta_hats
         self._alphas = alphas
         self._betas = betas
@@ -449,12 +439,52 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         # empty and the carried load is exactly ``prefix[-1]``.
         return self.unconstrained_load
 
-    def carried_scalar(self, cap: float) -> float:
-        """Carried load at one cap (see the backend's contract).
+    def _tail_terms(self, cap: float, count: int) -> np.ndarray:
+        """Per-consumer rates ``alpha_i d_i(cap) cap`` of the congested tail.
 
-        Finite for every cap; ``0.0`` for ``cap <= 0``.
+        The tail is every provider from sorted position ``count`` on (those
+        with ``theta_hat > cap``).  Same arithmetic as the expression form —
+        ``theta/cap - 1`` then ``alpha * exp(-beta * congestion) * cap`` —
+        evaluated through ``out=`` kernels into the one buffer the division
+        allocates.
         """
-        return self._backend.carried_scalar(self, cap)
+        if cap < self._tiny_cap:
+            return self._tiny_cap_tail_terms(cap, count)
+        buffer = np.divide(self._theta_hats[count:], cap)
+        np.subtract(buffer, 1.0, out=buffer)
+        np.multiply(self._neg_betas[count:], buffer, out=buffer)
+        np.exp(buffer, out=buffer)
+        np.multiply(self._alphas[count:], buffer, out=buffer)
+        np.multiply(buffer, cap, out=buffer)
+        return buffer
+
+    def _tiny_cap_tail_terms(self, cap: float, count: int) -> np.ndarray:
+        """:meth:`_tail_terms` at a cap so small that ``theta / cap`` may
+        overflow: ``exp(-beta * inf)`` is 0 for ``beta > 0``, and ``beta = 0``
+        terms are set to their exact value (demand 1) instead of ``NaN``."""
+        neg_betas = self._neg_betas[count:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            exponents = neg_betas * (self._theta_hats[count:] / cap - 1.0)
+        exponents[neg_betas == 0.0] = 0.0
+        return self._alphas[count:] * np.exp(exponents) * cap
+
+    def carried_scalar(self, cap: float) -> float:
+        """Carried load at one cap: prefix lookup plus the exponential tail.
+
+        Finite for every cap; ``0.0`` for ``cap <= 0``.  The congestion tail
+        (``theta > cap``) cannot overflow ``exp`` (exponents are
+        non-positive; underflow is ignored by default), and only caps below
+        the profile's ``_tiny_cap`` can overflow the ratio ``theta / cap``;
+        those take a separate guarded pass.  The tail buffer is allocated
+        per call, so concurrent calls on one profile never share memory.
+        """
+        if cap <= 0.0:
+            return 0.0
+        count = self._theta_hats.searchsorted(cap, side="right")
+        saturated = self._prefix[count]
+        if count == self.size:
+            return float(saturated)
+        return float(saturated + np.add.reduce(self._tail_terms(cap, count)))
 
     def surplus_weights(self, sorted_utility_rates: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -474,11 +504,21 @@ class ExponentialMaxMinProfile(CommonCapProfile):
                             ) -> tuple[float, float]:
         """Carried load and consumer surplus ``Phi`` at one cap, in one pass.
 
-        ``weights`` comes from :meth:`surplus_weights`.  The carried load
-        equals :meth:`carried_scalar` bit for bit.
+        ``weights`` comes from :meth:`surplus_weights`.  The carried load is
+        computed exactly as :meth:`carried_scalar` computes it (bit for bit);
+        the surplus adds the saturated providers' ``phi``-weighted prefix to
+        ``dot(phi_tail, tail)``.
         """
         phis, phi_prefix = weights
-        return self._backend.carried_and_surplus(self, cap, phis, phi_prefix)
+        if cap <= 0.0:
+            return 0.0, 0.0
+        count = self._theta_hats.searchsorted(cap, side="right")
+        saturated = self._prefix[count]
+        if count == self.size:
+            return float(saturated), float(phi_prefix[count])
+        tail = self._tail_terms(cap, count)
+        return (float(saturated + np.add.reduce(tail)),
+                float(phi_prefix[count] + np.dot(phis[count:], tail)))
 
     def carried(self, caps: np.ndarray) -> np.ndarray:
         caps = np.asarray(caps, dtype=float)
@@ -555,30 +595,23 @@ class ExponentialMaxMinProfile(CommonCapProfile):
 
 
 def common_cap_profile(population: Population,
-                       mechanism: CommonCapAllocation,
-                       config: Optional[SolverConfig] = None
-                       ) -> CommonCapProfile:
+                       mechanism: CommonCapAllocation) -> CommonCapProfile:
     """The fastest applicable carried-load profile for a population.
 
     The max-min + all-exponential fast path (the paper's workload) is cached
-    on the population — one profile per kernel backend, so reference- and
-    numba-backed profiles never alias; everything else gets the generic
-    profile.  The choice is a function of (population, mechanism, backend)
-    only, so the scalar and batched solvers always agree on the numerics.
+    on the population; everything else gets the generic profile.  The
+    choice is a function of (population, mechanism) only, so the scalar and
+    batched solvers always agree on the numerics.
     """
     if type(mechanism) is MaxMinFairAllocation:
-        backend = resolve_config(config).backend_instance()
-        profiles = getattr(population, "_exp_maxmin_profiles", None)
-        if profiles is not None and backend.name in profiles:
-            return profiles[backend.name]
+        profile: Optional[ExponentialMaxMinProfile] = getattr(
+            population, "_exp_maxmin_profile", None)
+        if profile is not None:
+            return profile
         parameters = population.exponential_parameters
         if parameters is not None:
-            profile = ExponentialMaxMinProfile(population.alphas, *parameters,
-                                               backend=backend)
-            if profiles is None:
-                profiles = {}
-                population._exp_maxmin_profiles = profiles  # type: ignore[attr-defined]
-            profiles[backend.name] = profile
+            profile = ExponentialMaxMinProfile(population.alphas, *parameters)
+            population._exp_maxmin_profile = profile  # type: ignore[attr-defined]
             return profile
     return GenericCapProfile(population, mechanism)
 
@@ -596,7 +629,7 @@ def solve_common_caps(population: Population, nus: Sequence[float],
     per-provider profile from it.
     """
     config = resolve_config(config)
-    profile = common_cap_profile(population, mechanism, config)
+    profile = common_cap_profile(population, mechanism)
     return profile.solve_caps(np.asarray(nus, dtype=float),
                               residual_tolerance=config.bisection_tolerance)
 
@@ -659,7 +692,7 @@ def solve_rate_equilibrium(population: Population, nu: float,
         The rate-allocation mechanism; defaults to the paper's max-min fair
         mechanism.
     config:
-        Solver configuration (kernel backend + cap residual tolerance);
+        Solver configuration (cap residual tolerance, cache policy);
         ``None`` uses the ambient/default config.
 
     Returns
@@ -803,10 +836,8 @@ def _subset_profile(population: Population, mask: np.ndarray,
     Requires ``population.exponential_parameters`` to be non-``None``.  The
     class's sorted arrays are obtained by filtering the parent's cached
     stable sort order with the membership mask — identical floats, in the
-    identical order, to stable-argsorting the subset itself.  Profiles are
-    cached per kernel backend (the profile embeds one).
+    identical order, to stable-argsorting the subset itself.
     """
-    backend = config.backend_instance()
 
     def build() -> ExponentialMaxMinProfile:
         theta_hats, betas = population.exponential_parameters
@@ -814,7 +845,7 @@ def _subset_profile(population: Population, mask: np.ndarray,
         sub_order = order[mask[order]]
         return ExponentialMaxMinProfile.from_sorted(
             population.alphas[sub_order], theta_hats[sub_order],
-            betas[sub_order], backend=backend)
+            betas[sub_order])
 
     if config.cache_policy == "bypass":
         return build()
@@ -835,8 +866,8 @@ def cached_subset_equilibrium(population: Population,
     Results are bit-identical to ``solve_rate_equilibrium`` on
     ``population.subset(indices)``; the cache key is
     ``(population, sorted indices, nu, mechanism.cache_key(),
-    config.cache_key())`` — entries computed under different backends or
-    tolerances never alias.  ``cache_policy="bypass"`` solves directly
+    config.cache_key())`` — entries computed under different tolerances
+    never alias.  ``cache_policy="bypass"`` solves directly
     without touching the cache.
     """
     config = resolve_config(config)
@@ -906,7 +937,7 @@ def cached_class_cap_for_mask(population: Population,
         parameters = population.exponential_parameters
         if type(mechanism) is MaxMinFairAllocation and parameters is not None:
             if mask is None:
-                profile = common_cap_profile(population, mechanism, config)
+                profile = common_cap_profile(population, mechanism)
             else:
                 profile = _subset_profile(population, mask, mask_bytes, config)
             return profile.solve_cap(

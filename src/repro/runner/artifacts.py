@@ -141,9 +141,9 @@ def build_manifest(scale: str,
     manifest orders experiments by id and records the SHA-256 and size of
     each file, so two runs agree byte-for-byte exactly when every artifact
     does.  ``solver`` is the run's solver provenance
-    (:meth:`repro.backends.SolverConfig.provenance`) — deterministic for a
+    (:meth:`repro.config.SolverConfig.provenance`) — deterministic for a
     given config, and how ``scripts/manifest_diff.py`` catches comparisons
-    across backends.  Anything non-deterministic (wall times, worker
+    across solver tolerances.  Anything non-deterministic (wall times, worker
     counts) belongs in ``run_info.json``, never here.
     """
     failed_findings = failed_findings or {}

@@ -27,7 +27,7 @@ from multiprocessing.context import BaseContext
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.backends.config import SolverConfig, resolve_config
+from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.runner import artifacts as artifacts_mod
 from repro.runner.registry import experiment_ids, get_spec
@@ -140,7 +140,7 @@ def reproduce_all(ids: Optional[Sequence[str]] = None,
     experiments (default: one shard per worker).  ``shard_order`` permutes
     the shard submission order — exposed so tests can assert that neither
     sharding nor scheduling affects the output bytes.  ``config`` selects
-    the solver backend/tolerances for every experiment; its provenance is
+    the solver tolerances for every experiment; its provenance is
     recorded in each artifact and in the manifest's ``solver`` block.
     Returns a :class:`RunSummary`; artifacts land in ``output_dir/<scale>/``.
     """

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.backends.config import SolverConfig, resolve_config, use_config
+from repro.config import SolverConfig, resolve_config, use_config
 from repro.errors import ModelValidationError
 from repro.simulation import experiments
 from repro.simulation.results import ExperimentResult
@@ -121,7 +121,7 @@ class ExperimentSpec:
             **overrides: Any) -> ExperimentResult:
         """Execute the experiment at ``scale`` and return its result.
 
-        ``config`` selects the solver backend/tolerances for the whole run:
+        ``config`` selects the solver tolerances for the whole run:
         it is installed as the ambient :class:`SolverConfig` around the
         experiment function (whose signature never mentions it), and its
         provenance is recorded under ``result.parameters["solver"]`` so

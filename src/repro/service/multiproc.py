@@ -42,11 +42,9 @@ import os
 import signal
 import socket
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Optional, Tuple
-
-from repro.backends.config import SolverConfig
 
 __all__ = ["WorkerSettings", "serve_multiprocess", "merge_worker_stats",
            "bind_reuseport"]
@@ -76,7 +74,6 @@ class WorkerSettings:
     window_seconds: float
     naive: bool
     max_solver_threads: int
-    config: Optional[SolverConfig]
     max_requests: Optional[int]
     idle_timeout: Optional[float]
 
@@ -139,7 +136,6 @@ async def _worker_serve(index: int, settings: WorkerSettings,
         window_seconds=settings.window_seconds,
         naive=settings.naive,
         max_solver_threads=settings.max_solver_threads,
-        config=settings.config,
         max_requests=settings.max_requests,
         idle_timeout=settings.idle_timeout,
         worker_index=index)
@@ -194,12 +190,7 @@ def serve_multiprocess(settings: WorkerSettings, workers: int) -> int:
         inherited.bind((settings.host, settings.port))
         inherited.listen(128)
         resolved_port = int(inherited.getsockname()[1])
-    settings = WorkerSettings(
-        host=settings.host, port=resolved_port,
-        window_seconds=settings.window_seconds, naive=settings.naive,
-        max_solver_threads=settings.max_solver_threads,
-        config=settings.config, max_requests=settings.max_requests,
-        idle_timeout=settings.idle_timeout)
+    settings = replace(settings, port=resolved_port)
 
     processes: List[multiprocessing.process.BaseProcess] = []
     pipes: List[Connection] = []

@@ -12,7 +12,7 @@ A ``POST /solve`` body is a JSON object::
       "nus":         [50.0, 100.0],       # per-capita capacity grid
       "price":       1.5,                 # optional: premium_revenues series
       "detail":      true,                # optional: per-provider matrices
-      "config":      {"backend": "reference"}   # optional SolverConfig fields
+      "config":      {"surplus_tolerance": 1e-8}   # optional SolverConfig fields
     }
 
 and the response echoes the request identity plus the equilibrium series
@@ -44,13 +44,13 @@ follow-up requests can address it without re-sending the spec.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.config import SolverConfig, resolve_config
 from repro.cache import LRUCache
+from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.network.allocation import (
     MaxMinFairAllocation,
@@ -82,7 +82,7 @@ _MECHANISMS: Dict[str, RateAllocationMechanism] = {
 
 #: SolverConfig fields a request may override.
 _CONFIG_FIELDS = frozenset({
-    "backend", "migration_tolerance", "switching_tolerance",
+    "migration_tolerance", "switching_tolerance",
     "surplus_tolerance", "bisection_tolerance", "cache_policy",
 })
 
@@ -104,7 +104,7 @@ MAX_DETAIL_CELLS = 1 << 22
 
 #: Resolved populations, keyed by spec and by fingerprint.  Warm
 #: cross-request state like the solver caches; population construction is
-#: solver-independent, so the key carries no backend/tolerance axis.
+#: solver-independent, so the key carries no tolerance axis.
 _POPULATION_CACHE = LRUCache(maxsize=64, name="service_populations")
 
 
@@ -174,7 +174,7 @@ def _parse_population_spec(spec: Mapping[str, Any]) -> Population:
         return paper_population(count=count, seed=seed,
                                 utility_model=utility_model)
 
-    population = _POPULATION_CACHE.get_or_compute(key, build)  # repro-lint: disable=RL001 — population construction is solver-independent; the key is the full spec, with no backend/tolerance axis to alias
+    population = _POPULATION_CACHE.get_or_compute(key, build)  # repro-lint: disable=RL001 — population construction is solver-independent; the key is the full spec, with no tolerance axis to alias
     assert isinstance(population, Population)
     # Index by fingerprint too, so follow-up requests can address the
     # population without re-sending the spec.
@@ -221,18 +221,8 @@ def _parse_config(raw: Any) -> SolverConfig:
         return resolve_config(None)
     payload = _require_mapping(raw, "config")
     _check_fields(payload, _CONFIG_FIELDS, "config")
-    base = resolve_config(None)
-    fields: Dict[str, Any] = {
-        "backend": base.backend,
-        "migration_tolerance": base.migration_tolerance,
-        "switching_tolerance": base.switching_tolerance,
-        "surplus_tolerance": base.surplus_tolerance,
-        "bisection_tolerance": base.bisection_tolerance,
-        "cache_policy": base.cache_policy,
-    }
-    fields.update(payload)
     try:
-        return SolverConfig(**fields)
+        return replace(resolve_config(None), **payload)
     except ModelValidationError as error:
         raise RequestError("bad_config", str(error)) from error
     except TypeError as error:
@@ -299,14 +289,13 @@ def build_solve_response(request: SolveRequest, batch: BatchRateEquilibrium,
 
     The series mirror :class:`~repro.simulation.batch.BatchRateEquilibrium`
     exactly (grid axis first) and are bit-identical to a direct
-    ``solve_rate_equilibria`` call for the same request under the reference
-    backend.  The default ``series`` block carries the per-grid-point
-    aggregate curves; ``detail`` requests additionally get the per-provider
-    ``(G, n)`` series under ``providers``, built row by row from the caps
-    like the streamed body, so no ``(G, n)`` array is memoised on a batch
-    the scheduler may retain.  Solver
-    provenance (effective backend + the full cache key) is echoed so
-    clients can attribute every number.
+    ``solve_rate_equilibria`` call for the same request.  The default
+    ``series`` block carries the per-grid-point aggregate curves;
+    ``detail`` requests additionally get the per-provider ``(G, n)`` series
+    under ``providers``, built row by row from the caps like the streamed
+    body, so no ``(G, n)`` array is memoised on a batch the scheduler may
+    retain.  The solver's full cache key is echoed so clients can
+    attribute every number.
     """
     response = _response_base(request, batch, coalesced=coalesced,
                               batch_size=batch_size)
@@ -336,11 +325,7 @@ def _response_base(request: SolveRequest, batch: BatchRateEquilibrium, *,
         "mechanism": request.mechanism_name,
         "nus": list(batch.nus.tolist()),
         "series": series,
-        "solver": {
-            "backend": request.config.effective_backend(),
-            "backend_requested": request.config.backend,
-            "cache_key": list(request.config.cache_key()),
-        },
+        "solver": {"cache_key": list(request.config.cache_key())},
         "served": {"coalesced": coalesced, "batch_size": batch_size},
     }
 

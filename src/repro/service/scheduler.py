@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.backends.config import SolverConfig, resolve_config
+from repro.config import SolverConfig, resolve_config
 from repro.network.allocation import RateAllocationMechanism
 from repro.network.equilibrium import mechanism_cache_key
 from repro.network.provider import Population
@@ -130,7 +130,7 @@ class MicroBatchScheduler:
         """One request's equilibria: ``(batch, fused_batch_size, coalesced)``.
 
         The returned batch covers exactly ``nus`` in request order and is
-        bit-identical (reference backend) to a direct
+        bit-identical to a direct
         ``solve_rate_equilibria(population, nus, mechanism, config)`` call.
         """
         config = resolve_config(config)

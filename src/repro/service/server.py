@@ -45,7 +45,6 @@ import os
 import socket
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.backends.config import SolverConfig
 from repro.cache import all_cache_stats
 from repro.errors import ModelValidationError
 from repro.service.protocol import (
@@ -94,8 +93,6 @@ class _HttpViolation(Exception):
 class EquilibriumServer:
     """The serving loop around a :class:`MicroBatchScheduler`.
 
-    ``config`` is the default :class:`SolverConfig` used for requests that
-    carry no ``config`` field (the CLI's ``--backend`` flag lands here);
     ``naive=True`` turns off batching/coalescing for baseline measurements.
     ``idle_timeout`` bounds how long a keep-alive connection may sit
     between requests (``None`` disables the bound).  ``worker_index`` tags
@@ -108,7 +105,6 @@ class EquilibriumServer:
                  window_seconds: float = DEFAULT_WINDOW_SECONDS,
                  naive: bool = False,
                  max_solver_threads: int = 1,
-                 config: Optional[SolverConfig] = None,
                  max_requests: Optional[int] = None,
                  idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
                  worker_index: Optional[int] = None) -> None:
@@ -117,7 +113,6 @@ class EquilibriumServer:
                 f"idle_timeout must be > 0 or None, got {idle_timeout!r}")
         self._host = host
         self._port = port
-        self._config = config
         self._max_requests = max_requests
         self._idle_timeout = idle_timeout
         self.worker_index = worker_index
@@ -401,15 +396,11 @@ class EquilibriumServer:
         except RequestError as error:
             self.request_errors += 1
             return error.status, error_payload(error.code, error.message)
-        if request.config is None:  # pragma: no cover - parse always resolves
-            raise RuntimeError("unresolved request config")
-        solve_config = (request.config if "config" in payload
-                        else self._effective_config(request.config))
         self.solve_requests += 1
         try:
             batch, batch_size, coalesced = await self.scheduler.solve(
                 request.population, request.nus, request.mechanism,
-                solve_config)
+                request.config)
         except ModelValidationError as error:
             self.request_errors += 1
             return 400, error_payload("bad_request", str(error))
@@ -417,18 +408,12 @@ class EquilibriumServer:
             self.request_errors += 1
             return 500, error_payload("solver_error",
                                       f"{type(error).__name__}: {error}")
-        if solve_config is not request.config:
-            request = _with_config(request, solve_config)
         if request.detail and allow_stream:
             return 200, solve_response_chunks(request, batch,
                                               coalesced=coalesced,
                                               batch_size=batch_size)
         return 200, build_solve_response(request, batch, coalesced=coalesced,
                                          batch_size=batch_size)
-
-    def _effective_config(self, parsed: SolverConfig) -> SolverConfig:
-        """The server-default config for requests without a config field."""
-        return self._config if self._config is not None else parsed
 
     def stats(self) -> Dict[str, Any]:
         """The ``/stats`` payload: cache + scheduler + server counters."""
@@ -491,12 +476,6 @@ def _wants_keep_alive(version: str, headers: Dict[str, str]) -> bool:
         return True
     return version == "HTTP/1.1"
 
-
-def _with_config(request: Any, config: SolverConfig) -> Any:
-    """The request with the server-default config substituted in."""
-    from dataclasses import replace
-
-    return replace(request, config=config)
 
 
 async def _write_response(writer: asyncio.StreamWriter, status: int,

@@ -35,8 +35,8 @@ from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from repro.backends.config import SolverConfig, resolve_config
 from repro.cache import LRUCache
+from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.network.allocation import (
     CommonCapAllocation,
@@ -102,9 +102,6 @@ class BatchRateEquilibrium:
     common_caps: np.ndarray
     mechanism: RateAllocationMechanism = field(
         default_factory=MaxMinFairAllocation)
-    #: The resolved solver configuration the caps were solved under (it
-    #: selects the kernel backend of the aggregate pass).
-    config: Optional[SolverConfig] = None
     #: ``(thetas, demands)`` matrices, only for mechanisms without a cap.
     fixed_point_rows: Optional[tuple[np.ndarray, np.ndarray]] = None
     # Lazily computed arrays by name.  Every value is a pure function of the
@@ -194,7 +191,7 @@ class BatchRateEquilibrium:
         return BatchRateEquilibrium(
             population=self.population, nus=self.nus[picked],
             common_caps=self.common_caps[picked], mechanism=self.mechanism,
-            config=self.config, fixed_point_rows=rows)
+            fixed_point_rows=rows)
 
     # ---------------------------------------------------------------- #
     # Aggregate series from the caps, ``(G,)`` each.
@@ -206,8 +203,7 @@ class BatchRateEquilibrium:
         profile: Optional[CommonCapProfile] = None
         if self.fixed_point_rows is None and len(self.population):
             assert isinstance(self.mechanism, CommonCapAllocation)
-            profile = common_cap_profile(self.population, self.mechanism,
-                                         self.config)
+            profile = common_cap_profile(self.population, self.mechanism)
         if isinstance(profile, ExponentialMaxMinProfile):
             weights = population_surplus_weights(self.population, profile)
             for index, cap in enumerate(self.common_caps.tolist()):
@@ -287,19 +283,18 @@ def solve_rate_equilibria(population: Population, nus: Sequence[float],
     if isinstance(mechanism, CommonCapAllocation):
         caps = solve_common_caps(population, nus_arr, mechanism, config)
         return BatchRateEquilibrium(population=population, nus=nus_arr,
-                                    common_caps=caps, mechanism=mechanism,
-                                    config=config)
+                                    common_caps=caps, mechanism=mechanism)
     # Scalar fallback for arbitrary mechanisms (fixed-point iteration): no
     # cap describes the equilibrium, so solve per point and stack.
     rows = [solve_rate_equilibrium(population, float(nu), mechanism, config)
             for nu in nus_arr]
-    return _fixed_point_batch(population, nus_arr, rows, mechanism, config)
+    return _fixed_point_batch(population, nus_arr, rows, mechanism)
 
 
 def _fixed_point_batch(population: Population, nus: np.ndarray,
                        rows: Sequence[RateEquilibrium],
-                       mechanism: RateAllocationMechanism,
-                       config: SolverConfig) -> BatchRateEquilibrium:
+                       mechanism: RateAllocationMechanism
+                       ) -> BatchRateEquilibrium:
     """A batch of explicit equilibrium rows (mechanisms without a cap)."""
     shape = (len(nus), len(population))
     thetas, demands = np.empty(shape), np.empty(shape)
@@ -309,8 +304,7 @@ def _fixed_point_batch(population: Population, nus: np.ndarray,
     return BatchRateEquilibrium(
         population=population, nus=nus,
         common_caps=np.array([row.common_cap for row in rows], dtype=float),
-        mechanism=mechanism, config=config,
-        fixed_point_rows=(thetas, demands))
+        mechanism=mechanism, fixed_point_rows=(thetas, demands))
 
 
 def warm_equilibrium_cache(population: Population, nus: Sequence[float],
@@ -376,10 +370,8 @@ def warm_equilibrium_cache(population: Population, nus: Sequence[float],
             return solved
     ordered = [entries[index] for index in range(len(nus_arr))]
     if not isinstance(mechanism, CommonCapAllocation):
-        return _fixed_point_batch(population, nus_arr, ordered, mechanism,
-                                  config)
+        return _fixed_point_batch(population, nus_arr, ordered, mechanism)
     caps = [entry.common_cap if rows else entry for entry in ordered]
     return BatchRateEquilibrium(
         population=population, nus=nus_arr,
-        common_caps=np.array(caps, dtype=float), mechanism=mechanism,
-        config=config)
+        common_caps=np.array(caps, dtype=float), mechanism=mechanism)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.backends.config import SolverConfig
+from repro.config import SolverConfig
 from repro.core.duopoly import DuopolyGame
 from repro.core.monopoly import MonopolyGame
 from repro.core.strategy import ISPStrategy, PUBLIC_OPTION_STRATEGY

@@ -50,7 +50,7 @@ class TestResolveCodes:
         assert resolve_codes() == frozenset(rule_codes())
 
     def test_select_restricts(self):
-        assert resolve_codes(select=["RL001", "RL004"]) == {"RL001", "RL004"}
+        assert resolve_codes(select=["RL001", "RL005"]) == {"RL001", "RL005"}
 
     def test_ignore_removes(self):
         active = resolve_codes(ignore=["RL003"])

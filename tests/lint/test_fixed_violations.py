@@ -1,4 +1,4 @@
-"""Regression tests for the genuine RL001-RL006 violations fixed when
+"""Regression tests for the genuine lint violations fixed when
 the lint gate was introduced.
 
 Two kinds of pin:
@@ -12,7 +12,7 @@ Two kinds of pin:
 
 import pytest
 
-from repro.backends.config import SolverConfig
+from repro.config import SolverConfig
 from repro.errors import ModelValidationError
 
 
@@ -63,7 +63,7 @@ class TestHoistedToleranceConstants:
 
 class TestCacheKeyThreading:
     """RL001 fix: the maxmin profile cache keys include the solver config,
-    so entries computed under different backends/tolerances never alias."""
+    so entries computed under different tolerances never alias."""
 
     def test_cache_key_distinguishes_tolerance_variants(self):
         base = SolverConfig()

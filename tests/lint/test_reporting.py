@@ -75,5 +75,4 @@ def test_rule_list_mentions_every_rule_and_scope():
     listing = render_rule_list()
     for code in rule_codes():
         assert code in listing
-    assert "numba_backend.py" in listing   # RL004 filename scope
     assert "runner" in listing and "simulation" in listing  # RL003 scope

@@ -21,8 +21,6 @@ CORPUS = [
      FIXTURES / "rl003" / "simulation" / "good_nondeterminism.py"),
     ("RL003", FIXTURES / "rl003" / "service" / "bad_service_clock.py",
      FIXTURES / "rl003" / "service" / "good_service_clock.py"),
-    ("RL004", FIXTURES / "rl004" / "bad" / "numba_backend.py",
-     FIXTURES / "rl004" / "good" / "numba_backend.py"),
     ("RL005", FIXTURES / "rl005" / "core" / "bad_float_equality.py",
      FIXTURES / "rl005" / "core" / "good_float_equality.py"),
     ("RL006", FIXTURES / "rl006" / "core" / "bad_tolerance.py",
@@ -33,8 +31,8 @@ CASE_IDS = [f"{code}-{bad.parent.name}" for code, bad, _ in CORPUS]
 
 
 def test_registry_is_complete():
-    assert rule_codes() == ("RL001", "RL002", "RL003", "RL004", "RL005",
-                            "RL006")
+    # RL004 (njit kernel purity) is retired; codes are never renumbered.
+    assert rule_codes() == ("RL001", "RL002", "RL003", "RL005", "RL006")
     for code in rule_codes():
         rule = get_rule(code)
         assert rule.code == code
@@ -163,25 +161,6 @@ class TestRL003:
             source, PurePath("src/repro/service/scheduler.py")) == []
 
 
-class TestRL004:
-    PATH = "src/repro/backends/numba_backend.py"
-
-    def test_njit_decorated_kernel_checked(self):
-        source = ("@njit(cache=True)\n"
-                  "def carried(x):\n"
-                  "    return x * _GLOBAL\n")
-        findings = lint_source(source, PurePath(self.PATH))
-        # Two findings: the decorator's own `njit` name (kernels are
-        # registered functionally in the real backend) plus `_GLOBAL`.
-        assert {f.code for f in findings} == {"RL004"}
-        assert any("_GLOBAL" in f.message for f in findings)
-
-    def test_other_filenames_out_of_scope(self):
-        source = ("def _kernel_f(x):\n"
-                  "    return x * _GLOBAL\n")
-        assert lint_source(source, PurePath("src/repro/backends/ref.py")) == []
-
-
 class TestRL005:
     PATH = "src/repro/core/module.py"
 
@@ -215,6 +194,5 @@ def test_rule_scoping_metadata():
     assert RULES["RL001"].path_components == ()
     assert RULES["RL003"].path_components == ("runner", "simulation",
                                               "service")
-    assert RULES["RL004"].filenames == ("numba_backend.py",)
     assert RULES["RL005"].path_components == ("core", "network")
     assert RULES["RL006"].path_components == ("core", "network")

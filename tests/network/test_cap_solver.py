@@ -5,11 +5,14 @@ function with a bracketed Illinois secant.  These tests check it against a
 plain sign-only bisection written here (it shares nothing with the solver
 but ``carried_scalar``), check the solver's own exit conditions from the
 outside, bound its evaluation count, and check that grids and threads do
-not change a single bit of its answers.
+not change a single bit of its answers.  The carried-load pass itself is
+checked at the degenerate caps: empty profiles, caps ``<= 0`` and
+subnormal caps.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 
@@ -98,6 +101,9 @@ columns_st = st.integers(min_value=1, max_value=25).flatmap(
 @example(columns=([0.3], [2.0], [50.0]), nu_fraction=0.01)
 @example(columns=([1.0] * 4, [2.0] * 4, [0.0, 1.0, 2.0, 3.0]),
          nu_fraction=0.25)
+# The guards: zero capacity gives cap 0, more than the load gives inf.
+@example(columns=([0.5, 1.0], [1.0, 3.0], [2.0, 0.0]), nu_fraction=0.0)
+@example(columns=([0.5, 1.0], [1.0, 3.0], [2.0, 0.0]), nu_fraction=1.2)
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_solve_cap_matches_oracle(columns, nu_fraction):
@@ -125,6 +131,30 @@ def test_guards_spend_no_evaluation(paper_profile):
     for nu, expected in ((0.0, 0.0), (-1.0, 0.0), (load, np.inf),
                          (2.0 * load, np.inf)):
         assert counted_solve(paper_profile, nu) == (expected, 0)
+    # An empty profile carries nothing and is never congested.
+    empty = ExponentialMaxMinProfile(np.zeros(0), np.zeros(0), np.zeros(0))
+    assert empty.carried_scalar(1.0) == 0.0
+    assert counted_solve(empty, 1.0) == (np.inf, 0)
+
+
+def test_degenerate_caps_carry_exact_loads():
+    profile = ExponentialMaxMinProfile(np.array([1.0, 0.5]),
+                                       np.array([1.0, 3.0]),
+                                       np.array([2.0, 0.0]))
+    weights = profile.surplus_weights(np.array([2.0, 1.0]))
+    for cap in (0.0, -1.0):
+        assert profile.carried_scalar(cap) == 0.0
+        assert profile.carried_and_surplus(cap, weights) == (0.0, 0.0)
+    assert profile.carried(np.array([-1.0, 0.0])).tolist() == [0.0, 0.0]
+    # A subnormal cap overflows ``theta_hat / cap`` to inf; a ``beta = 0``
+    # provider must still carry exactly ``alpha * cap`` (``exp(-0 * inf)``
+    # would be NaN) and a ``beta > 0`` one nothing.
+    cap = 2.225073858507e-311
+    carried = profile.carried_scalar(cap)
+    assert math.isfinite(carried)
+    assert carried == 0.5 * cap
+    fused = profile.carried_and_surplus(cap, weights)
+    assert fused[0] == carried and math.isfinite(fused[1])
 
 
 def test_grid_entries_equal_single_point_solves(paper_profile):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.backends.config import SolverConfig
+from repro.config import SolverConfig
 from repro.service.protocol import (
     MAX_DETAIL_CELLS,
     MAX_GRID_POINTS,
@@ -110,20 +110,29 @@ class TestParseSolveRequest:
 
     def test_config_overrides_merge_over_defaults(self):
         request = parse_solve_request(request_payload(
-            config={"backend": "reference", "surplus_tolerance": 1e-8}))
+            config={"surplus_tolerance": 1e-8}))
         assert request.config.surplus_tolerance == 1e-8
         assert request.config.bisection_tolerance == 1e-13
 
     def test_bad_config_field_rejected(self):
-        with pytest.raises(RequestError) as excinfo:
-            parse_solve_request(request_payload(config={"workers": 4}))
-        assert excinfo.value.code == "unknown_field"
+        # ``backend`` is no longer a config field: the solver has one kernel.
+        for config in ({"workers": 4}, {"backend": "reference"}):
+            with pytest.raises(RequestError) as excinfo:
+                parse_solve_request(request_payload(config=config))
+            assert (excinfo.value.code, excinfo.value.status) == (
+                "unknown_field", 400)
 
     def test_invalid_config_value_rejected(self):
-        with pytest.raises(RequestError) as excinfo:
-            parse_solve_request(request_payload(
-                config={"backend": "fortran"}))
-        assert excinfo.value.code == "bad_config"
+        # Decoded from JSON text, as the server does: ``true`` must not pass
+        # as 1.0 and ``Infinity`` (accepted by ``json.loads``) must not pass
+        # as a tolerance.
+        for config in ('{"bisection_tolerance": true}',
+                       '{"migration_tolerance": Infinity}',
+                       '{"surplus_tolerance": -1e-9}'):
+            with pytest.raises(RequestError) as excinfo:
+                parse_solve_request(request_payload(config=json.loads(config)))
+            assert (excinfo.value.code, excinfo.value.status) == (
+                "bad_config", 400)
 
     @pytest.mark.parametrize("count", [0, -5, True, 2.5, 10**9])
     def test_bad_population_count_rejected(self, count):
@@ -221,10 +230,8 @@ class TestBuildSolveResponse:
                                       request.mechanism, request.config)
         response = build_solve_response(request, batch, coalesced=False,
                                         batch_size=1)
-        solver = response["solver"]
-        assert solver["backend"] == request.config.effective_backend()
-        assert solver["backend_requested"] == request.config.backend
-        assert tuple(solver["cache_key"]) == request.config.cache_key()
+        assert response["solver"] == {
+            "cache_key": list(request.config.cache_key())}
 
     def test_no_premium_series_without_price(self):
         request = parse_solve_request(request_payload())

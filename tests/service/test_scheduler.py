@@ -4,9 +4,8 @@ The acceptance contract lives here: identical concurrent requests cost one
 engine solve, a grid already answered is served again from the retained
 outcome without a solve, compatible overlapping grids fuse into one union
 solve with exact per-request fan-out, and every served series is
-bit-identical to a direct ``solve_rate_equilibria`` call (property-tested
-under the reference backend, whose per-point secant cap solver treats grid
-points independently).
+bit-identical to a direct ``solve_rate_equilibria`` call (property-tested;
+the per-point secant cap solver treats grid points independently).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.config import SolverConfig
+from repro.config import SolverConfig
 from repro.network.allocation import (
     MaxMinFairAllocation,
     ProportionalFairAllocation,

@@ -15,6 +15,7 @@ from repro.cli import (
     format_cache_stats,
     main,
 )
+from repro.config import SolverConfig
 from repro.runner.registry import experiment_ids
 
 
@@ -48,25 +49,25 @@ class TestParser:
         assert args.naive is False
         assert args.solver_threads == 1
         assert args.max_requests is None
-        assert args.backend is None
+        assert not hasattr(args, "backend")
 
     def test_serve_subcommand_flags(self):
         parser = build_parser()
         args = parser.parse_args(["serve", "--port", "0", "--window-ms",
                                   "5", "--naive", "--solver-threads", "2",
-                                  "--max-requests", "100", "--backend",
-                                  "reference"])
+                                  "--max-requests", "100"])
         assert args.port == 0
         assert args.window_ms == 5.0
         assert args.naive is True
         assert args.solver_threads == 2
         assert args.max_requests == 100
-        assert args.backend == "reference"
 
     def test_serve_unknown_backend_rejected(self):
+        # The solver has one kernel: --backend is gone, even for the
+        # value that used to be the default.
         parser = build_parser()
         with pytest.raises(SystemExit):
-            parser.parse_args(["serve", "--backend", "fortran"])
+            parser.parse_args(["serve", "--backend", "reference"])
 
     def test_unknown_experiment_rejected(self):
         parser = build_parser()
@@ -117,34 +118,25 @@ class TestMain:
         assert payload["experiment_id"] == "FIG2"
         assert payload["schema"] == 1
 
-    def test_run_backend_flag_recorded_in_artifact(self, capsys):
-        assert main(["run", "FIG2", "--scale", "smoke", "--backend",
-                     "reference", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        solver = payload["parameters"]["solver"]
-        assert solver["backend_requested"] == "reference"
-        assert solver["backend"] == "reference"
-        assert solver["tolerances"]["bisection"] == 1e-13
-
     def test_run_without_backend_flag_still_records_solver(self, capsys):
         assert main(["run", "FIG2", "--scale", "smoke", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["parameters"]["solver"]["backend"] == "reference"
+        assert payload["parameters"]["solver"] == SolverConfig().provenance()
 
     def test_unknown_backend_rejected(self):
         parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "FIG2", "--backend", "fortran"])
+        for command in (["run", "FIG2"], ["reproduce-all"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(command + ["--backend", "reference"])
 
-    def test_reproduce_all_backend_flag_in_manifest(self, tmp_path, capsys):
+    def test_reproduce_all_records_solver_in_manifest(self, tmp_path, capsys):
         assert main(["reproduce-all", "--scale", "smoke", "--only", "FIG2",
-                     "--backend", "reference",
                      "--output", str(tmp_path)]) == 0
         manifest = json.loads(
             (tmp_path / "smoke" / "manifest.json").read_text())
-        assert manifest["solver"]["backend_requested"] == "reference"
+        assert manifest["solver"] == SolverConfig().provenance()
         artifact = json.loads((tmp_path / "smoke" / "FIG2.json").read_text())
-        assert artifact["parameters"]["solver"]["backend"] == "reference"
+        assert artifact["parameters"]["solver"] == manifest["solver"]
 
     def test_population_command(self, capsys):
         assert main(["population", "--count", "50"]) == 0

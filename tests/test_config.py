@@ -1,30 +1,22 @@
 """SolverConfig: defaults, validation, resolution and cache identity.
 
-These tests pin the satellite guarantees of the backend layer: the
-per-game tolerance defaults stay exactly what each game documented before
-SolverConfig existed, explicit arguments beat config values beat game
-defaults, cache keys never alias across configs, and the numba name
-degrades gracefully to the reference backend.
+These tests pin the config's guarantees: the per-game tolerance defaults
+stay exactly what each game documented before SolverConfig existed,
+explicit arguments beat config values beat game defaults, every tolerance
+is a finite real number, and cache keys never alias across configs.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backends import (
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
+from repro.config import (
     SolverConfig,
     active_config,
-    available_backends,
     default_config,
-    get_backend,
-    numba_available,
-    reference_backend,
     resolve_config,
     use_config,
 )
-from repro.backends import registry as backends_registry
 from repro.core.cp_game import CPPartitionGame
 from repro.core.duopoly import DUOPOLY_MIGRATION_TOLERANCE, DuopolyGame
 from repro.core.migration import DEFAULT_MIGRATION_TOLERANCE
@@ -41,7 +33,6 @@ from repro.runner.registry import get_spec
 
 def test_default_config_pins_pre_refactor_tolerances():
     config = SolverConfig()
-    assert config.backend == "reference"
     assert config.migration_tolerance is None
     assert config.switching_tolerance == 1e-6
     assert config.surplus_tolerance == 1e-9
@@ -50,31 +41,29 @@ def test_default_config_pins_pre_refactor_tolerances():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"backend": "fortran"},
+    {"bisection_tolerance": True},
     {"migration_tolerance": 0.0},
     {"migration_tolerance": -1e-4},
     {"switching_tolerance": -1e-6},
     {"surplus_tolerance": -1e-9},
     {"bisection_tolerance": 0.0},
     {"cache_policy": "write-through"},
+    {"migration_tolerance": float("inf")},
+    {"switching_tolerance": float("inf")},
+    {"surplus_tolerance": float("nan")},
+    {"bisection_tolerance": float("inf")},
+    {"migration_tolerance": True},
+    {"switching_tolerance": False},
+    {"surplus_tolerance": "1e-9"},
 ])
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ModelValidationError):
         SolverConfig(**kwargs)
 
 
-def test_backend_env_var_selects_default_backend(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert default_config().backend == "reference"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-    assert default_config().backend == "numba"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-    assert default_config().backend == "reference"
-
-
-def test_default_config_is_interned_per_backend(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+def test_default_config_is_one_instance():
     assert default_config() is default_config()
+    assert default_config() == SolverConfig()
 
 
 # --------------------------------------------------------------------------- #
@@ -124,8 +113,7 @@ def test_config_overrides_game_default_and_explicit_beats_config(
 # Resolution: explicit > ambient > default
 # --------------------------------------------------------------------------- #
 
-def test_resolve_config_prefers_explicit_then_ambient(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+def test_resolve_config_prefers_explicit_then_ambient():
     explicit = SolverConfig(switching_tolerance=1e-8)
     ambient = SolverConfig(switching_tolerance=1e-7)
     assert active_config() is None
@@ -164,63 +152,16 @@ def test_cache_key_is_memoized():
     assert config.cache_key() is config.cache_key()
 
 
-@pytest.mark.skipif(numba_available(), reason="requires numba to be absent")
-def test_numba_fallback_shares_cache_entries_with_reference():
-    # A numba config that degraded to reference computes identical values,
-    # so it must share cache entries instead of duplicating them.
-    assert SolverConfig(backend="numba").cache_key() == \
-        SolverConfig().cache_key()
-
-
-# --------------------------------------------------------------------------- #
-# Backend registry and graceful fallback
-# --------------------------------------------------------------------------- #
-
-def test_backend_names_and_reference_resolution():
-    assert BACKEND_NAMES == ("reference", "numba")
-    assert get_backend("reference") is reference_backend()
-    assert get_backend(None) is reference_backend()
-    assert "reference" in available_backends()
-    with pytest.raises(ModelValidationError):
-        get_backend("fortran")
-
-
-@pytest.mark.skipif(numba_available(), reason="requires numba to be absent")
-def test_numba_fallback_warns_once(monkeypatch):
-    monkeypatch.setattr(backends_registry, "_WARNED_NUMBA_FALLBACK", False)
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        backend = get_backend("numba")
-    assert backend is reference_backend()
-    assert SolverConfig(backend="numba").effective_backend() == "reference"
-    # Second resolution is silent (warn-once).
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error")
-        assert get_backend("numba") is reference_backend()
-
-
 # --------------------------------------------------------------------------- #
 # Provenance
 # --------------------------------------------------------------------------- #
 
-def test_reference_provenance_is_stable_and_numba_free():
-    record = SolverConfig().provenance()
-    assert record == {
-        "backend": "reference",
-        "backend_requested": "reference",
+def test_default_provenance_is_stable():
+    assert SolverConfig().provenance() == {
         "cache_policy": "shared",
         "tolerances": {"migration": None, "switching": 1e-6,
                        "surplus": 1e-9, "bisection": 1e-13},
     }
-    assert "numba_version" not in record
-
-
-@pytest.mark.skipif(numba_available(), reason="requires numba to be absent")
-def test_fallback_provenance_records_requested_backend():
-    record = SolverConfig(backend="numba").provenance()
-    assert record["backend"] == "reference"
-    assert record["backend_requested"] == "numba"
-    assert "numba_version" not in record
 
 
 def test_experiment_run_records_solver_provenance():

@@ -73,16 +73,16 @@ class TestManifestDiff:
         golden = tmp_path / "golden.json"
         current = tmp_path / "current.json"
         write_manifest(golden, {"FIG2": "a" * 64},
-                       solver={"backend": "reference"})
+                       solver={"tolerances": {"bisection": 1e-13}})
         write_manifest(current, {"FIG2": "a" * 64},
-                       solver={"backend": "numba"})
+                       solver={"tolerances": {"bisection": 1e-12}})
         result = run_diff(str(golden), str(current))
         assert result.returncode == 1
         assert "solver mismatch" in result.stdout
 
     def test_solver_absent_in_both_is_ok(self, tmp_path):
-        # Pre-backend manifests carry no solver block; comparing two of
-        # them must not trip the solver check.
+        # Manifests older than solver provenance carry no solver block;
+        # comparing two of them must not trip the solver check.
         golden = tmp_path / "golden.json"
         current = tmp_path / "current.json"
         write_manifest(golden, {"FIG2": "a" * 64})
