@@ -9,16 +9,14 @@ tuples instead and exposes hit/miss counters for the benchmark harness.
 
 Besides the entry-count bound (``maxsize``), a cache can be bounded by an
 **approximate byte budget** (``max_bytes``, or the ``REPRO_CACHE_MAX_BYTES``
-environment variable for every registered cache) and by a **per-entry TTL**
-(``ttl_seconds``, or ``REPRO_CACHE_TTL_SECONDS``).  Both exist for the
+environment variable for every registered cache).  It exists for the
 long-lived equilibrium service: a worker process that resolves many large
 populations must shed old entries under memory pressure instead of growing
-until the OOM killer finds it, and a TTL bounds how stale a resident entry
-can get.  Entry sizes are *approximate* (see :func:`approx_size`): numpy
-array buffers dominate every cached value in this codebase, and those are
-sized exactly; Python object overhead is estimated.  TTL expiry uses the
-monotonic clock — wall-clock time never enters the cache (or anything
-derived from it).
+until the OOM killer finds it.  Entries never go stale (every cached
+computation is pure over immutable inputs), so nothing expires by age.
+Entry sizes are *approximate* (see :func:`approx_size`): numpy array
+buffers dominate every cached value in this codebase, and those are sized
+exactly; Python object overhead is estimated.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import dataclasses
 import os
 import sys
 import threading
-import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, Optional
 
@@ -35,10 +32,9 @@ __all__ = ["LRUCache", "clear_all_caches", "all_cache_stats", "approx_size"]
 
 _MISSING = object()
 
-#: Environment variables consulted for every *registered* (named) cache that
-#: does not set an explicit bound of its own.
+#: Environment variable consulted for every *registered* (named) cache that
+#: does not set an explicit byte budget of its own.
 MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
-TTL_ENV_VAR = "REPRO_CACHE_TTL_SECONDS"
 
 #: Every named LRUCache registers itself here so the whole solver-cache
 #: hierarchy can be cleared (or reported on) in one call.
@@ -53,7 +49,7 @@ _SHARED_REF_BYTES = 48
 
 
 def clear_all_caches() -> None:
-    """Clear every registered solver cache (equilibria, caps, partitions)."""
+    """Clear every registered solver cache (class caps, partitions, ...)."""
     for cache in _REGISTRY.values():
         cache.clear()
 
@@ -96,15 +92,15 @@ def _is_population(value: Any) -> bool:
 def approx_size(value: Any) -> int:
     """Approximate resident bytes of one cache entry.
 
-    Numpy array buffers (which dominate every cached value here — batch
-    equilibria, max-min profiles, population columns) are counted exactly
+    Numpy array buffers (which dominate every cached value here — partition
+    outcomes' rate vectors, population columns) are counted exactly
     via ``nbytes``; dataclasses, mappings, sequences and plain objects are
     walked recursively with a flat per-object overhead estimate.  Shared
     references inside one entry are counted once (memoised by ``id``).
 
     One deliberate heuristic: a :class:`Population` reached *inside* a
-    composite value (e.g. ``RateEquilibrium.population``) is charged a flat
-    reference cost, not its column bytes — thousands of cached equilibria
+    composite value (e.g. ``PartitionOutcome.population``) is charged a flat
+    reference cost, not its column bytes — thousands of cached outcomes
     share one resident population, and charging every entry for it would
     evict the whole cache long before the memory is real.  A population
     that *is* the cached value (the service's resident-population cache) is
@@ -168,48 +164,34 @@ class LRUCache:
     ``max_bytes`` adds an approximate byte budget on top of ``maxsize``:
     inserts evict least-recently-used entries until the budget holds, and a
     single value larger than the whole budget is rejected outright (counted
-    in ``rejected_oversize``).  ``ttl_seconds`` expires entries lazily on
-    access; an expired entry is a miss (and is dropped), so
-    :meth:`get_or_compute` recomputes it.  Named caches fall back to the
-    ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_TTL_SECONDS`` environment
-    variables when the bounds are not set explicitly, which is how the
-    serving CLI applies one memory policy to every registered cache.
+    in ``rejected_oversize``).  Named caches fall back to the
+    ``REPRO_CACHE_MAX_BYTES`` environment variable when ``max_bytes`` is
+    not set explicitly, which is how the serving CLI applies one memory
+    policy to every registered cache.
     """
 
     def __init__(self, maxsize: Optional[int] = 1024,
                  name: Optional[str] = None, *,
                  max_bytes: Optional[int] = None,
-                 ttl_seconds: Optional[float] = None,
-                 sizer: Optional[Callable[[Any], int]] = None,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+                 sizer: Optional[Callable[[Any], int]] = None) -> None:
         if maxsize is not None and maxsize < 0:
             raise ValueError(f"maxsize must be >= 0 or None, got {maxsize!r}")
-        if name is not None:
-            if max_bytes is None:
-                max_bytes = _env_positive(MAX_BYTES_ENV_VAR, int)
-            if ttl_seconds is None:
-                ttl_seconds = _env_positive(TTL_ENV_VAR, float)
+        if name is not None and max_bytes is None:
+            max_bytes = _env_positive(MAX_BYTES_ENV_VAR, int)
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError(f"max_bytes must be > 0 or None, got {max_bytes!r}")
-        if ttl_seconds is not None and ttl_seconds <= 0.0:
-            raise ValueError(
-                f"ttl_seconds must be > 0 or None, got {ttl_seconds!r}")
         self.maxsize = maxsize
         self.max_bytes = max_bytes
-        self.ttl_seconds = ttl_seconds
         self.name = name
         self._sizer = sizer if sizer is not None else approx_size
-        self._clock = clock if clock is not None else time.monotonic
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._sizes: Dict[Hashable, int] = {}
-        self._expiries: Dict[Hashable, float] = {}
         self._current_bytes = 0
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         self.evictions_maxsize = 0
         self.evictions_bytes = 0
-        self.expirations = 0
         self.rejected_oversize = 0
         if name is not None:
             _REGISTRY[name] = self
@@ -220,45 +202,26 @@ class LRUCache:
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
-            if self._expired(key):
-                self._drop(key)
-                self.expirations += 1
-                return False
             return key in self._data
 
     # ------------------------------------------------------------------ #
     # Internal bookkeeping (call with the lock held)
     # ------------------------------------------------------------------ #
-    def _expired(self, key: Hashable) -> bool:
-        expiry = self._expiries.get(key)
-        return expiry is not None and self._clock() >= expiry
-
     def _drop(self, key: Hashable) -> None:
         if key in self._data:
             del self._data[key]
             self._current_bytes -= self._sizes.pop(key, 0)
-            self._expiries.pop(key, None)
 
     def _evict_lru(self) -> None:
         key, _ = self._data.popitem(last=False)
         self._current_bytes -= self._sizes.pop(key, 0)
-        self._expiries.pop(key, None)
 
     # ------------------------------------------------------------------ #
     # Mapping API
     # ------------------------------------------------------------------ #
     def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look up ``key``, refreshing its recency on a hit.
-
-        An entry past its TTL is dropped and counts as a miss (and one
-        expiration), so callers recompute instead of serving stale values.
-        """
+        """Look up ``key``, refreshing its recency on a hit."""
         with self._lock:
-            if self._expired(key):
-                self._drop(key)
-                self.expirations += 1
-                self.misses += 1
-                return default
             value = self._data.get(key, _MISSING)
             if value is _MISSING:
                 self.misses += 1
@@ -267,13 +230,11 @@ class LRUCache:
             self.hits += 1
             return value
 
-    def put(self, key: Hashable, value: Any,
-            ttl: Optional[float] = None) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         """Insert ``key``, evicting least-recently-used entries as needed.
 
         Eviction honours both bounds: the entry count (``maxsize``) and the
-        approximate byte budget (``max_bytes``).  ``ttl`` overrides the
-        cache-level ``ttl_seconds`` for this entry.
+        approximate byte budget (``max_bytes``).
         """
         with self._lock:
             if self.maxsize == 0:
@@ -291,11 +252,6 @@ class LRUCache:
             self._data[key] = value
             self._sizes[key] = size
             self._current_bytes += size
-            effective_ttl = ttl if ttl is not None else self.ttl_seconds
-            if effective_ttl is not None:
-                self._expiries[key] = self._clock() + effective_ttl
-            else:
-                self._expiries.pop(key, None)
             if self.maxsize is not None and len(self._data) > self.maxsize:
                 self._evict_lru()
                 self.evictions_maxsize += 1
@@ -308,26 +264,20 @@ class LRUCache:
         """Return the cached value for ``key``, computing and storing a miss.
 
         ``compute`` is a zero-argument callable invoked only on a miss; hit
-        and miss counters behave exactly as with :meth:`get` + :meth:`put`
-        (an entry past its TTL is a miss, so stale values are recomputed,
-        never served).  The lock is *not* held while ``compute`` runs (a
+        and miss counters behave exactly as with :meth:`get` + :meth:`put`.
+        The lock is *not* held while ``compute`` runs (a
         long solve must not block every other cache user), so two threads
         racing on the same missing key may both compute it — the cached
         computations are pure, so the duplicate work is benign and
         last-write-wins is correct.
         """
         with self._lock:
-            if self._expired(key):
-                self._drop(key)
-                self.expirations += 1
-                self.misses += 1
-            else:
-                value = self._data.get(key, _MISSING)
-                if value is not _MISSING:
-                    self._data.move_to_end(key)
-                    self.hits += 1
-                    return value
-                self.misses += 1
+            value = self._data.get(key, _MISSING)
+            if value is not _MISSING:
+                self._data.move_to_end(key)
+                self.hits += 1
+                return value
+            self.misses += 1
         value = compute()
         self.put(key, value)
         return value
@@ -337,13 +287,11 @@ class LRUCache:
         with self._lock:
             self._data.clear()
             self._sizes.clear()
-            self._expiries.clear()
             self._current_bytes = 0
             self.hits = 0
             self.misses = 0
             self.evictions_maxsize = 0
             self.evictions_bytes = 0
-            self.expirations = 0
             self.rejected_oversize = 0
 
     def stats(self) -> Dict[str, Any]:
@@ -358,9 +306,7 @@ class LRUCache:
                 "hit_rate": self.hits / total if total else 0.0,
                 "current_bytes": self._current_bytes,
                 "max_bytes": self.max_bytes,
-                "ttl_seconds": self.ttl_seconds,
                 "evictions_maxsize": self.evictions_maxsize,
                 "evictions_bytes": self.evictions_bytes,
-                "expirations": self.expirations,
                 "rejected_oversize": self.rejected_oversize,
             }

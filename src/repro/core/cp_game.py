@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence, Tuple
+from typing import Any, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -39,9 +39,8 @@ from repro.network.allocation import (
 from repro.network.equilibrium import (
     RateEquilibrium,
     cached_class_cap,
-    cached_class_cap_for_mask,
-    cached_subset_equilibrium,
     mechanism_cache_key,
+    solve_rate_equilibrium,
 )
 from repro.network.provider import Population
 
@@ -75,21 +74,33 @@ _PARTITION_CACHE = LRUCache(maxsize=512, name="partition_outcomes")
 class PartitionOutcome:
     """Equilibrium outcome of the second-stage CP partition game.
 
-    The outcome records which providers joined each class, the internal rate
-    equilibrium of both classes and how it was obtained.  All surplus
-    quantities are per capita (divide-by-``M`` form of the paper).
+    The outcome records which providers joined the premium class
+    (``premium_mask``), each provider's per-capita rate
+    ``alpha_i d_i theta_i`` at the rate equilibrium of its own class
+    (``rates``, parent population order) and how the partition was
+    obtained.  Both arrays are read-only; every class quantity is a masked
+    sum of them.  All surplus quantities are per capita (divide-by-``M``
+    form of the paper).
     """
 
     population: Population
     nu: float
     strategy: ISPStrategy
-    ordinary_indices: Tuple[int, ...]
-    premium_indices: Tuple[int, ...]
-    ordinary_equilibrium: RateEquilibrium
-    premium_equilibrium: RateEquilibrium
+    premium_mask: np.ndarray
+    rates: np.ndarray
     equilibrium_kind: str = "competitive"
     converged: bool = True
     iterations: int = 0
+
+    @property
+    def ordinary_indices(self) -> Tuple[int, ...]:
+        """Indices of the providers in the ordinary class, ascending."""
+        return tuple(np.flatnonzero(~self.premium_mask).tolist())
+
+    @property
+    def premium_indices(self) -> Tuple[int, ...]:
+        """Indices of the providers in the premium class, ascending."""
+        return tuple(np.flatnonzero(self.premium_mask).tolist())
 
     # ---------------------------------------------------------------- #
     # Capacity bookkeeping
@@ -107,12 +118,12 @@ class PartitionOutcome:
     @property
     def ordinary_carried_rate(self) -> float:
         """Per-capita aggregate rate carried in the ordinary class."""
-        return self.ordinary_equilibrium.aggregate_rate
+        return float(np.sum(self.rates[~self.premium_mask]))
 
     @property
     def premium_carried_rate(self) -> float:
         """Per-capita aggregate rate carried in the premium class."""
-        return self.premium_equilibrium.aggregate_rate
+        return float(np.sum(self.rates[self.premium_mask]))
 
     @property
     def aggregate_rate(self) -> float:
@@ -140,8 +151,9 @@ class PartitionOutcome:
     @property
     def consumer_surplus(self) -> float:
         """Per-capita consumer surplus ``Phi = Phi((1-kappa)nu, O) + Phi(kappa nu, P)``."""
-        return (self.ordinary_equilibrium.consumer_surplus()
-                + self.premium_equilibrium.consumer_surplus())
+        surplus = self.population.utility_rates * self.rates
+        return (float(np.sum(surplus[~self.premium_mask]))
+                + float(np.sum(surplus[self.premium_mask])))
 
     @property
     def isp_surplus(self) -> float:
@@ -149,18 +161,15 @@ class PartitionOutcome:
         return self.strategy.price * self.premium_carried_rate
 
     def cp_utilities(self) -> dict[str, float]:
-        """Per-capita CP profits (Equation 4 divided by ``M``), keyed by name."""
-        utilities: dict[str, float] = {}
-        for class_indices, equilibrium, price in (
-            (self.ordinary_indices, self.ordinary_equilibrium, 0.0),
-            (self.premium_indices, self.premium_equilibrium, self.strategy.price),
-        ):
-            members = equilibrium.population
-            for local_index, global_index in enumerate(sorted(class_indices)):
-                provider = self.population[global_index]
-                rate = equilibrium.per_capita_rates[local_index] if len(members) else 0.0
-                utilities[provider.name] = (provider.revenue_rate - price) * float(rate)
-        return utilities
+        """Per-capita CP profits (Equation 4 divided by ``M``), keyed by name.
+
+        Ordinary-class providers come first, each class in index order.
+        """
+        prices = np.where(self.premium_mask, self.strategy.price, 0.0)
+        profits = (self.population.revenue_rates - prices) * self.rates
+        names = self.population.names
+        return {names[i]: float(profits[i])
+                for i in self.ordinary_indices + self.premium_indices}
 
     def assignment_by_name(self) -> dict[str, str]:
         """Mapping from CP name to its class (``"ordinary"`` / ``"premium"``)."""
@@ -173,7 +182,7 @@ class PartitionOutcome:
     def premium_share_of_providers(self) -> float:
         """Fraction of CPs that joined the premium class."""
         total = len(self.population)
-        return len(self.premium_indices) / total if total else 0.0
+        return int(np.count_nonzero(self.premium_mask)) / total if total else 0.0
 
 
 class CPPartitionGame:
@@ -260,36 +269,13 @@ class CPPartitionGame:
     def premium_nu(self) -> float:
         return self.strategy.kappa * self.nu
 
-    def _class_equilibrium(self, indices: Sequence[int], class_nu: float
-                           ) -> RateEquilibrium:
-        return cached_subset_equilibrium(self.population, indices, class_nu,
-                                         self.mechanism, config=self.config)
-
-    def _class_cap(self, indices: Sequence[int], class_nu: float) -> float:
-        """Throughput level a joining CP would take as given (Assumption 3)."""
-        if class_nu <= 0.0:
-            return 0.0
-        if len(indices) == 0:
-            return math.inf
-        if (self.throughput_estimator == "class_cap"
-                and isinstance(self.mechanism, CommonCapAllocation)):
-            # Cap-only fast path: the batched engine solves the class cap
-            # from array views of the parent population, without building a
-            # Population object for the candidate class.
-            return cached_class_cap(self.population, indices, class_nu,
-                                    self.mechanism, config=self.config)
-        equilibrium = self._class_equilibrium(indices, class_nu)
-        if len(equilibrium.thetas) == 0:
-            return math.inf
-        return float(np.max(equilibrium.thetas))
-
     def _class_cap_for_mask(self, mask: np.ndarray, count: int,
                             class_nu: float) -> float:
-        """Mask-native twin of :meth:`_class_cap` for the best-response loops.
+        """Throughput level a joining CP would take as given (Assumption 3).
 
-        Identical result for identical membership; the boolean mask goes
-        straight into the packed-bitmask cache key, so no index tuples or
-        class ``Population`` objects are built per iteration.
+        ``mask`` selects the class's ``count`` members; it goes straight
+        into the packed-bitmask key of the class-cap cache, so no index
+        tuples or class ``Population`` objects are built per iteration.
         """
         if class_nu <= 0.0:
             return 0.0
@@ -297,12 +283,36 @@ class CPPartitionGame:
             return math.inf
         if (self.throughput_estimator == "class_cap"
                 and isinstance(self.mechanism, CommonCapAllocation)):
-            return cached_class_cap_for_mask(self.population, mask, class_nu,
-                                             self.mechanism, config=self.config)
-        equilibrium = self._class_equilibrium(np.nonzero(mask)[0], class_nu)
-        if len(equilibrium.thetas) == 0:
-            return math.inf
-        return float(np.max(equilibrium.thetas))
+            return cached_class_cap(self.population, mask, class_nu,
+                                    self.mechanism, config=self.config)
+        return float(np.max(self._class_equilibrium(mask, class_nu).thetas))
+
+    def _class_equilibrium(self, mask: np.ndarray, class_nu: float
+                           ) -> RateEquilibrium:
+        """Rate equilibrium of the class ``mask`` selects, solved directly."""
+        members = (self.population if mask.all()
+                   else self.population.subset(np.flatnonzero(mask)))
+        return solve_rate_equilibrium(members, class_nu, self.mechanism,
+                                      self.config)
+
+    def _class_rhos(self, mask: np.ndarray, class_nu: float) -> np.ndarray:
+        """``rho_i = d_i theta_i`` of the class members at the class's rate
+        equilibrium, in index order.
+
+        Under max-min fairness the equilibrium is ``theta_i = min(theta_hat_i,
+        cap)`` at the class's Theorem-1 cap, so the row is read off
+        :meth:`_rho_at_cap` — the arrays the best-response loops already
+        hold.  Other mechanisms solve the class's sub-population.
+        """
+        if not mask.any():
+            return np.zeros(0)
+        if type(self.mechanism) is MaxMinFairAllocation:
+            cap = 0.0
+            if class_nu > 0.0:
+                cap = cached_class_cap(self.population, mask, class_nu,
+                                       self.mechanism, config=self.config)
+            return self._rho_at_cap(cap)[mask]
+        return self._class_equilibrium(mask, class_nu).rhos
 
     def _rho_at_cap(self, cap: float) -> np.ndarray:
         """Per-user-base throughput ``rho_i`` every CP expects at a class cap."""
@@ -399,25 +409,21 @@ class CPPartitionGame:
             1.0, np.maximum(np.abs(ordinary_utility), np.abs(premium_utility)))
         return premium_utility > ordinary_utility + margin
 
-    @staticmethod
-    def _split(mask: np.ndarray) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        premium = tuple(int(i) for i in np.nonzero(mask)[0])
-        ordinary = tuple(int(i) for i in np.nonzero(~mask)[0])
-        return ordinary, premium
-
     def _build_outcome(self, mask: np.ndarray, kind: str, converged: bool,
                        iterations: int) -> PartitionOutcome:
-        ordinary, premium = self._split(mask)
-        ordinary_eq = self._class_equilibrium(ordinary, self.ordinary_nu)
-        premium_eq = self._class_equilibrium(premium, self.premium_nu)
+        rhos = np.empty(len(mask))
+        rhos[~mask] = self._class_rhos(~mask, self.ordinary_nu)
+        rhos[mask] = self._class_rhos(mask, self.premium_nu)
+        rates = self._alphas * rhos
+        premium_mask = mask.copy()
+        rates.flags.writeable = False
+        premium_mask.flags.writeable = False
         return PartitionOutcome(
             population=self.population,
             nu=self.nu,
             strategy=self.strategy,
-            ordinary_indices=ordinary,
-            premium_indices=premium,
-            ordinary_equilibrium=ordinary_eq,
-            premium_equilibrium=premium_eq,
+            premium_mask=premium_mask,
+            rates=rates,
             equilibrium_kind=kind,
             converged=converged,
             iterations=iterations,
@@ -439,12 +445,18 @@ class CPPartitionGame:
                 self.throughput_estimator, self.switching_tolerance,
                 self.config.cache_key(), kind) + extra
 
-    @staticmethod
-    def _initial_key(initial_premium: Optional[Iterable[int]]
+    def _initial_key(self, initial_premium: Optional[Iterable[int]]
                      ) -> Optional[tuple[int, ...]]:
+        """Sorted, de-duplicated warm-start indices, each in ``[0, n)``."""
         if initial_premium is None:
             return None
-        return tuple(sorted({int(i) for i in initial_premium}))
+        indices = tuple(sorted({int(i) for i in initial_premium}))
+        size = len(self.population)
+        if indices and (indices[0] < 0 or indices[-1] >= size):
+            raise ModelValidationError(
+                f"initial_premium indices must lie in [0, {size}), got "
+                f"{indices[0] if indices[0] < 0 else indices[-1]}")
+        return indices
 
     # ------------------------------------------------------------------ #
     # Competitive (throughput-taking) equilibrium — Definition 3
@@ -577,10 +589,12 @@ class CPPartitionGame:
 
     def verify_competitive(self, outcome: PartitionOutcome) -> list[str]:
         """Names of CPs violating condition (8) beyond the solver tolerance."""
-        mask = np.zeros(len(self.population), dtype=bool)
-        mask[list(outcome.premium_indices)] = True
-        cap_ordinary = self._class_cap(outcome.ordinary_indices, self.ordinary_nu)
-        cap_premium = self._class_cap(outcome.premium_indices, self.premium_nu)
+        mask = outcome.premium_mask
+        premium_count = int(np.count_nonzero(mask))
+        cap_ordinary = self._class_cap_for_mask(
+            ~mask, len(mask) - premium_count, self.ordinary_nu)
+        cap_premium = self._class_cap_for_mask(mask, premium_count,
+                                               self.premium_nu)
         violators = np.nonzero(self._violators(mask, cap_ordinary, cap_premium))[0]
         return [self.population.names[i] for i in violators]
 
@@ -624,10 +638,11 @@ class CPPartitionGame:
     def _exact_rho(self, index: int, class_indices: Iterable[int],
                    class_nu: float) -> float:
         """Exact ex-post ``rho_i`` if CP ``index`` belongs to the given class."""
-        members = sorted(set(class_indices) | {index})
-        equilibrium = self._class_equilibrium(members, class_nu)
-        position = members.index(index)
-        return float(equilibrium.rhos[position])
+        mask = np.zeros(len(self.population), dtype=bool)
+        mask[list(class_indices)] = True
+        mask[index] = True
+        position = int(np.count_nonzero(mask[:index]))
+        return float(self._class_rhos(mask, class_nu)[position])
 
     def nash_equilibrium(self, max_passes: int = 50,
                          initial_premium: Optional[Iterable[int]] = None
@@ -639,9 +654,9 @@ class CPPartitionGame:
         strictly better off, ties breaking to the ordinary class.  The
         procedure stops when a full pass produces no move.  Intended for
         small populations (tests, illustrations); the competitive equilibrium
-        is the work-horse for the paper's 1000-CP experiments.  The per-class
-        equilibria of every candidate deviation run through the shared
-        equilibrium cache, and the outcome itself is memoised.
+        is the work-horse for the paper's 1000-CP experiments.  Under max-min
+        fairness the class cap of every candidate deviation runs through the
+        shared class-cap cache, and the outcome itself is memoised.
         """
         initial_key = self._initial_key(initial_premium)
         if self.config.cache_policy == "bypass":

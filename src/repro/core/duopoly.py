@@ -205,10 +205,10 @@ class DuopolyGame:
         with the two bracket probes ``share in {min_share, 1 - min_share}``,
         and every all-ordinary side (``kappa = 0`` — the Public Option in
         all the paper's experiments) resolves such a probe with the
-        *full-population* rate equilibrium at ``nu_isp = gamma nu / share``.
+        *full-population* Theorem-1 cap at ``nu_isp = gamma nu / share``.
         Those capacities are known for the whole grid up front, so one
         grid solve (:func:`solve_rate_equilibria`
-        via :func:`warm_equilibrium_cache`) seeds the equilibrium cache and
+        via :func:`warm_equilibrium_cache`) seeds the class-cap cache and
         turns the per-point bracket solves into lookups.
         """
         # Imported lazily: ``repro.simulation`` imports the sweep layer,

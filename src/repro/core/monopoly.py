@@ -109,7 +109,7 @@ class MonopolyGame:
         """Outcome (second-stage equilibrium) for one first-stage strategy.
 
         Second-stage solves run on the batched equilibrium engine: partition
-        outcomes and per-class equilibria are memoised across strategies and
+        outcomes and class caps are memoised across strategies and
         capacities, so grid searches (``price_sweep``, ``revenue_optimal``,
         ``verify_kappa_dominance``) never re-solve a sub-problem.
         """

@@ -84,7 +84,7 @@ class RateAllocationMechanism(ABC):
     def cache_key(self) -> tuple[Any, ...]:
         """Hashable value identifying this mechanism's behaviour.
 
-        Used by the equilibrium cache (:mod:`repro.simulation.batch`) to key
+        Used by the solver caches (class caps, partition outcomes) to key
         solved equilibria.  Two mechanisms with equal cache keys must produce
         identical allocations for every input.  The conservative default
         keys on the instance itself (identity equality, and the key retains

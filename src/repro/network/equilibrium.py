@@ -51,13 +51,9 @@ __all__ = [
     "ExponentialMaxMinProfile",
     "common_cap_profile",
     "population_surplus_weights",
-    "cached_subset_equilibrium",
     "cached_class_cap",
-    "cached_class_cap_for_mask",
     "mechanism_cache_key",
-    "default_equilibrium_cache",
     "default_class_cap_cache",
-    "frozen_equilibrium",
     "equilibrium_cache_stats",
     "clear_equilibrium_caches",
 ]
@@ -398,29 +394,27 @@ class ExponentialMaxMinProfile(CommonCapProfile):
     def __init__(self, alphas: np.ndarray, theta_hats: np.ndarray,
                  betas: np.ndarray) -> None:
         order = np.argsort(theta_hats, kind="stable")
+        order.flags.writeable = False
         self._init_sorted(np.ascontiguousarray(alphas[order]),
                           np.ascontiguousarray(theta_hats[order]),
-                          np.ascontiguousarray(betas[order]))
+                          np.ascontiguousarray(betas[order]), order)
 
     @classmethod
     def from_sorted(cls, alphas: np.ndarray, theta_hats: np.ndarray,
-                    betas: np.ndarray) -> "ExponentialMaxMinProfile":
-        """Profile from arrays already in stable ``theta_hat`` order.
-
-        Used by the subset-profile cache: filtering a parent population's
-        stable sort order by a class mask yields exactly the arrays the
-        constructor's own stable argsort would produce (subset indices are
-        ascending, so ties resolve identically), without re-sorting per
-        class.
-        """
+                    betas: np.ndarray, order: np.ndarray
+                    ) -> "ExponentialMaxMinProfile":
+        """Profile from arrays already in stable ``theta_hat`` order;
+        ``order[k]`` is the population index of sorted position ``k``."""
         self = object.__new__(cls)
         self._init_sorted(np.ascontiguousarray(alphas),
                           np.ascontiguousarray(theta_hats),
-                          np.ascontiguousarray(betas))
+                          np.ascontiguousarray(betas), order)
         return self
 
     def _init_sorted(self, alphas: np.ndarray, theta_hats: np.ndarray,
-                     betas: np.ndarray) -> None:
+                     betas: np.ndarray, order: np.ndarray) -> None:
+        #: Population index of each sorted position.
+        self.order = order
         self._theta_hats = theta_hats
         self._alphas = alphas
         self._betas = betas
@@ -433,6 +427,18 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         # negated factor is bit-identical to negating the product).
         self._neg_betas = -self._betas
         self._tiny_cap = self.upper * _TINY_CAP
+
+    def restricted(self, mask: np.ndarray) -> "ExponentialMaxMinProfile":
+        """Profile of the providers a population-length ``mask`` selects.
+
+        Filtering the sorted arrays keeps the stable ``theta_hat`` order (a
+        class's indices are ascending, so ties resolve as in a fresh
+        argsort): the result equals the constructor's profile of the class,
+        float for float, without building a ``Population`` or re-sorting.
+        """
+        keep = mask[self.order]
+        return self.from_sorted(self._alphas[keep], self._theta_hats[keep],
+                                self._betas[keep], self.order[keep])
 
     def carried_at_upper(self) -> float:
         # At the saturation cap every provider is saturated: the tail is
@@ -717,31 +723,20 @@ def solve_rate_equilibrium(population: Population, nu: float,
 
 
 # --------------------------------------------------------------------------- #
-# Equilibrium cache and service-class (subset) fast paths
+# Class-cap cache
 # --------------------------------------------------------------------------- #
 # Populations are immutable and mechanisms are keyed by value
-# (``RateAllocationMechanism.cache_key``), so a cached equilibrium can never
-# go stale: entries are only ever dropped by LRU eviction or an explicit
-# ``clear_equilibrium_caches()``.  The game layer (monopoly/duopoly/CP-game
-# best-response passes) re-solves the same (class, capacity) equilibria many
-# times over; these caches turn those re-solves into lookups.
+# (``RateAllocationMechanism.cache_key``), so a cached cap can never go
+# stale: entries are only ever dropped by LRU eviction or an explicit
+# ``clear_equilibrium_caches()``.  The game layer's best-response passes
+# re-solve the same (class, capacity) caps many times over; this cache turns
+# those re-solves into lookups.
 _DEFAULT_MECHANISM = MaxMinFairAllocation()
-_EQUILIBRIUM_CACHE = LRUCache(maxsize=2048, name="equilibria")
 _CLASS_CAP_CACHE = LRUCache(maxsize=16384, name="class_caps")
-#: Per-class sorted-prefix profiles (max-min + exponential fast path).  One
-#: profile serves *every* capacity the class is solved at — the capacity
-#: axis of the duopoly/migration best-response loops re-solves the same
-#: class at many ``nu`` values, and the profile is the nu-independent part.
-_PROFILE_CACHE = LRUCache(maxsize=1024, name="maxmin_profiles")
-
-
-def default_equilibrium_cache() -> LRUCache:
-    """The shared full/subset-equilibrium cache (for pre-seeding)."""
-    return _EQUILIBRIUM_CACHE
 
 
 def default_class_cap_cache() -> LRUCache:
-    """The shared class-cap cache (for pre-seeding caps without rows)."""
+    """The shared class-cap cache (for pre-seeding)."""
     return _CLASS_CAP_CACHE
 
 
@@ -753,199 +748,53 @@ def mechanism_cache_key(mechanism: Optional[RateAllocationMechanism],
     return mechanism.cache_key()
 
 
-def frozen_equilibrium(equilibrium: RateEquilibrium) -> RateEquilibrium:
-    """A copy of ``equilibrium`` whose arrays are detached and read-only.
-
-    Entries that enter a shared cache must not alias writable solver
-    buffers: a fixed-point batch hands out row *views* of its ``(G, n)``
-    grid matrices, so an aliased entry would both pin the grid's memory
-    and let any caller mutate what every later cache hit observes.
-    """
-    thetas = np.array(equilibrium.thetas)
-    demands = np.array(equilibrium.demands)
-    thetas.flags.writeable = False
-    demands.flags.writeable = False
-    return RateEquilibrium(
-        population=equilibrium.population, nu=equilibrium.nu,
-        thetas=thetas, demands=demands,
-        mechanism_name=equilibrium.mechanism_name,
-        common_cap=equilibrium.common_cap)
-
-
-def _indices_key(population: Population,
-                 indices: Optional[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """Normalised subset indices: ``None`` stands for the full population."""
-    if indices is None:
-        return None
-    normalized = tuple(sorted({int(i) for i in indices}))
-    if len(normalized) == len(population):
-        return None
-    return normalized
-
-
-def _subset_mask(population: Population,
-                 subset_key: Optional[tuple[int, ...]]) -> Optional[np.ndarray]:
-    """Boolean membership mask of a class (``None`` = full population)."""
-    if subset_key is None:
-        return None
-    mask = np.zeros(len(population), dtype=bool)
-    mask[list(subset_key)] = True
-    return mask
-
-
-def _subset_cache_key(population: Population,
-                      subset_key: Optional[tuple[int, ...]]) -> Optional[bytes]:
-    """Compact, exact cache representation of a class's index set.
-
-    A packed bitmask over the population: ~n/8 bytes instead of an n-int
-    tuple.  The CP-game best-response passes generate thousands of distinct
-    masks per sweep, so the key size — not the cached float — dominates the
-    class-cap cache's memory footprint.
-    """
-    mask = _subset_mask(population, subset_key)
-    if mask is None:
-        return None
-    return np.packbits(mask).tobytes()
-
-
-def _maxmin_order(population: Population) -> np.ndarray:
-    """Stable ``theta_hat`` sort order of the population, cached on it."""
-    order = getattr(population, "_maxmin_order_cache", None)
-    if order is None:
-        order = np.argsort(population.theta_hats, kind="stable")
-        order.flags.writeable = False
-        population._maxmin_order_cache = order  # type: ignore[attr-defined]
-    return order
-
-
 def population_surplus_weights(population: Population,
                                profile: ExponentialMaxMinProfile
                                ) -> tuple[np.ndarray, np.ndarray]:
     """:meth:`ExponentialMaxMinProfile.surplus_weights` of the population's
-    own profile (``common_cap_profile``), sorted by the population's cached
-    stable ``theta_hat`` order — the order that profile was built in."""
-    return profile.surplus_weights(
-        population.utility_rates[_maxmin_order(population)])
-
-
-def _subset_profile(population: Population, mask: np.ndarray,
-                    mask_bytes: bytes,
-                    config: SolverConfig) -> ExponentialMaxMinProfile:
-    """Cached sorted-prefix profile of one service class.
-
-    Requires ``population.exponential_parameters`` to be non-``None``.  The
-    class's sorted arrays are obtained by filtering the parent's cached
-    stable sort order with the membership mask — identical floats, in the
-    identical order, to stable-argsorting the subset itself.
-    """
-
-    def build() -> ExponentialMaxMinProfile:
-        theta_hats, betas = population.exponential_parameters
-        order = _maxmin_order(population)
-        sub_order = order[mask[order]]
-        return ExponentialMaxMinProfile.from_sorted(
-            population.alphas[sub_order], theta_hats[sub_order],
-            betas[sub_order])
-
-    if config.cache_policy == "bypass":
-        return build()
-    return _PROFILE_CACHE.get_or_compute(
-        (population, mask_bytes, config.cache_key()), build)
-
-
-def cached_subset_equilibrium(population: Population,
-                              indices: Optional[Sequence[int]],
-                              nu: float,
-                              mechanism: Optional[RateAllocationMechanism] = None,
-                              cache: Optional[LRUCache] = None,
-                              config: Optional[SolverConfig] = None
-                              ) -> RateEquilibrium:
-    """Memoised rate equilibrium of a sub-population selected by index.
-
-    ``indices=None`` (or the full index set) solves the whole population.
-    Results are bit-identical to ``solve_rate_equilibrium`` on
-    ``population.subset(indices)``; the cache key is
-    ``(population, sorted indices, nu, mechanism.cache_key(),
-    config.cache_key())`` — entries computed under different tolerances
-    never alias.  ``cache_policy="bypass"`` solves directly
-    without touching the cache.
-    """
-    config = resolve_config(config)
-    cache = _EQUILIBRIUM_CACHE if cache is None else cache
-    subset_key = _indices_key(population, indices)
-    key = (population, _subset_cache_key(population, subset_key), float(nu),
-           mechanism_cache_key(mechanism), config.cache_key())
-
-    def solve() -> RateEquilibrium:
-        members = (population if subset_key is None
-                   else population.subset(subset_key))
-        return frozen_equilibrium(solve_rate_equilibrium(
-            members, nu,
-            mechanism if mechanism is not None else _DEFAULT_MECHANISM,
-            config))
-
-    if config.cache_policy == "bypass":
-        return solve()
-    return cache.get_or_compute(key, solve)  # type: ignore[return-value]
+    own profile (``common_cap_profile``), its utility rates taken in the
+    profile's stable ``theta_hat`` order."""
+    return profile.surplus_weights(population.utility_rates[profile.order])
 
 
 def cached_class_cap(population: Population,
-                     indices: Optional[Sequence[int]],
+                     mask: Optional[np.ndarray],
                      nu: float,
-                     mechanism: Optional[RateAllocationMechanism] = None,
+                     mechanism: Optional[CommonCapAllocation] = None,
                      cache: Optional[LRUCache] = None,
                      config: Optional[SolverConfig] = None) -> float:
     """Equilibrium common throughput cap of a service class, memoised.
 
-    Index-sequence convenience wrapper around
-    :func:`cached_class_cap_for_mask`; both share the same cache entries
-    (the key is the packed membership bitmask either way).
-    """
-    subset_key = _indices_key(population, indices)
-    return cached_class_cap_for_mask(population,
-                                     _subset_mask(population, subset_key),
-                                     nu, mechanism, cache, config)
-
-
-def cached_class_cap_for_mask(population: Population,
-                              mask: Optional[np.ndarray],
-                              nu: float,
-                              mechanism: Optional[RateAllocationMechanism] = None,
-                              cache: Optional[LRUCache] = None,
-                              config: Optional[SolverConfig] = None) -> float:
-    """Class cap memoised by boolean membership mask (the hot-loop form).
-
     ``mask`` is a boolean array over the parent population (``None`` — or an
-    all-true mask — means the full population).  For the paper's workload
-    (max-min fairness, exponential demand) the cap is solved on the
-    class's cached sorted-prefix profile, built from column views of the
-    parent — no ``Population`` object, index tuple or argsort per call,
-    which is what makes the CP-game best-response inner loop cheap.  The
-    value equals ``cached_subset_equilibrium(...).common_cap`` exactly
-    (both run the same scalar cap solver on the same floats).
+    all-true mask — means the full population); the cache key holds it as a
+    packed bitmask, ``(population, mask bits, nu, mechanism.cache_key(),
+    config.cache_key())``, so entries computed under different tolerances
+    never alias.  The value equals ``solve_rate_equilibrium(...).common_cap``
+    of the class exactly.  For the paper's workload (max-min fairness,
+    exponential demand) a class is solved on
+    :meth:`ExponentialMaxMinProfile.restricted` of the population's profile,
+    with no ``Population`` object, index tuple or argsort per call; other
+    classes are solved on their own sub-population.
+    ``cache_policy="bypass"`` solves without touching the cache.
     """
-    mechanism = mechanism if mechanism is not None else _DEFAULT_MECHANISM
+    resolved = mechanism if mechanism is not None else _DEFAULT_MECHANISM
     config = resolve_config(config)
     cache = _CLASS_CAP_CACHE if cache is None else cache
-    if mask is not None and mask.all():
-        mask = None
-    mask_bytes = None if mask is None else np.packbits(mask).tobytes()
-    key = (population, mask_bytes, float(nu), mechanism_cache_key(mechanism),
-           config.cache_key())
+    members = None if mask is None or mask.all() else mask
+    key = (population,
+           None if members is None else np.packbits(members).tobytes(),
+           float(nu), mechanism_cache_key(resolved), config.cache_key())
 
     def solve() -> float:
-        parameters = population.exponential_parameters
-        if type(mechanism) is MaxMinFairAllocation and parameters is not None:
-            if mask is None:
-                profile = common_cap_profile(population, mechanism)
+        profile = common_cap_profile(population, resolved)
+        if members is not None:
+            if isinstance(profile, ExponentialMaxMinProfile):
+                profile = profile.restricted(members)
             else:
-                profile = _subset_profile(population, mask, mask_bytes, config)
-            return profile.solve_cap(
-                float(nu), residual_tolerance=config.bisection_tolerance)
-        indices = None if mask is None else np.nonzero(mask)[0]
-        return float(cached_subset_equilibrium(population, indices, nu,
-                                               mechanism,
-                                               config=config).common_cap)
+                profile = common_cap_profile(
+                    population.subset(np.flatnonzero(members)), resolved)
+        return profile.solve_cap(float(nu),
+                                 residual_tolerance=config.bisection_tolerance)
 
     if config.cache_policy == "bypass":
         return solve()
@@ -953,17 +802,14 @@ def cached_class_cap_for_mask(population: Population,
 
 
 def equilibrium_cache_stats() -> dict[str, dict[str, Any]]:
-    """Hit/miss counters of the two solver caches (for benchmark reports).
+    """Hit/miss counters of the class-cap cache (for benchmark reports).
 
-    A filtered view of :func:`repro.cache.all_cache_stats` — both caches
-    self-register there under the names used here.
+    A filtered view of :func:`repro.cache.all_cache_stats`, where the cache
+    self-registers under the name used here.
     """
-    stats = all_cache_stats()
-    return {name: stats[name] for name in ("equilibria", "class_caps")}
+    return {"class_caps": all_cache_stats()["class_caps"]}
 
 
 def clear_equilibrium_caches() -> None:
-    """Drop every cached equilibrium, class cap and profile (frees memory)."""
-    _EQUILIBRIUM_CACHE.clear()
+    """Drop every cached class cap (frees memory)."""
     _CLASS_CAP_CACHE.clear()
-    _PROFILE_CACHE.clear()

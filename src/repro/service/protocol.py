@@ -36,7 +36,7 @@ the connection down.
 
 Populations are resolved through a registered LRU cache
 (``service_populations``): repeated requests for the same spec reuse the
-columnar population (and therefore every equilibrium cached against its
+columnar population (and therefore every cap cached against its
 fingerprint), and each resolved population is indexed by fingerprint so
 follow-up requests can address it without re-sending the spec.
 """

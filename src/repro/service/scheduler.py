@@ -269,8 +269,7 @@ class MicroBatchScheduler:
             solved = await loop.run_in_executor(
                 self._executor,
                 partial(warm_equilibrium_cache, pending.population, union,
-                        pending.mechanism, config=pending.config,
-                        rows=False))
+                        pending.mechanism, config=pending.config))
         except Exception as error:
             self.errors += 1
             for entry in entries:

@@ -13,13 +13,14 @@ the Theorem-1 cap.  This module:
   rate, utilisation, consumer surplus, premium revenue) come from the caps
   in ``O(G + n)`` memory; the per-provider ``(G, n)`` matrices are built
   only when asked for;
-* memoises (class, capacity) equilibria in shared LRU caches
-  (:func:`repro.network.equilibrium.cached_subset_equilibrium` /
-  :func:`cached_class_cap`) so the monopoly, duopoly and CP-partition games
-  stop re-solving identical sub-problems during best-response passes;
-* pre-seeds those caches for an upcoming sweep grid
-  (:func:`warm_equilibrium_cache`), turning the per-point solves of the
-  sweep layer into lookups.
+* re-exports the class-cap cache
+  (:func:`repro.network.equilibrium.cached_class_cap`), which memoises the
+  Theorem-1 cap of each (class, capacity) so the monopoly, duopoly and
+  CP-partition games stop re-solving identical sub-problems during
+  best-response passes;
+* pre-seeds that cache with the full population's caps over an upcoming
+  sweep grid (:func:`warm_equilibrium_cache`), turning the per-point solves
+  of the sweep layer into lookups.
 
 The scalar path (:func:`repro.network.equilibrium.solve_rate_equilibrium`)
 runs the same cap solver and builds its profile with the same row function
@@ -48,14 +49,11 @@ from repro.network.equilibrium import (
     ExponentialMaxMinProfile,
     RateEquilibrium,
     cached_class_cap,
-    cached_subset_equilibrium,
     clear_equilibrium_caches,
     common_cap_profile,
     common_cap_row,
     default_class_cap_cache,
-    default_equilibrium_cache,
     equilibrium_cache_stats,
-    frozen_equilibrium,
     mechanism_cache_key,
     population_surplus_weights,
     solve_common_caps,
@@ -67,7 +65,6 @@ __all__ = [
     "BatchRateEquilibrium",
     "solve_rate_equilibria",
     "warm_equilibrium_cache",
-    "cached_subset_equilibrium",
     "cached_class_cap",
     "equilibrium_cache_stats",
     "clear_equilibrium_caches",
@@ -311,67 +308,49 @@ def warm_equilibrium_cache(population: Population, nus: Sequence[float],
                            mechanism: Optional[RateAllocationMechanism] = None,
                            cache: Optional[LRUCache] = None,
                            config: Optional[SolverConfig] = None,
-                           *, rows: bool = True) -> BatchRateEquilibrium:
-    """Solve a capacity grid in one pass and seed the equilibrium cache.
+                           ) -> BatchRateEquilibrium:
+    """Solve a capacity grid in one pass and seed the class-cap cache.
 
-    After this call, ``cached_subset_equilibrium(population, None, nu, ...)``
-    (and therefore the game layer's full-population solves) is a lookup for
+    After this call, ``cached_class_cap(population, None, nu, ...)`` (and
+    therefore the game layer's full-population class caps) is a lookup for
     every ``nu`` in the grid.  Only grid points not already cached are
     solved, so re-warming the same grid (e.g. repeated sweeps over one
-    population) costs a handful of dictionary lookups: a cached entry
-    contributes only its cap to the returned batch.  Returns the batch, so
-    callers can also read the grid directly.  The cache keys mirror
-    :func:`cached_subset_equilibrium` exactly (including the config's
-    ``cache_key()``); a ``bypass`` cache policy skips seeding entirely.
-
-    ``rows=False`` is for callers that read back only caps and the series
-    computed from them (the equilibrium service): it reads and seeds the
-    class-cap cache of :func:`cached_class_cap` (same keys, one float per
-    grid point) instead of frozen ``(thetas, demands)`` rows, so a warmed
-    grid holds ``O(G)`` memory instead of ``O(G * n)``.  Mechanisms
-    without a cap always seed rows.  ``cache`` replaces whichever cache
-    the mode uses.
+    population) costs a handful of dictionary lookups.  Returns the batch,
+    so callers can also read the grid directly; a warmed grid holds one
+    float per point.  The cache keys mirror :func:`cached_class_cap`
+    exactly (including the config's ``cache_key()``); ``cache`` replaces
+    the shared class-cap cache.  A ``bypass`` cache policy, or a mechanism
+    without a cap, just solves the grid.
     """
     config = resolve_config(config)
-    if config.cache_policy == "bypass":
-        return solve_rate_equilibria(population, nus, mechanism, config)
     if mechanism is None:
         mechanism = MaxMinFairAllocation()
-    rows = rows or not isinstance(mechanism, CommonCapAllocation)
+    if (config.cache_policy == "bypass"
+            or not isinstance(mechanism, CommonCapAllocation)):
+        return solve_rate_equilibria(population, nus, mechanism, config)
     if cache is None:
-        cache = default_equilibrium_cache() if rows else default_class_cap_cache()
+        cache = default_class_cap_cache()
     mechanism_key = mechanism_cache_key(mechanism)
     config_key = config.cache_key()
     nus_arr = _capacity_grid(nus)
     keys = [(population, None, float(nu), mechanism_key, config_key)
             for nu in nus_arr]
-    # Read hits up front and keep local references: the seeding puts below
-    # may LRU-evict earlier grid keys, so the cache must not be re-read
-    # during assembly.
-    entries: dict[int, Any] = {}
+    # Read hits up front and keep local copies: the seeding puts below may
+    # LRU-evict earlier grid keys, so the cache must not be re-read during
+    # assembly.
+    caps = np.empty(len(nus_arr))
     missing = []
     for index, key in enumerate(keys):
-        entry = cache.get(key)
-        if entry is None:
+        cap = cache.get(key)
+        if cap is None:
             missing.append(index)
         else:
-            entries[index] = entry
+            caps[index] = cap
     if missing:
         solved = solve_rate_equilibria(population, nus_arr[missing], mechanism,
                                        config)
         for batch_index, grid_index in enumerate(missing):
-            # Rows enter the cache as frozen copies: entries must not alias
-            # the batch's buffers (mutation and memory-pinning hazards).
-            entry = (frozen_equilibrium(solved.equilibrium_at(batch_index))
-                     if rows else float(solved.common_caps[batch_index]))
-            cache.put(keys[grid_index], entry)
-            entries[grid_index] = entry
-        if len(missing) == len(nus_arr):
-            return solved
-    ordered = [entries[index] for index in range(len(nus_arr))]
-    if not isinstance(mechanism, CommonCapAllocation):
-        return _fixed_point_batch(population, nus_arr, ordered, mechanism)
-    caps = [entry.common_cap if rows else entry for entry in ordered]
-    return BatchRateEquilibrium(
-        population=population, nus=nus_arr,
-        common_caps=np.array(caps, dtype=float), mechanism=mechanism)
+            caps[grid_index] = solved.common_caps[batch_index]
+            cache.put(keys[grid_index], float(caps[grid_index]))
+    return BatchRateEquilibrium(population=population, nus=nus_arr,
+                                common_caps=caps, mechanism=mechanism)

@@ -6,11 +6,11 @@ duopoly) the strategic ISP's market share ``m_I`` as named series — exactly
 the quantities plotted in the paper's Figures 4, 5, 7 and 8.
 
 All four sweeps run on the batched equilibrium engine
-(:mod:`repro.simulation.batch`): the full-population rate equilibria at
+(:mod:`repro.simulation.batch`): the full population's Theorem-1 caps at
 every service-class capacity in the grid are solved in one grid cap solve
-up front, and the per-point second-stage games then
-draw their class equilibria, class caps and partition outcomes from the
-engine's shared memoisation.
+up front and seeded into the class-cap cache, and the per-point
+second-stage games then read their class caps and partition outcomes from
+that shared memoisation (each class's rates follow from its cap).
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def monopoly_price_sweep(population: Population, nus: Iterable[float],
     """
     price_grid = tuple(float(p) for p in prices)
     nus = tuple(float(nu) for nu in nus)
-    # One vectorised pass solves the full-population equilibrium at every
-    # class capacity the grid can produce (all-ordinary / all-premium
+    # One vectorised pass solves the full population's cap at every class
+    # capacity the grid can produce (all-ordinary / all-premium
     # partitions); the per-point games below then start from cache hits.
     warm_equilibrium_cache(population, _class_capacities(nus, (kappa,)),
                            mechanism, config=config)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import ModelValidationError
 from repro.core.cp_game import (
@@ -12,7 +13,19 @@ from repro.core.cp_game import (
     nash_equilibrium,
 )
 from repro.core.strategy import ISPStrategy, PUBLIC_OPTION_STRATEGY
+from repro.network.allocation import (
+    AlphaFairAllocation,
+    ProportionalToDemandAllocation,
+)
+from repro.network.demand import (
+    ConstantElasticityDemand,
+    LinearDemand,
+    SigmoidDemand,
+    UnitDemand,
+)
+from repro.network.equilibrium import solve_rate_equilibrium
 from repro.network.provider import ContentProvider, Population
+from repro.workloads.populations import PopulationSpec, random_population
 
 
 def rich_and_poor_population():
@@ -234,6 +247,29 @@ class TestNashEquilibrium:
         assert game.verify_nash(outcome) == []
 
 
+class TestInitialPremiumValidation:
+    """A warm start naming a provider outside ``[0, n)`` is an input error:
+    ``-1`` must not silently warm-start CP ``n - 1`` (under a different cache
+    key than ``[n - 1]``), and ``n`` must not surface as an ``IndexError``."""
+
+    @pytest.mark.parametrize("solve", [
+        pytest.param(competitive_equilibrium, id="competitive"),
+        pytest.param(nash_equilibrium, id="nash"),
+    ])
+    @pytest.mark.parametrize("index", [-1, 4, 99])
+    def test_out_of_range_index_rejected(self, solve, index):
+        population = rich_and_poor_population()
+        with pytest.raises(ModelValidationError, match="initial_premium"):
+            solve(population, 1.5, ISPStrategy(0.7, 0.3),
+                  initial_premium=[0, index])
+
+    def test_in_range_indices_accepted(self):
+        population = rich_and_poor_population()
+        outcome = competitive_equilibrium(population, 1.5, ISPStrategy(0.7, 0.3),
+                                          initial_premium=[3, 0, 0])
+        assert outcome.converged
+
+
 class TestTieBreaking:
     def test_equal_utility_goes_to_ordinary(self):
         """A CP indifferent between the classes joins the ordinary class."""
@@ -253,3 +289,117 @@ class TestTieBreaking:
         outcome = competitive_equilibrium(population, nu=1.0,
                                           strategy=ISPStrategy(1.0, 0.95))
         assert outcome.premium_indices == ()
+
+
+# --------------------------------------------------------------------------- #
+# Independent oracle: every class solved directly on its sub-population
+# --------------------------------------------------------------------------- #
+def assert_matches_class_oracle(outcome, mechanism=None):
+    """Outcome data equal (``==``) to a direct solve of each class.
+
+    The oracle builds each class's sub-population and solves its rate
+    equilibrium at the class capacity with :func:`solve_rate_equilibrium`,
+    the paper's two-class analysis taken literally; the game itself never
+    builds a sub-population under max-min fairness.
+    """
+    population, strategy = outcome.population, outcome.strategy
+    carried, surplus, utilities = {}, 0.0, {}
+    for label, indices, class_nu, price in (
+            ("ordinary", outcome.ordinary_indices,
+             (1.0 - strategy.kappa) * outcome.nu, 0.0),
+            ("premium", outcome.premium_indices,
+             strategy.kappa * outcome.nu, strategy.price)):
+        members = population.subset(indices)
+        oracle = solve_rate_equilibrium(members, class_nu, mechanism)
+        carried[label] = oracle.aggregate_rate
+        surplus += oracle.consumer_surplus()
+        for provider, rate in zip(members, oracle.per_capita_rates):
+            utilities[provider.name] = (provider.revenue_rate - price) * float(rate)
+    assert outcome.ordinary_carried_rate == carried["ordinary"]
+    assert outcome.premium_carried_rate == carried["premium"]
+    assert outcome.consumer_surplus == surplus
+    assert outcome.isp_surplus == strategy.price * carried["premium"]
+    assert list(outcome.cp_utilities().items()) == list(utilities.items())
+    assert not outcome.rates.flags.writeable
+    assert not outcome.premium_mask.flags.writeable
+
+
+def mixed_family_population(count, seed):
+    """Equation-(3) providers mixed with four other demand families."""
+    rng = np.random.default_rng(seed)
+    providers = []
+    for index in range(count):
+        theta_hat = float(rng.uniform(0.2, 3.0))
+        family = index % 5
+        demand = (None, LinearDemand(theta_hat, floor=0.2), UnitDemand(theta_hat),
+                  SigmoidDemand(theta_hat, midpoint=0.4, steepness=8.0),
+                  ConstantElasticityDemand(theta_hat, elasticity=1.5))[family]
+        providers.append(ContentProvider(
+            f"cp-{index}", alpha=float(rng.uniform(0.1, 1.0)),
+            theta_hat=theta_hat, beta=float(rng.uniform(0.0, 4.0)),
+            revenue_rate=float(rng.uniform(0.0, 1.0)),
+            utility_rate=float(rng.uniform(0.0, 2.0)), demand=demand))
+    return Population(providers)
+
+
+class TestOutcomesMatchClassOracle:
+    @given(count=st.integers(min_value=1, max_value=24),
+           seed=st.integers(min_value=0, max_value=10_000),
+           mixed=st.booleans(),
+           kappa=st.sampled_from([0.0, 0.35, 1.0]),
+           price=st.sampled_from([0.0, 0.2, 0.6, 1.5]),
+           load_fraction=st.sampled_from([0.0, 0.05, 0.4, 0.9, 2.0]))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_competitive_maxmin(self, count, seed, mixed, kappa, price,
+                                load_fraction):
+        population = (mixed_family_population(count, seed) if mixed
+                      else random_population(PopulationSpec(count=count),
+                                             seed=seed))
+        nu = load_fraction * population.unconstrained_per_capita_load
+        outcome = competitive_equilibrium(population, nu,
+                                          ISPStrategy(kappa, price))
+        assert_matches_class_oracle(outcome)
+
+    @given(count=st.integers(min_value=1, max_value=6),
+           seed=st.integers(min_value=0, max_value=10_000),
+           mixed=st.booleans(),
+           kappa=st.sampled_from([0.0, 0.5, 1.0]),
+           price=st.sampled_from([0.0, 0.3]),
+           load_fraction=st.sampled_from([0.0, 0.3, 1.2]))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_nash_maxmin(self, count, seed, mixed, kappa, price,
+                         load_fraction):
+        population = (mixed_family_population(count, seed) if mixed
+                      else random_population(PopulationSpec(count=count),
+                                             seed=seed))
+        nu = load_fraction * population.unconstrained_per_capita_load
+        outcome = nash_equilibrium(population, nu, ISPStrategy(kappa, price))
+        assert_matches_class_oracle(outcome)
+
+    def test_empty_premium_and_empty_ordinary_classes(self):
+        population = rich_and_poor_population()
+        nobody_pays = competitive_equilibrium(population, 1.5,
+                                              ISPStrategy(1.0, 5.0))
+        assert nobody_pays.premium_indices == ()
+        assert_matches_class_oracle(nobody_pays)
+        free_premium = competitive_equilibrium(population, 1.5,
+                                               ISPStrategy(1.0, 0.0))
+        assert free_premium.ordinary_indices == ()
+        assert_matches_class_oracle(free_premium)
+
+    @pytest.mark.parametrize("mechanism", [
+        pytest.param(ProportionalToDemandAllocation(), id="common-cap"),
+        pytest.param(AlphaFairAllocation(alpha=1.0), id="fixed-point"),
+    ])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("load_fraction", [0.0, 0.3, 0.9])
+    def test_generic_mechanisms(self, mechanism, kappa, load_fraction):
+        population = mixed_family_population(6, seed=17)
+        nu = load_fraction * population.unconstrained_per_capita_load
+        strategy = ISPStrategy(kappa, 0.2)
+        for outcome in (
+                competitive_equilibrium(population, nu, strategy, mechanism),
+                nash_equilibrium(population, nu, strategy, mechanism)):
+            assert_matches_class_oracle(outcome, mechanism)

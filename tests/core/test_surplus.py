@@ -44,15 +44,16 @@ class TestWelfareReport:
         outcome = competitive_equilibrium(medium_random_population, nu=5.0,
                                           strategy=ISPStrategy(1.0, 0.4))
         breakdown = welfare_report(outcome)
+        # Independent oracle: each class's rate equilibrium solved directly
+        # on its sub-population at the class capacity.
         gross = 0.0
-        for indices, equilibrium in ((outcome.ordinary_indices,
-                                      outcome.ordinary_equilibrium),
-                                     (outcome.premium_indices,
-                                      outcome.premium_equilibrium)):
-            for local, global_index in enumerate(sorted(indices)):
-                provider = medium_random_population[global_index]
-                gross += provider.revenue_rate * float(
-                    equilibrium.per_capita_rates[local])
+        for indices, class_nu in ((outcome.ordinary_indices, 0.0),
+                                  (outcome.premium_indices, 5.0)):
+            members = medium_random_population.subset(indices)
+            equilibrium = solve_rate_equilibrium(members, class_nu)
+            gross += sum(provider.revenue_rate * float(rate)
+                         for provider, rate in zip(
+                             members, equilibrium.per_capita_rates))
         assert breakdown.isp_surplus + breakdown.cp_surplus == pytest.approx(
             gross, rel=1e-9)
 

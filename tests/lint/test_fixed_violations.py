@@ -62,8 +62,8 @@ class TestHoistedToleranceConstants:
 
 
 class TestCacheKeyThreading:
-    """RL001 fix: the maxmin profile cache keys include the solver config,
-    so entries computed under different tolerances never alias."""
+    """RL001 fix: the class-cap cache keys include the solver config, so
+    entries computed under different tolerances never alias."""
 
     def test_cache_key_distinguishes_tolerance_variants(self):
         base = SolverConfig()
@@ -72,7 +72,9 @@ class TestCacheKeyThreading:
         assert (SolverConfig(migration_tolerance=5e-4).cache_key()
                 != base.cache_key())
 
-    def test_profile_cache_isolates_configs(self):
+    def test_class_cap_cache_isolates_configs(self):
+        import numpy as np
+
         from repro.network import equilibrium as eq
         from repro.network.provider import ContentProvider, Population
 
@@ -80,15 +82,16 @@ class TestCacheKeyThreading:
             ContentProvider(name="a", alpha=0.6, theta_hat=1.0, beta=1.0),
             ContentProvider(name="b", alpha=0.4, theta_hat=2.0, beta=0.5),
         ])
+        mask = np.array([True, False])
         eq.clear_equilibrium_caches()
-        eq.cached_class_cap(population, [0], 0.2, config=SolverConfig())
-        first = eq._PROFILE_CACHE.stats()["size"]
+        eq.cached_class_cap(population, mask, 0.2, config=SolverConfig())
+        first = eq.default_class_cap_cache().stats()["size"]
         assert first > 0
         # Same population and class, different tolerance config: must be a
-        # fresh profile entry (a colliding key would alias the old one).
-        eq.cached_class_cap(population, [0], 0.2,
+        # fresh cap entry (a colliding key would alias the old one).
+        eq.cached_class_cap(population, mask, 0.2,
                             config=SolverConfig(bisection_tolerance=1e-10))
-        second = eq._PROFILE_CACHE.stats()["size"]
+        second = eq.default_class_cap_cache().stats()["size"]
         assert second > first
 
 

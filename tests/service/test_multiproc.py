@@ -42,13 +42,12 @@ def _worker_payload(index, *, requests=10, coalesced=4, hits=6, misses=2,
                       "coalesced": coalesced,
                       "coalesce_rate": coalesced / requests,
                       "engine_solves": requests - coalesced, "errors": 0},
-        "caches": {"equilibria": {"size": 3, "maxsize": 2048, "hits": hits,
+        "caches": {"class_caps": {"size": 3, "maxsize": 16384, "hits": hits,
                                   "misses": misses,
                                   "hit_rate": hits / (hits + misses),
                                   "current_bytes": 100, "max_bytes": None,
-                                  "ttl_seconds": None,
                                   "evictions_maxsize": 0,
-                                  "evictions_bytes": 0, "expirations": 0,
+                                  "evictions_bytes": 0,
                                   "rejected_oversize": 0}},
     }
 
@@ -70,11 +69,11 @@ class TestMergeWorkerStats:
         assert scheduler["coalesce_rate"] == pytest.approx(16 / 40)
         assert scheduler["window_seconds"] == 0.002  # config, not summed
         assert scheduler["naive"] is False
-        equilibria = merged["caches"]["equilibria"]
-        assert equilibria["hits"] == 24 and equilibria["misses"] == 8
-        assert equilibria["hit_rate"] == pytest.approx(24 / 32)
-        assert equilibria["maxsize"] == 2048  # config, not summed
-        assert equilibria["size"] == 6  # entries are per-worker, so summed
+        class_caps = merged["caches"]["class_caps"]
+        assert class_caps["hits"] == 24 and class_caps["misses"] == 8
+        assert class_caps["hit_rate"] == pytest.approx(24 / 32)
+        assert class_caps["maxsize"] == 16384  # config, not summed
+        assert class_caps["size"] == 6  # entries are per-worker, so summed
 
     def test_retention_counters_sum_across_workers(self):
         payloads = [_worker_payload(0), _worker_payload(1)]

@@ -322,7 +322,7 @@ class TestStatsAndLifecycle:
         assert stats_status == 200
         assert stats["schema"] == 1
         assert "service_populations" in stats["caches"]
-        assert "equilibria" in stats["caches"]
+        assert "class_caps" in stats["caches"]
         assert stats["scheduler"]["requests"] >= 1
         assert stats["server"]["solve_requests"] >= 1
 

@@ -35,7 +35,7 @@ from repro.network.demand import (
 )
 from repro.network.equilibrium import (
     cached_class_cap,
-    cached_subset_equilibrium,
+    default_class_cap_cache,
     solve_rate_equilibrium,
 )
 from repro.network.provider import ContentProvider, Population
@@ -209,44 +209,33 @@ class TestEquilibriumCaches:
     def setup_method(self):
         clear_all_caches()
 
-    def test_cached_subset_matches_direct_solve(self):
-        population = exponential_population()
-        indices = tuple(range(0, len(population), 3))
-        nu = 0.2 * population.unconstrained_per_capita_load
-        cached = cached_subset_equilibrium(population, indices, nu)
-        direct = solve_rate_equilibrium(population.subset(indices), nu)
-        np.testing.assert_array_equal(cached.thetas, direct.thetas)
-        np.testing.assert_array_equal(cached.demands, direct.demands)
-        assert cached.common_cap == direct.common_cap
-        # Second call is a hit and returns the identical object.
-        assert cached_subset_equilibrium(population, indices, nu) is cached
-
     def test_cached_class_cap_matches_equilibrium_cap(self):
         for make_population in (exponential_population,
                                 heterogeneous_population):
             population = make_population()
             load = population.unconstrained_per_capita_load
-            indices = tuple(range(len(population)))[1:]
+            mask = np.ones(len(population), dtype=bool)
+            mask[0] = False
             for nu in (0.1 * load, 0.5 * load, 2.0 * load):
-                cap = cached_class_cap(population, indices, nu)
+                cap = cached_class_cap(population, mask, nu)
                 equilibrium = solve_rate_equilibrium(
-                    population.subset(indices), nu)
+                    population.subset(np.flatnonzero(mask)), nu)
                 assert cap == equilibrium.common_cap
 
     def test_cached_class_cap_full_population_key(self):
         population = exponential_population()
         nu = 0.4 * population.unconstrained_per_capita_load
-        cap_by_indices = cached_class_cap(
-            population, tuple(range(len(population))), nu)
+        cap_by_mask = cached_class_cap(
+            population, np.ones(len(population), dtype=bool), nu)
         cap_full = cached_class_cap(population, None, nu)
-        assert cap_by_indices == cap_full
+        assert cap_by_mask == cap_full
         assert cap_full == solve_rate_equilibrium(population, nu).common_cap
 
     def test_default_mechanism_cache_key_cannot_alias_instances(self):
         """The default key must retain the instance, not a recyclable id().
 
         Two distinct (identity-keyed) mechanism instances with different
-        behaviour must never share cached equilibria, even when one is
+        behaviour must never share cached caps, even when one is
         garbage-collected before the other is created.
         """
 
@@ -268,8 +257,7 @@ class TestEquilibriumCaches:
         caps = []
         for scale in (1.0, 0.5):
             instance = ScaledMaxMin(scale)
-            caps.append(cached_subset_equilibrium(
-                population, None, nu, instance).common_cap)
+            caps.append(cached_class_cap(population, None, nu, instance))
             del instance
         assert caps[0] != caps[1]
 
@@ -295,12 +283,14 @@ class TestEquilibriumCaches:
         population = exponential_population()
         load = population.unconstrained_per_capita_load
         nus = (0.1 * load, 0.5 * load, 1.5 * load)
-        warm_equilibrium_cache(population, nus)
-        for nu in nus:
-            cached = cached_subset_equilibrium(population, None, nu)
+        batch = warm_equilibrium_cache(population, nus)
+        cache = default_class_cap_cache()
+        misses = cache.misses
+        for index, nu in enumerate(nus):
             direct = solve_rate_equilibrium(population, nu)
-            np.testing.assert_array_equal(cached.thetas, direct.thetas)
-            assert cached.common_cap == direct.common_cap
+            np.testing.assert_array_equal(batch.thetas[index], direct.thetas)
+            assert cached_class_cap(population, None, nu) == direct.common_cap
+        assert cache.misses == misses  # every lookup hit a seeded cap
 
     def test_warm_equilibrium_cache_survives_lru_eviction(self):
         """A partially-cached grid larger than the cache must still assemble.
@@ -321,12 +311,11 @@ class TestEquilibriumCaches:
             assert float(batch.common_caps[index]) == direct.common_cap
 
     def test_warm_equilibrium_cache_skips_already_cached_rows(self):
-        from repro.network.equilibrium import default_equilibrium_cache
         population = exponential_population()
         load = population.unconstrained_per_capita_load
         nus = (0.2 * load, 0.8 * load)
         first = warm_equilibrium_cache(population, nus)
-        cache = default_equilibrium_cache()
+        cache = default_class_cap_cache()
         misses_before = cache.misses
         hits_before = cache.hits
         # Re-warming a partially overlapping grid only solves the new point:
@@ -342,10 +331,19 @@ class TestEquilibriumCaches:
 
 class TestCpGameCacheEquivalence:
     def _outcome_fields(self, outcome):
+        """Outcome data, each class's rates checked against a direct solve
+        of that class's sub-population (the independent oracle)."""
+        kappa = outcome.strategy.kappa
+        for mask, class_nu in ((~outcome.premium_mask,
+                                (1.0 - kappa) * outcome.nu),
+                               (outcome.premium_mask, kappa * outcome.nu)):
+            members = outcome.population.subset(np.flatnonzero(mask))
+            oracle = solve_rate_equilibrium(members, class_nu)
+            assert (outcome.rates[mask].tolist()
+                    == oracle.per_capita_rates.tolist())
         return (outcome.ordinary_indices, outcome.premium_indices,
                 outcome.consumer_surplus, outcome.isp_surplus,
-                tuple(map(float, outcome.premium_equilibrium.thetas)),
-                tuple(map(float, outcome.ordinary_equilibrium.thetas)))
+                tuple(outcome.rates.tolist()))
 
     def test_competitive_outcome_cold_vs_warm_caches(self):
         population = random_population(PopulationSpec(count=80), seed=3)
@@ -436,10 +434,7 @@ class TestCapacityAxisBatching:
             assert profile.solve_cap(float(nu)) == cap
 
     def test_class_cap_for_mask_matches_index_form_exactly(self):
-        from repro.network.equilibrium import (
-            cached_class_cap_for_mask,
-            clear_equilibrium_caches,
-        )
+        from repro.network.equilibrium import clear_equilibrium_caches
 
         population = exponential_population()
         load = population.unconstrained_per_capita_load
@@ -450,26 +445,29 @@ class TestCapacityAxisBatching:
                 if not mask.any():
                     mask[0] = True
                 indices = tuple(int(i) for i in np.nonzero(mask)[0])
-                by_mask = cached_class_cap_for_mask(population, mask, nu)
+                by_mask = cached_class_cap(population, mask, nu)
                 clear_equilibrium_caches()
-                by_indices = cached_class_cap(population, indices, nu)
+                by_indices = solve_rate_equilibrium(
+                    population.subset(indices), nu).common_cap
                 assert by_mask == by_indices or (
                     np.isinf(by_mask) and np.isinf(by_indices))
 
-    def test_mask_and_index_forms_share_cache_entries(self):
-        from repro.network.equilibrium import cached_class_cap_for_mask
+    def test_equal_masks_share_cache_entries(self):
         from repro.cache import all_cache_stats
 
         population = exponential_population()
         nu = 0.3 * population.unconstrained_per_capita_load
         mask = np.zeros(len(population), dtype=bool)
         mask[::2] = True
-        cached_class_cap_for_mask(population, mask, nu)
+        cached_class_cap(population, mask, nu)
+        cached_class_cap(population, None, nu)
         before = all_cache_stats()["class_caps"]["misses"]
-        cached_class_cap(population,
-                         tuple(int(i) for i in np.nonzero(mask)[0]), nu)
+        # Equal membership hits the packed-bitmask key, whatever the array;
+        # an all-true mask is the full population's ``None`` key.
+        cached_class_cap(population, mask.copy(), nu)
+        cached_class_cap(population, np.ones(len(population), dtype=bool), nu)
         after = all_cache_stats()["class_caps"]
-        assert after["misses"] == before  # hit on the packed-bitmask key
+        assert after["misses"] == before
 
     def test_subset_profile_matches_constructor_exactly(self):
         from repro.network.equilibrium import ExponentialMaxMinProfile
@@ -485,14 +483,18 @@ class TestCapacityAxisBatching:
         sub_order = order[mask[order]]
         filtered = ExponentialMaxMinProfile.from_sorted(
             population.alphas[sub_order], theta_hats[sub_order],
-            betas[sub_order])
+            betas[sub_order], sub_order)
+        restricted = ExponentialMaxMinProfile(
+            population.alphas, theta_hats, betas).restricted(mask)
+        np.testing.assert_array_equal(restricted.order, sub_order)
         caps = np.array([0.1, 0.3, 0.7, 1.5]) * direct.upper
-        for cap in caps:
-            assert direct.carried_scalar(float(cap)) == \
-                filtered.carried_scalar(float(cap))
         load = direct.unconstrained_load
-        for nu in (0.2 * load, 0.8 * load):
-            assert direct.solve_cap(nu) == filtered.solve_cap(nu)
+        for profile in (filtered, restricted):
+            for cap in caps:
+                assert direct.carried_scalar(float(cap)) == \
+                    profile.carried_scalar(float(cap))
+            for nu in (0.2 * load, 0.8 * load):
+                assert direct.solve_cap(nu) == profile.solve_cap(nu)
 
     def test_chunked_carried_matches_unchunked(self, monkeypatch):
         from repro.network import equilibrium

@@ -32,7 +32,6 @@ from repro.network.equilibrium import (
     cached_class_cap,
     common_cap_profile,
     default_class_cap_cache,
-    default_equilibrium_cache,
     solve_rate_equilibrium,
 )
 from repro.network.provider import ContentProvider, Population
@@ -256,13 +255,11 @@ class TestCapDefinedBatch:
         population = random_population(PopulationSpec(count=30), seed=4)
         load = population.unconstrained_per_capita_load
         nus = (0.1 * load, 0.5 * load, 1.5 * load)
-        equilibria = default_equilibrium_cache()
         class_caps = default_class_cap_cache()
-        cold = warm_equilibrium_cache(population, nus, rows=False)
-        assert len(equilibria) == 0
+        cold = warm_equilibrium_cache(population, nus)
         assert len(class_caps) == len(nus)
         hits = class_caps.hits
-        warm = warm_equilibrium_cache(population, nus, rows=False)
+        warm = warm_equilibrium_cache(population, nus)
         assert class_caps.hits == hits + len(nus)
         np.testing.assert_array_equal(warm.common_caps, cold.common_caps)
         assert warm.aggregate_rates.tolist() == cold.aggregate_rates.tolist()

@@ -123,9 +123,9 @@ class TestConcurrentAccess:
         stats = cache.stats()
         assert stats == {"size": 2, "maxsize": 2, "hits": 3, "misses": 1,
                          "hit_rate": 0.75, "current_bytes": 0,
-                         "max_bytes": None, "ttl_seconds": None,
+                         "max_bytes": None,
                          "evictions_maxsize": 1, "evictions_bytes": 0,
-                         "expirations": 0, "rejected_oversize": 0}
+                         "rejected_oversize": 0}
 
     def test_maxsize_zero_still_disables_caching(self):
         cache = LRUCache(maxsize=0)

@@ -1,10 +1,9 @@
-"""Cache memory-pressure policy: byte budgets, TTL expiry, counters.
+"""Cache memory-pressure policy: byte budgets and counters.
 
 Pins the eviction layer added for the long-lived service: approximate
-entry sizing, the ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_TTL_SECONDS``
-environment knobs, lazy TTL expiry (an expired entry is recomputed, never
-served), the maxsize/byte-budget interaction, and the eviction counters
-surfaced through ``stats()`` / ``all_cache_stats()`` / ``GET /stats``.
+entry sizing, the ``REPRO_CACHE_MAX_BYTES`` environment knob, the
+maxsize/byte-budget interaction, and the eviction counters surfaced
+through ``stats()`` / ``all_cache_stats()`` / ``GET /stats``.
 """
 
 from __future__ import annotations
@@ -16,22 +15,10 @@ import pytest
 
 from repro.cache import (
     MAX_BYTES_ENV_VAR,
-    TTL_ENV_VAR,
     LRUCache,
     approx_size,
     all_cache_stats,
 )
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 def sized_cache(**kwargs):
@@ -94,64 +81,11 @@ class TestByteBudget:
         assert len(cache) <= 2
 
 
-class TestTTL:
-    def test_expired_entry_is_recomputed_not_served(self):
-        clock = FakeClock()
-        cache = LRUCache(maxsize=8, ttl_seconds=10.0, clock=clock)
-        calls = []
-
-        def compute():
-            calls.append(clock())
-            return f"value@{clock()}"
-
-        assert cache.get_or_compute("k", compute) == "value@100.0"
-        clock.advance(5.0)
-        assert cache.get_or_compute("k", compute) == "value@100.0"  # hit
-        clock.advance(6.0)  # 11s since insert: expired
-        assert cache.get_or_compute("k", compute) == "value@111.0"
-        assert len(calls) == 2  # recomputed exactly once
-        stats = cache.stats()
-        assert stats["expirations"] == 1
-        assert stats["hits"] == 1 and stats["misses"] == 2
-
-    def test_get_and_contains_treat_expiry_as_miss(self):
-        clock = FakeClock()
-        cache = LRUCache(maxsize=8, ttl_seconds=1.0, clock=clock)
-        cache.put("k", "v")
-        assert "k" in cache
-        clock.advance(2.0)
-        assert "k" not in cache
-        cache.put("k2", "v2")
-        clock.advance(2.0)
-        assert cache.get("k2") is None
-        assert cache.stats()["expirations"] == 2
-
-    def test_per_entry_ttl_overrides_cache_default(self):
-        clock = FakeClock()
-        cache = LRUCache(maxsize=8, ttl_seconds=100.0, clock=clock)
-        cache.put("short", 1, ttl=1.0)
-        cache.put("long", 2)
-        clock.advance(5.0)
-        assert cache.get("short") is None
-        assert cache.get("long") == 2
-
-    def test_reinsert_refreshes_expiry(self):
-        clock = FakeClock()
-        cache = LRUCache(maxsize=8, ttl_seconds=10.0, clock=clock)
-        cache.put("k", 1)
-        clock.advance(8.0)
-        cache.put("k", 2)  # fresh insert, fresh expiry
-        clock.advance(8.0)
-        assert cache.get("k") == 2
-
-
 class TestEnvConfiguration:
-    def test_named_cache_reads_env_budget_and_ttl(self, monkeypatch):
+    def test_named_cache_reads_env_budget(self, monkeypatch):
         monkeypatch.setenv(MAX_BYTES_ENV_VAR, "4096")
-        monkeypatch.setenv(TTL_ENV_VAR, "7.5")
         cache = LRUCache(maxsize=4, name="policy-env-test")
         assert cache.max_bytes == 4096
-        assert cache.ttl_seconds == 7.5
 
     def test_unnamed_cache_ignores_env(self, monkeypatch):
         monkeypatch.setenv(MAX_BYTES_ENV_VAR, "4096")
@@ -175,7 +109,7 @@ class TestEnvConfiguration:
         with pytest.raises(ValueError):
             LRUCache(max_bytes=0)
         with pytest.raises(ValueError):
-            LRUCache(ttl_seconds=-1.0)
+            LRUCache(maxsize=-1)
 
 
 class TestApproxSize:
@@ -189,7 +123,7 @@ class TestApproxSize:
         assert approx_size(arrays) >= 3000 * 8
 
     def test_population_inside_a_value_is_a_cheap_reference(self):
-        # Thousands of cached equilibria share one resident population;
+        # Thousands of cached outcomes share one resident population;
         # charging each entry for its columns would evict everything.
         from repro.workloads.populations import paper_population
 
@@ -209,11 +143,10 @@ class TestApproxSize:
 class TestRegisteredCacheStats:
     def test_all_cache_stats_carries_eviction_counters(self):
         stats = all_cache_stats()
-        assert "equilibria" in stats
+        assert "class_caps" in stats
         for entry in stats.values():
             for key in ("evictions_maxsize", "evictions_bytes",
-                        "expirations", "rejected_oversize",
-                        "current_bytes", "max_bytes", "ttl_seconds"):
+                        "rejected_oversize", "current_bytes", "max_bytes"):
                 assert key in entry
 
     def test_server_stats_surface_the_new_counters(self):
@@ -230,7 +163,7 @@ class TestRegisteredCacheStats:
                 await serve_task
 
         payload = asyncio.run(scenario())
-        equilibria = payload["caches"]["equilibria"]
-        assert "evictions_bytes" in equilibria
-        assert "expirations" in equilibria
+        class_caps = payload["caches"]["class_caps"]
+        assert "evictions_bytes" in class_caps
+        assert "rejected_oversize" in class_caps
         assert "idle_timeouts" in payload["server"]

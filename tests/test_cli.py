@@ -149,25 +149,27 @@ class TestCacheStats:
     def test_cache_stats_command_lists_solver_caches(self, capsys):
         assert main(["cache-stats"]) == 0
         output = capsys.readouterr().out
-        for name in ("equilibria", "class_caps", "maxmin_profiles",
-                     "partition_outcomes"):
+        for name in ("class_caps", "partition_outcomes"):
             assert name in output
         assert "hit_rate" in output
 
     def test_cache_stats_json_is_machine_readable(self, capsys):
         assert main(["cache-stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "equilibria" in payload
+        assert "class_caps" in payload
         assert {"size", "maxsize", "hits", "misses", "hit_rate"} \
-            <= set(payload["equilibria"])
+            <= set(payload["class_caps"])
+        # Class rows come from the caps: no equilibrium or profile caches.
+        assert "equilibria" not in payload
+        assert "maxmin_profiles" not in payload
 
     def test_run_cache_stats_flag_reports_solver_activity(self, capsys):
         clear_all_caches()
         assert main(["run", "THM4", "--scale", "smoke", "--cache-stats"]) == 0
         captured = capsys.readouterr()
         # The report goes to stdout, the counters to stderr.
-        assert "equilibria" in captured.err
-        assert "equilibria" not in captured.out
+        assert "class_caps" in captured.err
+        assert "class_caps" not in captured.out
 
     def test_reproduce_all_cache_stats_flag(self, tmp_path, capsys):
         assert main(["reproduce-all", "--scale", "smoke", "--only", "THM4",

@@ -8,6 +8,7 @@ is a finite real number, and cache keys never alias across configs.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -192,12 +193,15 @@ def test_bypass_policy_matches_shared_results(small_random_population):
 def test_bypass_policy_never_touches_registered_caches(
         small_random_population):
     from repro.cache import all_cache_stats
-    from repro.network.equilibrium import cached_subset_equilibrium
+    from repro.network.equilibrium import cached_class_cap
 
     config = SolverConfig(cache_policy="bypass")
     before = all_cache_stats()
-    cached_subset_equilibrium(small_random_population, None, 123.456,
-                              MaxMinFairAllocation(), config=config)
+    mask = np.zeros(len(small_random_population), dtype=bool)
+    mask[::2] = True
+    for members in (None, mask):
+        cached_class_cap(small_random_population, members, 123.456,
+                         MaxMinFairAllocation(), config=config)
     after = all_cache_stats()
     for name, entry in after.items():
         assert entry["size"] == before[name]["size"], name
