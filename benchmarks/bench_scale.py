@@ -8,9 +8,9 @@ For each population size it times
   the random draws — no per-CP objects);
 * one max-min + Eq-(3) rate equilibrium solve (the Theorem-1 cap solver
   over the sorted-``theta_hat`` prefix profile) at a mid-load capacity;
-* a capacity-grid ``solve_caps`` pass (the batched kernel behind the
-  sweep layer), which solves one point at a time, so its memory is flat
-  in the grid size.
+* a capacity-grid ``solve_caps`` pass (the grid solve behind the sweep
+  layer), which runs the scalar cap solver once per point, so its memory
+  is flat in the grid size.
 
 Per-size wall times and peak RSS are recorded into ``BENCH_summary.json``
 under the ``scale`` key, so the scaling curve is tracked PR over PR next to

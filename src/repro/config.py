@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 import numbers
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import ModelValidationError
 
@@ -137,13 +138,16 @@ def default_config() -> SolverConfig:
 # The runner executes registry experiment functions whose signatures don't
 # take a config; ``use_config`` installs one for the duration of a run so
 # every game/solver constructed inside inherits it via ``resolve_config``.
+# A context variable keeps the ambient config private to the thread (or
+# asyncio task) that installed it.
 
-_ACTIVE: List[SolverConfig] = []
+_ACTIVE: ContextVar[Optional[SolverConfig]] = ContextVar(
+    "repro_active_config", default=None)
 
 
 def active_config() -> Optional[SolverConfig]:
-    """The innermost :func:`use_config` config, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    """The innermost :func:`use_config` config of this context, or ``None``."""
+    return _ACTIVE.get()
 
 
 def resolve_config(config: Optional[SolverConfig]) -> SolverConfig:
@@ -158,9 +162,14 @@ def resolve_config(config: Optional[SolverConfig]) -> SolverConfig:
 
 @contextmanager
 def use_config(config: SolverConfig) -> Iterator[SolverConfig]:
-    """Install ``config`` as the ambient solver config for a ``with`` block."""
-    _ACTIVE.append(config)
+    """Install ``config`` as the ambient solver config for a ``with`` block.
+
+    The config is ambient only in the calling thread or asyncio task: other
+    threads never see it, and a thread started inside the block does not
+    inherit it (pass ``config=`` explicitly there).
+    """
+    token = _ACTIVE.set(config)
     try:
         yield config
     finally:
-        _ACTIVE.pop()
+        _ACTIVE.reset(token)

@@ -135,30 +135,18 @@ class CommonCapAllocation(RateAllocationMechanism):
     """Mechanisms whose allocation is ``theta_i = min(theta_hat_i, g_i(cap))``.
 
     ``g_i`` must be continuous and non-decreasing in the scalar ``cap`` and
-    independent of the demand profile; the mechanism then finds the smallest
-    cap at which the carried load reaches ``min(nu, offered load)``.  The
-    max-min fair, weighted-fair and proportional-to-demand mechanisms are all
-    of this form, which also gives the rate-equilibrium solver a fast exact
-    path (see :mod:`repro.network.equilibrium`).
+    independent of the demand profile; for a fixed demand profile
+    :meth:`allocate` finds the smallest cap at which the carried load
+    reaches ``min(nu, offered load)``.  The max-min fair, weighted-fair and
+    proportional-to-demand mechanisms are all of this form.  The
+    rate-equilibrium solver finds the equilibrium cap of any such mechanism
+    from scalar :meth:`theta_at_cap` evaluations (see
+    :mod:`repro.network.equilibrium`).
     """
 
     @abstractmethod
     def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
         """Throughput profile at scalar cap level ``cap >= 0``."""
-
-    def theta_at_caps(self, population: Population,
-                      caps: np.ndarray) -> np.ndarray:
-        """Throughput profiles at a *vector* of cap levels, shape ``(G, n)``.
-
-        The batched equilibrium engine bisects a whole grid of caps at once;
-        the default stacks scalar :meth:`theta_at_cap` calls, and the shipped
-        cap-parameterised mechanisms override it with one broadcast.
-        """
-        caps = np.asarray(caps, dtype=float)
-        if len(caps) == 0:
-            return np.empty((0, len(population)))
-        return np.stack([self.theta_at_cap(population, float(cap))
-                         for cap in caps])
 
     def cap_upper_bound(self, population: Population) -> float:
         """A cap value at which every provider reaches ``theta_hat``."""
@@ -208,12 +196,6 @@ class MaxMinFairAllocation(CommonCapAllocation):
     def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
         return np.minimum(population.theta_hats, cap)
 
-    def theta_at_caps(self, population: Population,
-                      caps: np.ndarray) -> np.ndarray:
-        caps = np.asarray(caps, dtype=float)
-        return np.minimum(population.theta_hats[np.newaxis, :],
-                          caps[:, np.newaxis])
-
     def cache_key(self) -> tuple[Any, ...]:
         return ("MaxMinFairAllocation",)
 
@@ -253,12 +235,6 @@ class WeightedFairAllocation(CommonCapAllocation):
         return np.minimum(population.theta_hats,
                           self._weight_vector(population) * cap)
 
-    def theta_at_caps(self, population: Population,
-                      caps: np.ndarray) -> np.ndarray:
-        caps = np.asarray(caps, dtype=float)
-        weighted = self._weight_vector(population)[np.newaxis, :] * caps[:, np.newaxis]
-        return np.minimum(population.theta_hats[np.newaxis, :], weighted)
-
     def cache_key(self) -> tuple[Any, ...]:
         return ("WeightedFairAllocation",
                 tuple(sorted(self.weights.items())), self.default_weight)
@@ -283,15 +259,6 @@ class ProportionalToDemandAllocation(CommonCapAllocation):
         theta_max = float(np.max(population.theta_hats))
         omega = min(1.0, cap / theta_max) if theta_max > 0 else 0.0
         return omega * population.theta_hats
-
-    def theta_at_caps(self, population: Population,
-                      caps: np.ndarray) -> np.ndarray:
-        caps = np.asarray(caps, dtype=float)
-        theta_max = float(np.max(population.theta_hats))
-        if theta_max <= 0.0:
-            return np.zeros((len(caps), len(population)))
-        omegas = np.minimum(1.0, caps / theta_max)
-        return omegas[:, np.newaxis] * population.theta_hats[np.newaxis, :]
 
     def cache_key(self) -> tuple[Any, ...]:
         return ("ProportionalToDemandAllocation",)

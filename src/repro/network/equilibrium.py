@@ -12,14 +12,14 @@ Two solution paths are provided:
 * an exact path for :class:`~repro.network.allocation.CommonCapAllocation`
   mechanisms (including the paper's max-min fair mechanism): the equilibrium
   is characterised by a scalar throughput cap, the root of the
-  work-conservation equation of Axiom 2.  For the paper's workload (max-min
-  fairness with Equation-(3) demand) a bracketed Illinois secant finds the
-  root from about ten scalar carried-load evaluations
-  (:meth:`ExponentialMaxMinProfile.solve_cap`), and a capacity grid
-  (:func:`solve_common_caps`) runs that same solver once per point, so the
-  batched engine of :mod:`repro.simulation.batch` and the scalar path agree
-  bit-for-bit; other cap mechanisms solve a grid by one vectorised
-  multi-target bisection;
+  work-conservation equation of Axiom 2.  One bracketed Illinois secant
+  (:meth:`CommonCapProfile.solve_cap`) finds that root for every such
+  mechanism from a per-profile scalar carried-load evaluation; for the
+  paper's workload (max-min fairness with Equation-(3) demand) that
+  evaluation is a sorted-prefix lookup plus a tail pass and the root takes
+  about ten of them.  A capacity grid (:func:`solve_common_caps`) runs the
+  same solver once per point, so the batched engine of
+  :mod:`repro.simulation.batch` and the scalar path agree bit-for-bit;
 * a generic damped fixed-point iteration for arbitrary mechanisms.
 """
 
@@ -79,11 +79,6 @@ _UNCONGESTED_SLACK = 1e-15
 #: Slack on the congestion predicate ``nu < unconstrained_load`` exposed by
 #: :attr:`RateEquilibrium.is_congested`.
 _CONGESTION_SLACK = 1e-12
-#: Working-set bound (elements) of one vectorised ``carried`` evaluation of
-#: :class:`GenericCapProfile`.  Above it the grid is evaluated in cap-chunks
-#: so peak memory stays flat in the grid size.  Chunking changes only the
-#: grouping of the per-cap sums, never a grid entry's own arithmetic.
-_CARRIED_BATCH_ELEMENTS = 1 << 22
 #: Caps below this fraction of the largest ``theta_hat`` take the
 #: overflow-safe exponential tail pass.  There ``theta_hat / cap`` may
 #: overflow to ``inf``, and a ``beta = 0`` column would then give
@@ -219,9 +214,10 @@ class CommonCapProfile:
     For a cap-parameterised mechanism the equilibrium cap at per-capita
     capacity ``nu`` solves ``carried(cap) = min(nu, unconstrained_load)``
     where ``carried`` is continuous and non-decreasing (Assumption 1).
-    Subclasses provide :meth:`carried` and the single-target solver
-    :meth:`solve_cap`; :meth:`solve_caps` solves a grid point by point with
-    it, so every grid entry is bit-identical to its single-point solve.
+    Subclasses provide the fields below and :meth:`carried_scalar`;
+    :meth:`solve_cap` is the one root finder for every mechanism, and
+    :meth:`solve_caps` runs it once per grid point, so every grid entry is
+    bit-identical to its single-point solve.
     """
 
     #: Number of providers covered by the profile.
@@ -231,27 +227,87 @@ class CommonCapProfile:
     #: ``sum_i alpha_i theta_hat_i`` for the covered providers.
     unconstrained_load: float = 0.0
 
-    def carried(self, caps: np.ndarray) -> np.ndarray:
-        """Per-capita carried load at each cap in a 1-D vector."""
+    def carried_scalar(self, cap: float) -> float:
+        """Per-capita carried load at one cap ``> 0``."""
         raise NotImplementedError
 
     def carried_at_upper(self) -> float:
         """Carried load at the saturation cap, computed once per profile."""
         cached = getattr(self, "_carried_at_upper", None)
         if cached is None:
-            cached = float(self.carried(np.array([self.upper]))[0])
+            cached = self.carried_scalar(self.upper)
             self._carried_at_upper = cached
         return cached
 
     def solve_cap(self, nu: float,
                   residual_tolerance: float = _RESIDUAL_TOLERANCE) -> float:
-        """Equilibrium cap at a single per-capita capacity.
+        """Equilibrium cap at one capacity, by a bracketed Illinois secant.
 
         ``0.0`` for ``nu <= 0``, ``+inf`` when ``nu`` is uncongested (or the
-        profile is empty), and the root of the work-conservation equation
-        otherwise.
+        profile is empty), and the root of ``carried(cap) = target``
+        otherwise.  The root stays bracketed in ``[low, high]``, starting
+        from ``[0, upper]`` whose residuals ``-target`` and
+        ``carried_at_upper() - target`` need no new evaluation.  Each step
+        evaluates the secant (regula falsi) point of the bracket; when the
+        same endpoint survives two steps in a row its residual is halved —
+        the Illinois modification (Dowell & Jarratt, BIT 1971), which makes
+        the iteration converge superlinearly.  A bisection step replaces the
+        secant point whenever that point is not strictly inside the
+        bracket, or the bracket is wider than a budget that allows
+        ``_SECANT_GRACE_STEPS`` free steps and then one halving per two
+        steps; the worst case thus stays within about twice the step count
+        of plain bisection.  (A budget rather than a sliding two-step
+        window: the secant approaches the root from one side before the
+        bracket collapses, and a window forced bisections into that
+        approach, undoing the Illinois halvings.)
+
+        The iteration exits when ``|carried(cap) - target|`` falls to
+        ``residual_tolerance * target`` (relative: a fixed absolute bound
+        would accept any tiny cap for a tiny target), when the bracket is
+        narrower than ``_CAP_WIDTH_TOLERANCE * max(1, upper)``, or after
+        ``_BISECTION_ITERATIONS`` steps.  The result depends only on the
+        profile and the arguments: it is never warm-started from an earlier
+        cap, so cached caps do not depend on the order they were computed in.
         """
-        raise NotImplementedError
+        if self.size == 0:
+            return math.inf
+        if nu <= 0.0:
+            return 0.0
+        target = min(nu, self.unconstrained_load)
+        if (nu >= self.unconstrained_load - _UNCONGESTED_SLACK
+                or self.carried_at_upper() <= target + _UNCONGESTED_SLACK):
+            return math.inf
+        residual_tol = residual_tolerance * target
+        width_tol = _CAP_WIDTH_TOLERANCE * max(1.0, self.upper)
+        low, high = 0.0, self.upper
+        low_residual = -target
+        high_residual = self.carried_at_upper() - target
+        # Widest bracket allowed at this step: ``upper`` after the grace
+        # steps, then halved every two steps.
+        allowed_width = self.upper * 2.0 ** (0.5 * _SECANT_GRACE_STEPS)
+        moved = 0  # the endpoint the last step moved: -1 low, +1 high
+        for _ in range(_BISECTION_ITERATIONS):
+            width = high - low
+            cap = low - low_residual * width / (high_residual - low_residual)
+            if not low < cap < high or width > allowed_width:
+                cap = 0.5 * (low + high)
+            allowed_width *= _SQRT_HALF
+            residual = self.carried_scalar(cap) - target
+            if abs(residual) <= residual_tol:
+                return cap
+            if residual < 0.0:
+                low, low_residual = cap, residual
+                if moved < 0:
+                    high_residual *= 0.5
+                moved = -1
+            else:
+                high, high_residual = cap, residual
+                if moved > 0:
+                    low_residual *= 0.5
+                moved = 1
+            if high - low <= width_tol:
+                return high
+        return high
 
     def solve_caps(self, nus: np.ndarray,
                    residual_tolerance: float = _RESIDUAL_TOLERANCE
@@ -260,7 +316,7 @@ class CommonCapProfile:
 
         One :meth:`solve_cap` per entry of ``nus``: a grid entry never
         depends on the rest of the grid, so batched and scalar solves agree
-        bit for bit by construction.
+        bit for bit by construction, and memory stays flat in the grid size.
         """
         nus = np.asarray(nus, dtype=float)
         return np.array([self.solve_cap(nu, residual_tolerance)
@@ -270,101 +326,23 @@ class CommonCapProfile:
 class GenericCapProfile(CommonCapProfile):
     """Profile for any :class:`CommonCapAllocation` over a full population.
 
-    Its carried load has no scalar shortcut (each evaluation recomputes the
-    mechanism's throughput profile), so grids keep a vectorised
-    multi-target bisection that shares every ``carried`` call across all
-    grid points; a single point is solved as a one-element grid.
+    Its carried load has no sorted-prefix shortcut: each evaluation
+    recomputes the mechanism's throughput profile at the cap and the
+    demands there, one ``O(n)`` pass.
     """
 
     def __init__(self, population: Population,
                  mechanism: CommonCapAllocation) -> None:
         self._population = population
         self._mechanism = mechanism
-        self._alphas = population.alphas
         self.size = len(population)
         self.upper = mechanism.cap_upper_bound(population)
         self.unconstrained_load = population.unconstrained_per_capita_load
 
-    def carried(self, caps: np.ndarray) -> np.ndarray:
-        caps = np.asarray(caps, dtype=float)
-        thetas = self._mechanism.theta_at_caps(self._population, caps)
+    def carried_scalar(self, cap: float) -> float:
+        thetas = self._mechanism.theta_at_cap(self._population, cap)
         demands = self._population.demands_at(thetas)
-        return np.sum(self._alphas * demands * thetas, axis=-1)
-
-    def _carried_bounded(self, caps: np.ndarray) -> np.ndarray:
-        """``carried`` with the working set bounded for huge populations.
-
-        One evaluation touches ``len(caps) * size`` elements; past
-        :data:`_CARRIED_BATCH_ELEMENTS` the caps are processed in chunks so
-        a large population can bisect arbitrarily large capacity grids in
-        flat memory.
-        """
-        count = len(caps)
-        if self.size and count > 1 and count * self.size > _CARRIED_BATCH_ELEMENTS:
-            chunk = max(1, _CARRIED_BATCH_ELEMENTS // self.size)
-            return np.concatenate([self.carried(caps[start:start + chunk])
-                                   for start in range(0, count, chunk)])
-        return self.carried(caps)
-
-    def solve_cap(self, nu: float,
-                  residual_tolerance: float = _RESIDUAL_TOLERANCE) -> float:
-        return float(self.solve_caps(np.array([nu]), residual_tolerance)[0])
-
-    def solve_caps(self, nus: np.ndarray,
-                   residual_tolerance: float = _RESIDUAL_TOLERANCE
-                   ) -> np.ndarray:
-        """Vectorised multi-target bisection over the whole grid.
-
-        All grid points share each bisection iteration (one vectorised
-        ``carried`` evaluation); a point drops out early once its
-        carried-load residual — not merely the bracket width — falls below
-        tolerance.  The grid points never interact, so an entry equals the
-        one-element solve of its capacity.
-        """
-        nus = np.asarray(nus, dtype=float)
-        caps = np.full(nus.shape, np.inf)
-        if self.size == 0:
-            return caps
-        targets = np.minimum(nus, self.unconstrained_load)
-        zero = nus <= 0.0
-        caps[zero] = 0.0
-        carried_at_upper = self.carried_at_upper()
-        uncongested = (~zero) & (
-            (nus >= self.unconstrained_load - _UNCONGESTED_SLACK)
-            | (carried_at_upper <= targets + _UNCONGESTED_SLACK))
-        active = np.nonzero(~zero & ~uncongested)[0]
-        if len(active) == 0:
-            return caps
-        count = len(active)
-        low = np.zeros(count)
-        high = np.full(count, self.upper)
-        target = targets[active]
-        residual_tol = residual_tolerance * np.maximum(1.0, target)
-        width_tol = _CAP_WIDTH_TOLERANCE * max(1.0, self.upper)
-        result = np.empty(count)
-        done = np.zeros(count, dtype=bool)
-        for _ in range(_BISECTION_ITERATIONS):
-            open_indices = np.nonzero(~done)[0]
-            if len(open_indices) == 0:
-                break
-            mid = 0.5 * (low[open_indices] + high[open_indices])
-            value = self._carried_bounded(mid)
-            hit = np.abs(value - target[open_indices]) <= residual_tol[open_indices]
-            hit_indices = open_indices[hit]
-            result[hit_indices] = mid[hit]
-            done[hit_indices] = True
-            rest = open_indices[~hit]
-            mid_rest = mid[~hit]
-            below = value[~hit] < target[rest]
-            low[rest[below]] = mid_rest[below]
-            high[rest[~below]] = mid_rest[~below]
-            narrow = (high[rest] - low[rest]) <= width_tol
-            narrow_indices = rest[narrow]
-            result[narrow_indices] = high[narrow_indices]
-            done[narrow_indices] = True
-        result[~done] = high[~done]
-        caps[active] = result
-        return caps
+        return float(np.sum(self._population.alphas * demands * thetas))
 
 
 class ExponentialMaxMinProfile(CommonCapProfile):
@@ -531,73 +509,9 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         return np.array([self.carried_scalar(cap) for cap in caps.tolist()],
                         dtype=float)
 
-    def solve_cap(self, nu: float,
-                  residual_tolerance: float = _RESIDUAL_TOLERANCE) -> float:
-        """Equilibrium cap at one capacity, by a bracketed Illinois secant.
-
-        The root of ``carried(cap) = target`` stays bracketed in
-        ``[low, high]``, starting from ``[0, upper]`` whose residuals
-        ``-target`` and ``unconstrained_load - target`` need no evaluation.
-        Each step evaluates the secant (regula falsi) point of the bracket;
-        when the same endpoint survives two steps in a row its residual is
-        halved — the Illinois modification (Dowell & Jarratt, BIT 1971),
-        which makes the iteration converge superlinearly.  A bisection step
-        replaces the secant point whenever that point is not strictly
-        inside the bracket, or the bracket is wider than a budget that
-        allows ``_SECANT_GRACE_STEPS`` free steps and then one halving per
-        two steps; the worst case thus stays within about twice the step
-        count of plain bisection.  (A budget rather than a sliding
-        two-step window: the secant approaches the root from one side
-        before the bracket collapses, and a window forced bisections into
-        that approach, undoing the Illinois halvings.)
-
-        The iteration exits when ``|carried(cap) - target|`` falls to
-        ``residual_tolerance * target`` (relative: a fixed absolute bound
-        would accept any tiny cap for a tiny target), when the bracket is
-        narrower than ``_CAP_WIDTH_TOLERANCE * max(1, upper)``, or after
-        ``_BISECTION_ITERATIONS`` steps.  The result depends only on the
-        profile and the arguments: it is never warm-started from an earlier
-        cap, so cached caps do not depend on the order they were computed in.
-        """
-        if self.size == 0:
-            return math.inf
-        if nu <= 0.0:
-            return 0.0
-        target = min(nu, self.unconstrained_load)
-        if (nu >= self.unconstrained_load - _UNCONGESTED_SLACK
-                or self.carried_at_upper() <= target + _UNCONGESTED_SLACK):
-            return math.inf
-        residual_tol = residual_tolerance * target
-        width_tol = _CAP_WIDTH_TOLERANCE * max(1.0, self.upper)
-        low, high = 0.0, self.upper
-        low_residual = -target
-        high_residual = self.carried_at_upper() - target
-        # Widest bracket allowed at this step: ``upper`` after the grace
-        # steps, then halved every two steps.
-        allowed_width = self.upper * 2.0 ** (0.5 * _SECANT_GRACE_STEPS)
-        moved = 0  # the endpoint the last step moved: -1 low, +1 high
-        for _ in range(_BISECTION_ITERATIONS):
-            width = high - low
-            cap = low - low_residual * width / (high_residual - low_residual)
-            if not low < cap < high or width > allowed_width:
-                cap = 0.5 * (low + high)
-            allowed_width *= _SQRT_HALF
-            residual = self.carried_scalar(cap) - target
-            if abs(residual) <= residual_tol:
-                return cap
-            if residual < 0.0:
-                low, low_residual = cap, residual
-                if moved < 0:
-                    high_residual *= 0.5
-                moved = -1
-            else:
-                high, high_residual = cap, residual
-                if moved > 0:
-                    low_residual *= 0.5
-                moved = 1
-            if high - low <= width_tol:
-                return high
-        return high
+    # Looked up in this class's own namespace, so it can be wrapped here
+    # without touching the generic profiles.
+    solve_cap = CommonCapProfile.solve_cap
 
 
 def common_cap_profile(population: Population,
@@ -653,7 +567,7 @@ def common_cap_row(population: Population, mechanism: CommonCapAllocation,
         return np.zeros(0), np.zeros(0)
     if not math.isfinite(cap):
         cap = mechanism.cap_upper_bound(population)
-    thetas = mechanism.theta_at_caps(population, np.array([cap]))[0]
+    thetas = mechanism.theta_at_cap(population, cap)
     return thetas, population.demands_at(thetas)
 
 

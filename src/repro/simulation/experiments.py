@@ -131,7 +131,7 @@ def figure3_maxmin_throughput(capacities: Optional[Sequence[float]] = None,
     throughput_panel = SweepResult(title="Per-user throughput theta_i vs capacity")
     demand_panel = SweepResult(title="Demand d_i vs capacity")
     rate_panel = SweepResult(title="Per capita rate alpha_i d_i theta_i vs capacity")
-    # The whole capacity grid is one vectorised multi-target solve.
+    # The whole capacity grid is one batched solve (one cap per point).
     batch = solve_rate_equilibria(population, nu_grid, mechanism)
     per_capita_rates = batch.per_capita_rates
     capacity_axis = tuple(float(c) for c in capacities)

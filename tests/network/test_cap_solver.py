@@ -1,13 +1,14 @@
 """The Theorem-1 cap solver against an independent oracle.
 
-``ExponentialMaxMinProfile.solve_cap`` finds the root of the carried-load
-function with a bracketed Illinois secant.  These tests check it against a
-plain sign-only bisection written here (it shares nothing with the solver
-but ``carried_scalar``), check the solver's own exit conditions from the
-outside, bound its evaluation count, and check that grids and threads do
-not change a single bit of its answers.  The carried-load pass itself is
-checked at the degenerate caps: empty profiles, caps ``<= 0`` and
-subnormal caps.
+``CommonCapProfile.solve_cap`` finds the root of the carried-load function
+with a bracketed Illinois secant, for the sorted-prefix max-min profile and
+for the generic profile of every other cap mechanism alike.  These tests
+check it against a plain sign-only bisection written here (it shares
+nothing with the solver but ``carried_scalar``), check the solver's own
+exit conditions from the outside, bound its evaluation count, and check
+that grids and threads do not change a single bit of its answers.  The
+carried-load pass itself is checked at the degenerate caps: empty
+profiles, caps ``<= 0`` and subnormal caps.
 """
 
 from __future__ import annotations
@@ -20,7 +21,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.network.equilibrium import ExponentialMaxMinProfile
+from repro.network.allocation import (
+    CommonCapAllocation,
+    MaxMinFairAllocation,
+    ProportionalToDemandAllocation,
+    WeightedFairAllocation,
+)
+from repro.network.demand import LinearDemand, SigmoidDemand, StepDemand
+from repro.network.equilibrium import (
+    CommonCapProfile,
+    ExponentialMaxMinProfile,
+    GenericCapProfile,
+    common_cap_profile,
+)
+from repro.network.provider import ContentProvider, Population
 from repro.workloads.populations import paper_population
 
 #: The solver's documented exits (``_RESIDUAL_TOLERANCE`` and
@@ -33,7 +47,7 @@ AGREEMENT = 1e-10
 MAX_EVALUATIONS = 60
 
 
-def oracle_cap(profile: ExponentialMaxMinProfile, target: float) -> float:
+def oracle_cap(profile: CommonCapProfile, target: float) -> float:
     """Root of ``carried(cap) = target`` by bisection to ``1e-15 * upper``."""
     low, high = 0.0, profile.upper
     while high - low > 1e-15 * profile.upper:
@@ -47,7 +61,7 @@ def oracle_cap(profile: ExponentialMaxMinProfile, target: float) -> float:
     return 0.5 * (low + high)
 
 
-def counted_solve(profile: ExponentialMaxMinProfile,
+def counted_solve(profile: CommonCapProfile,
                   nu: float) -> tuple[float, int]:
     """``profile.solve_cap(nu)`` and the number of carried evaluations."""
     calls = []
@@ -60,7 +74,7 @@ def counted_solve(profile: ExponentialMaxMinProfile,
     return cap, len(calls)
 
 
-def check_against_oracle(profile: ExponentialMaxMinProfile,
+def check_against_oracle(profile: CommonCapProfile,
                          nu: float) -> None:
     cap, evaluations = counted_solve(profile, nu)
     assert evaluations <= MAX_EVALUATIONS
@@ -124,6 +138,50 @@ def paper_profile() -> ExponentialMaxMinProfile:
 def test_paper_population_matches_oracle(paper_profile, fraction):
     check_against_oracle(paper_profile,
                          fraction * paper_profile.unconstrained_load)
+
+
+def mixed_family_population(count: int = 60) -> Population:
+    """Equation-(3), linear, step and sigmoid demand in turn: max-min over
+    it has no sorted-prefix profile."""
+    rng = np.random.default_rng(5)
+    providers = []
+    for index in range(count):
+        theta_hat = float(rng.uniform(0.2, 5.0))
+        beta = float(rng.uniform(0.0, 5.0))
+        demand = (None,
+                  LinearDemand(theta_hat, floor=0.2),
+                  StepDemand(theta_hat, threshold=0.6, width=0.1),
+                  SigmoidDemand(theta_hat, midpoint=0.4, steepness=8.0),
+                  )[index % 4]
+        providers.append(ContentProvider(
+            f"mixed-{index}", alpha=float(rng.uniform(0.1, 1.0)),
+            theta_hat=theta_hat, beta=beta if demand is None else 0.0,
+            revenue_rate=0.5, utility_rate=1.0, demand=demand))
+    return Population(providers)
+
+
+@pytest.fixture(scope="module",
+                params=["proportional", "weighted", "maxmin-mixed"])
+def generic_profile(request) -> CommonCapProfile:
+    population = paper_population(count=200)
+    if request.param == "proportional":
+        mechanism: CommonCapAllocation = ProportionalToDemandAllocation()
+    elif request.param == "weighted":
+        mechanism = WeightedFairAllocation(
+            {name: 1.0 + index % 5
+             for index, name in enumerate(population.names[::3])})
+    else:
+        population, mechanism = mixed_family_population(), MaxMinFairAllocation()
+    profile = common_cap_profile(population, mechanism)
+    assert type(profile) is GenericCapProfile
+    return profile
+
+
+@pytest.mark.parametrize("fraction", [1e-15, 1e-9, 1e-3, 0.05, 0.3, 0.7,
+                                      0.99, 0.999999])
+def test_generic_profiles_match_oracle(generic_profile, fraction):
+    check_against_oracle(generic_profile,
+                         fraction * generic_profile.unconstrained_load)
 
 
 def test_guards_spend_no_evaluation(paper_profile):

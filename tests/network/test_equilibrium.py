@@ -9,11 +9,13 @@ from repro.errors import ModelValidationError
 from repro.network.allocation import (
     AlphaFairAllocation,
     MaxMinFairAllocation,
+    ProportionalToDemandAllocation,
     StrictPriorityAllocation,
     WeightedFairAllocation,
 )
 from repro.network.equilibrium import solve_rate_equilibrium
 from repro.network.provider import Population
+from repro.workloads.populations import paper_population
 
 
 class TestBasicProperties:
@@ -188,6 +190,22 @@ class TestAlternativeMechanisms:
         equilibrium = solve_rate_equilibrium(two_provider_population, 1.0, mechanism)
         assert equilibrium.aggregate_rate == pytest.approx(1.0, rel=1e-6)
         assert equilibrium.mechanism_name == "WeightedFairAllocation"
+
+    @pytest.mark.parametrize("make_mechanism", [
+        lambda population: ProportionalToDemandAllocation(),
+        lambda population: WeightedFairAllocation(
+            {name: 2.0 for name in population.names[::2]}),
+    ], ids=["proportional-to-demand", "weighted-fair"])
+    @pytest.mark.parametrize("fraction", [1e-15, 1e-13, 1e-6, 0.3])
+    def test_work_conservation_at_tiny_capacity(self, make_mechanism,
+                                                fraction):
+        # Axiom 2: a congested equilibrium carries exactly nu, however
+        # small nu is relative to the load.
+        population = paper_population(count=200)
+        nu = fraction * population.unconstrained_per_capita_load
+        equilibrium = solve_rate_equilibrium(population, nu,
+                                             make_mechanism(population))
+        assert abs(equilibrium.aggregate_rate / nu - 1.0) <= 1e-9
 
     def test_strict_priority_equilibrium(self, two_provider_population):
         mechanism = StrictPriorityAllocation(priority_order=["elastic", "streaming"])

@@ -274,8 +274,8 @@ class TestEquilibriumCaches:
             def theta_at_cap(self, population, cap):
                 return np.minimum(population.theta_hats, cap)
 
-        # The generic (non-overridden) theta_at_caps path must also accept
-        # an empty grid.
+        # A mechanism that only defines theta_at_cap takes the generic
+        # profile, which must also accept an empty grid.
         batch = solve_rate_equilibria(population, (), PlainCap())
         assert batch.thetas.shape == (0, len(population))
 
@@ -418,14 +418,20 @@ class TestCapacityAxisBatching:
     @given(count=st.integers(min_value=1, max_value=40),
            seed=st.integers(min_value=0, max_value=10_000),
            fractions=st.lists(st.floats(min_value=0.0, max_value=2.0),
-                              min_size=2, max_size=8))
+                              min_size=2, max_size=8),
+           mechanism=st.sampled_from([
+               MaxMinFairAllocation(), ProportionalToDemandAllocation(),
+               WeightedFairAllocation({"cp-0001": 2.0, "cp-0003": 0.5})]))
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_property_grid_solve_matches_scalar(self, count, seed, fractions):
+    def test_property_grid_solve_matches_scalar(self, count, seed, fractions,
+                                                mechanism):
         from repro.network.equilibrium import common_cap_profile
 
         population = random_population(PopulationSpec(count=count), seed=seed)
-        profile = common_cap_profile(population, MaxMinFairAllocation())
+        # Max-min takes the sorted-prefix profile, the others the generic
+        # one; both run the same solver, once per grid point.
+        profile = common_cap_profile(population, mechanism)
         load = population.unconstrained_per_capita_load
         nus = np.array([fraction * load for fraction in fractions])
         grid = profile.solve_caps(nus)
@@ -495,22 +501,6 @@ class TestCapacityAxisBatching:
                     profile.carried_scalar(float(cap))
             for nu in (0.2 * load, 0.8 * load):
                 assert direct.solve_cap(nu) == profile.solve_cap(nu)
-
-    def test_chunked_carried_matches_unchunked(self, monkeypatch):
-        from repro.network import equilibrium
-
-        population = exponential_population()
-        # Only the generic profile evaluates whole grids at once (the
-        # sorted-prefix profile loops over its scalar kernel).
-        profile = equilibrium.GenericCapProfile(population,
-                                                MaxMinFairAllocation())
-        caps = np.linspace(0.0, 1.2 * profile.upper, 37)
-        unchunked = profile.carried(caps)
-        # Force the element bound low enough that every call chunks.
-        monkeypatch.setattr(equilibrium, "_CARRIED_BATCH_ELEMENTS",
-                            4 * len(population))
-        chunked = profile._carried_bounded(caps)
-        np.testing.assert_allclose(chunked, unchunked, rtol=0.0, atol=TOL)
 
     def test_capacity_sweep_warming_matches_per_point_outcomes(self):
         population = random_population(PopulationSpec(count=50), seed=9)

@@ -8,6 +8,8 @@ is a finite real number, and cache keys never alias across configs.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,31 @@ def test_resolve_config_prefers_explicit_then_ambient():
         assert active_config() is ambient
         assert resolve_config(None) is ambient
         assert resolve_config(explicit) is explicit
+    assert active_config() is None
+
+
+def test_ambient_config_is_private_to_its_thread():
+    first = SolverConfig(switching_tolerance=1e-8)
+    second = SolverConfig(switching_tolerance=1e-7)
+    both_inside = threading.Barrier(2)
+    both_resolved = threading.Barrier(2)
+    seen: dict[str, object] = {}
+
+    def run(name: str, config: SolverConfig) -> None:
+        with use_config(config):
+            both_inside.wait(timeout=10)
+            seen[name] = resolve_config(None)
+            both_resolved.wait(timeout=10)
+        seen[name + " after"] = active_config()
+
+    threads = [threading.Thread(target=run, args=("first", first)),
+               threading.Thread(target=run, args=("second", second))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert seen == {"first": first, "second": second,
+                    "first after": None, "second after": None}
     assert active_config() is None
 
 
