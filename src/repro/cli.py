@@ -146,8 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: 8787)")
     serve_parser.add_argument("--window-ms", type=float, default=2.0,
                               help="micro-batch window in milliseconds: "
-                                   "compatible requests arriving within it "
-                                   "are fused into one union-grid solve "
+                                   "the longest a request waits for "
+                                   "compatible companions to fuse into one "
+                                   "union-grid solve; a batch closes "
+                                   "earlier once every request the server "
+                                   "holds is waiting on a solve "
                                    "(default: 2.0)")
     serve_parser.add_argument("--naive", action="store_true",
                               help="disable batching and coalescing (one "

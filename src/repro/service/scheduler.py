@@ -1,6 +1,6 @@
 """Cross-request micro-batching and in-flight coalescing.
 
-The serving hot path: requests arriving within a short window that share a
+The serving hot path: requests arriving within one batch that share a
 ``(population fingerprint, mechanism key, config.cache_key())`` batch key
 are fused into **one** ``warm_equilibrium_cache`` call over the union of
 their nu-grids and fanned back out, so k concurrent what-if queries against
@@ -22,6 +22,18 @@ Solves run on a small thread-pool executor, never on the event loop: the
 loop keeps reading sockets (and filling the next batch window) while a
 solve runs.  That is why :class:`repro.cache.LRUCache` is lock-guarded
 — the executor threads and any concurrent batches share the caches.
+
+Batches close work-conservingly, the rule Nagle's algorithm (RFC 896)
+uses for small TCP segments: a batch is sent as soon as nothing else could
+join it.  The server tells the scheduler how many requests it holds
+(:meth:`MicroBatchScheduler.admit` once a request line is read,
+:meth:`~MicroBatchScheduler.release` once the response is written), and a
+request counts as *waiting* while it awaits a scheduler future — its own
+pending entry or a coalesced in-flight solve.  When every admitted request
+is waiting, every pending batch flushes at once (``idle_flushes``);
+otherwise the window is the longest a request waits for companions
+(``window_flushes``).  A caller that admits nothing — the scheduler used
+without a server — gets the window alone.
 
 Scheduling uses only the event loop's monotonic clock
 (``loop.call_later``); wall-clock time never enters the scheduler or any
@@ -50,8 +62,9 @@ from repro.simulation.batch import (
 __all__ = ["MicroBatchScheduler", "DEFAULT_WINDOW_SECONDS",
            "RETAINED_POINTS"]
 
-#: Default micro-batch window: long enough to fuse a concurrent burst,
-#: short enough to be invisible next to a cap solve.
+#: Default micro-batch window, the longest a request waits for companions:
+#: long enough to fuse a concurrent burst, short enough to be invisible
+#: next to a cap solve.
 DEFAULT_WINDOW_SECONDS = 0.002
 
 #: Total grid points of completed outcomes a scheduler keeps for repeated
@@ -77,6 +90,7 @@ class _PendingBatch:
     population: Population
     mechanism: Optional[RateAllocationMechanism]
     config: SolverConfig
+    timer: asyncio.TimerHandle
     entries: List[_PendingEntry] = field(default_factory=list)
 
 
@@ -103,7 +117,9 @@ class MicroBatchScheduler:
             max_workers=max_solver_threads,
             thread_name_prefix="repro-solver")
         self._pending: Dict[_BatchKey, _PendingBatch] = {}
-        self._timers: Dict[_BatchKey, asyncio.TimerHandle] = {}
+        # Requests the server holds, and those of them awaiting a future.
+        self._admitted = 0
+        self._waiting = 0
         self._inflight: Dict[_SolveKey, "asyncio.Future[_Outcome]"] = {}
         self._retained: "OrderedDict[_SolveKey, _Outcome]" = OrderedDict()
         self.retained_points = 0
@@ -119,6 +135,8 @@ class MicroBatchScheduler:
         self.engine_solves = 0
         self.errors = 0
         self.retained_hits = 0
+        self.idle_flushes = 0
+        self.window_flushes = 0
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -148,7 +166,7 @@ class MicroBatchScheduler:
         existing = self._inflight.get(solve_key)
         if existing is not None:
             self.coalesced += 1
-            batch, size = await _wait(existing)
+            batch, size = await self._wait(existing)
             return batch, size, True
         retained = self._retained.get(solve_key)
         if retained is not None:
@@ -163,14 +181,31 @@ class MicroBatchScheduler:
         future.add_done_callback(partial(self._settle, solve_key))
         pending = self._pending.get(batch_key)
         if pending is None:
-            pending = _PendingBatch(population=population,
-                                    mechanism=mechanism, config=config)
+            pending = _PendingBatch(
+                population=population, mechanism=mechanism, config=config,
+                timer=loop.call_later(self.window_seconds,
+                                      self._window_closed, batch_key))
             self._pending[batch_key] = pending
-            self._timers[batch_key] = loop.call_later(
-                self.window_seconds, self._start_flush, batch_key)
         pending.entries.append(_PendingEntry(nus=nus, future=future))
-        batch, size = await _wait(future)
+        batch, size = await self._wait(future)
         return batch, size, False
+
+    def admit(self) -> None:
+        """Count a request the server now holds (its request line is read).
+
+        Pair every call with one :meth:`release`.
+        """
+        self._admitted += 1
+
+    def release(self) -> None:
+        """Stop counting a request (its response is written, or it failed)."""
+        self._admitted -= 1
+        self._flush_if_idle()
+
+    @property
+    def admitted(self) -> int:
+        """Requests admitted and not yet released."""
+        return self._admitted
 
     def stats(self) -> Dict[str, Any]:
         """Scheduler counters for the ``/stats`` endpoint."""
@@ -191,14 +226,13 @@ class MicroBatchScheduler:
             "errors": self.errors,
             "retained_hits": self.retained_hits,
             "retained_points": self.retained_points,
+            "idle_flushes": self.idle_flushes,
+            "window_flushes": self.window_flushes,
         }
 
     async def drain(self) -> None:
         """Flush every pending batch now and wait for in-flight solves."""
         for batch_key in list(self._pending):
-            timer = self._timers.pop(batch_key, None)
-            if timer is not None:
-                timer.cancel()
             self._start_flush(batch_key)
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
@@ -244,18 +278,40 @@ class MicroBatchScheduler:
             evicted_key, _ = self._retained.popitem(last=False)
             self.retained_points -= len(evicted_key[1])
 
+    async def _wait(self, future: "asyncio.Future[_Outcome]") -> _Outcome:
+        """Await a shared future as one waiting request.
+
+        Shielded, so the future survives this waiter's cancellation.
+        """
+        self._waiting += 1
+        try:
+            self._flush_if_idle()
+            return await asyncio.shield(future)
+        finally:
+            self._waiting -= 1
+
+    def _flush_if_idle(self) -> None:
+        """Flush every pending batch when no admitted request can join one."""
+        if 0 < self._admitted <= self._waiting:
+            for batch_key in list(self._pending):
+                self.idle_flushes += 1
+                self._start_flush(batch_key)
+
+    def _window_closed(self, batch_key: _BatchKey) -> None:
+        self.window_flushes += 1
+        self._start_flush(batch_key)
+
     def _start_flush(self, batch_key: _BatchKey) -> None:
-        self._timers.pop(batch_key, None)
-        if batch_key not in self._pending:
-            return
-        task = asyncio.ensure_future(self._flush(batch_key))
+        # The batch leaves ``_pending`` here, before its task runs: a key
+        # is flushed once, and a request arriving meanwhile opens a new
+        # batch instead of joining (or re-flushing) this one.
+        pending = self._pending.pop(batch_key)
+        pending.timer.cancel()
+        task = asyncio.ensure_future(self._flush(pending))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    async def _flush(self, batch_key: _BatchKey) -> None:
-        pending = self._pending.pop(batch_key, None)
-        if pending is None or not pending.entries:
-            return
+    async def _flush(self, pending: _PendingBatch) -> None:
         entries = pending.entries
         self.batches += 1
         self.batched_requests += len(entries)
@@ -289,7 +345,3 @@ class MicroBatchScheduler:
                 (solved.take([index_of[nu] for nu in entry.nus]),
                  len(entries)))
 
-
-async def _wait(future: "asyncio.Future[_Outcome]") -> _Outcome:
-    """Await a shared future without cancelling it if this waiter dies."""
-    return await asyncio.shield(future)

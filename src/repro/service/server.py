@@ -30,10 +30,17 @@ signal handler) stops accepting, wakes every idle reader, lets in-flight
 requests finish their response, then drains the scheduler.
 
 Malformed requests are answered with a structured JSON error and the
-configured 4xx status; the connection (and the server) stays up.  Requests
-are dispatched concurrently — each connection's reader keeps going while
-solves run — which is what gives the micro-batch window its cross-request
-reach.
+configured 4xx status; the connection (and the server) stays up.  A
+request whose body framing is unknown — a ``Content-Length`` that is not
+plain digits, conflicting ``Content-Length`` values, or any
+``Transfer-Encoding`` — gets one 400 ``bad_http`` and the connection is
+closed (RFC 9112 §6), so unread body bytes never parse as a request.
+Requests are dispatched concurrently — each connection's reader keeps
+going while solves run — which is what gives micro-batching its
+cross-request reach.  The scheduler is told which requests the server
+holds (from the request line to the written response), so a batch closes
+as soon as all of them are waiting on solves instead of waiting out the
+window.
 """
 
 from __future__ import annotations
@@ -250,47 +257,61 @@ class EquilibriumServer:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         while not self._closing.is_set():
+            request_line = await self._read_request_line(reader)
+            if not request_line:  # clean EOF, idle timeout, or shutdown
+                break
+            # The scheduler counts the request from its request line to its
+            # written response, whichever way it ends: batches flush early
+            # only while every counted request is waiting on a solve.
+            self.scheduler.admit()
             try:
-                parsed = await self._read_request(reader)
-            except _HttpViolation as violation:
-                await _write_response(
-                    writer, 400,
-                    error_payload("bad_http", str(violation)),
-                    keep_alive=False)
-                break
-            except asyncio.TimeoutError:
-                # Slow-loris guard: stalled mid-request, close quietly.
-                self.idle_timeouts += 1
-                break
-            if parsed is None:  # clean EOF, idle timeout, or shutdown
-                break
-            method, target, version, headers, body = parsed
-            keep_alive = _wants_keep_alive(version, headers)
-            self.requests_total += 1
-            # HTTP/1.0 cannot frame a chunked stream; buffer for it.
-            status, payload = await self._dispatch(
-                method, target, body, allow_stream=(version == "HTTP/1.1"))
-            if self._closing.is_set():
-                keep_alive = False  # draining: tell the client we're done
-            await _write_response(writer, status, payload,
-                                  keep_alive=keep_alive)
-            if not keep_alive:
-                break
-            if (self._max_requests is not None
-                    and self.solve_requests >= self._max_requests):
-                self._closing.set()
+                keep_open = await self._serve_request(request_line, reader,
+                                                      writer)
+            finally:
+                self.scheduler.release()
+            if not keep_open:
                 break
 
-    async def _read_request(self, reader: asyncio.StreamReader
-                            ) -> Optional[_ParsedRequest]:
-        request_line = await self._read_request_line(reader)
-        if not request_line:  # shutdown, idle timeout, or clean EOF (b"")
-            return None
+    async def _serve_request(self, request_line: bytes,
+                             reader: asyncio.StreamReader,
+                             writer: asyncio.StreamWriter) -> bool:
+        """Read and answer one request; whether the connection stays open."""
+        try:
+            method, target, version, headers, body = (
+                await self._read_request(request_line, reader))
+        except _HttpViolation as violation:
+            await _write_response(
+                writer, 400, error_payload("bad_http", str(violation)),
+                keep_alive=False)
+            return False
+        except asyncio.TimeoutError:
+            # Slow-loris guard: stalled mid-request, close quietly.
+            self.idle_timeouts += 1
+            return False
+        keep_alive = _wants_keep_alive(version, headers)
+        self.requests_total += 1
+        # HTTP/1.0 cannot frame a chunked stream; buffer for it.
+        status, payload = await self._dispatch(
+            method, target, body, allow_stream=(version == "HTTP/1.1"))
+        if self._closing.is_set():
+            keep_alive = False  # draining: tell the client we're done
+        await _write_response(writer, status, payload, keep_alive=keep_alive)
+        if not keep_alive:
+            return False
+        if (self._max_requests is not None
+                and self.solve_requests >= self._max_requests):
+            self._closing.set()
+            return False
+        return True
+
+    async def _read_request(self, request_line: bytes,
+                            reader: asyncio.StreamReader) -> _ParsedRequest:
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise _HttpViolation("malformed HTTP request line")
         method, target, version = parts[0].upper(), parts[1], parts[2]
         headers: Dict[str, str] = {}
+        lengths: List[str] = []
         for _ in range(_MAX_HEADER_LINES):
             line = await self._read_more(reader.readline())
             if line in (b"\r\n", b"\n"):
@@ -298,17 +319,17 @@ class EquilibriumServer:
             if not line:
                 raise _HttpViolation("connection closed inside headers")
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            headers[name] = value.strip()
+            if name == "content-length":
+                lengths += value.split(",")
         else:
             raise _HttpViolation("too many header lines")
-        raw_length = headers.get("content-length", "0")
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise _HttpViolation(f"bad Content-Length {raw_length!r}")
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise _HttpViolation(
-                f"Content-Length {length} outside [0, {MAX_BODY_BYTES}]")
+        if "transfer-encoding" in headers:
+            # Only Content-Length framing is read; a coded body left unread
+            # would be parsed as the next request, so close instead.
+            raise _HttpViolation("Transfer-Encoding is not supported")
+        length = _content_length(lengths)
         body = (await self._read_more(reader.readexactly(length))
                 if length else b"")
         return method, target, version, headers, body
@@ -464,6 +485,28 @@ class EquilibriumServer:
         payloads = await asyncio.gather(
             *[fetch(index, host, port) for index, host, port in self._peers])
         return merge_worker_stats(list(payloads))
+
+
+def _content_length(values: List[str]) -> int:
+    """The body length from every ``Content-Length`` value (RFC 9112 §6.3).
+
+    Each value must be plain ASCII digits and all of them must agree;
+    anything else leaves the framing unknown.
+    """
+    lengths = {value.strip() for value in values}
+    if not lengths:
+        return 0
+    if len(lengths) > 1:
+        raise _HttpViolation(
+            f"conflicting Content-Length values {sorted(lengths)!r}")
+    (raw,) = lengths
+    if not (raw.isascii() and raw.isdigit()):
+        raise _HttpViolation(f"bad Content-Length {raw!r}")
+    length = int(raw)
+    if length > MAX_BODY_BYTES:
+        raise _HttpViolation(
+            f"Content-Length {length} outside [0, {MAX_BODY_BYTES}]")
+    return length
 
 
 def _wants_keep_alive(version: str, headers: Dict[str, str]) -> bool:

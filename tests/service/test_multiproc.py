@@ -84,6 +84,15 @@ class TestMergeWorkerStats:
         assert scheduler["retained_hits"] == 12
         assert scheduler["retained_points"] == 20  # retained per worker
 
+    def test_flush_reason_counters_sum_across_workers(self):
+        payloads = [_worker_payload(0), _worker_payload(1)]
+        for payload, idle, window in zip(payloads, (5, 7), (1, 2)):
+            payload["scheduler"].update(idle_flushes=idle,
+                                        window_flushes=window)
+        scheduler = merge_worker_stats(payloads)["scheduler"]
+        assert (scheduler["idle_flushes"], scheduler["window_flushes"]) == (
+            12, 3)
+
     def test_workers_list_is_ordered_by_index(self):
         merged = merge_worker_stats([_worker_payload(2),
                                      _worker_payload(0),

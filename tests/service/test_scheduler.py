@@ -307,6 +307,113 @@ class TestUnionGridFusion:
         assert stats["fused_requests"] == 0
 
 
+async def turn_loop(times=10):
+    """Let every ready callback run ``times`` times over."""
+    for _ in range(times):
+        await asyncio.sleep(0)
+
+
+def solve_task(scheduler, nus):
+    return asyncio.create_task(
+        scheduler.solve(POPULATION, nus, MAXMIN, CONFIG))
+
+
+class TestWorkConservingFlush:
+    """A batch closes as soon as every admitted request waits on it; the
+    30 s windows below make any window flush show up as a hang."""
+
+    def test_batch_stays_open_while_an_admitted_request_is_not_waiting(self):
+        async def body(scheduler):
+            scheduler.admit()
+            scheduler.admit()
+            first = solve_task(scheduler, (50.0, 100.0))
+            await turn_loop()
+            still_open = not first.done()
+            flushes_before = scheduler.stats()["idle_flushes"]
+            second = solve_task(scheduler, (100.0, 150.0))
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(first, second), timeout=5.0)
+            scheduler.release()
+            scheduler.release()
+            return still_open, flushes_before, outcomes, scheduler.stats()
+
+        still_open, flushes_before, outcomes, stats = run(
+            with_scheduler(body, window_seconds=30.0))
+        assert still_open and flushes_before == 0
+        assert [size for _, size, _ in outcomes] == [2, 2]
+        assert stats["batches"] == 1
+        assert stats["fused_requests"] == 2
+        assert (stats["idle_flushes"], stats["window_flushes"]) == (1, 0)
+
+    def test_releasing_a_request_that_is_not_waiting_flushes(self):
+        async def body(scheduler):
+            scheduler.admit()
+            scheduler.admit()
+            task = solve_task(scheduler, (50.0,))
+            await turn_loop()
+            still_open = not task.done()
+            scheduler.release()  # the other request left without a solve
+            _, size, _ = await asyncio.wait_for(task, timeout=5.0)
+            scheduler.release()
+            return still_open, size, scheduler.stats()
+
+        still_open, size, stats = run(
+            with_scheduler(body, window_seconds=30.0))
+        assert still_open
+        assert size == 1
+        assert (stats["idle_flushes"], stats["window_flushes"]) == (1, 0)
+
+    def test_a_coalesced_waiter_counts_as_waiting(self):
+        async def body(scheduler):
+            scheduler.admit()
+            scheduler.admit()
+            outcomes = await asyncio.wait_for(asyncio.gather(
+                solve_task(scheduler, (50.0,)),
+                solve_task(scheduler, (50.0,))), timeout=5.0)
+            scheduler.release()
+            scheduler.release()
+            return outcomes, scheduler.stats()
+
+        outcomes, stats = run(with_scheduler(body, window_seconds=30.0))
+        assert sorted(flag for _, _, flag in outcomes) == [False, True]
+        assert stats["engine_solves"] == 1
+        assert stats["idle_flushes"] == 1
+
+    def test_idle_flush_cancels_the_window_timer(self):
+        async def body(scheduler):
+            scheduler.admit()
+            await solve_task(scheduler, (50.0,))
+            scheduler.release()
+            await asyncio.sleep(0.05)  # well past the 10 ms window
+            return scheduler.stats()
+
+        stats = run(with_scheduler(body, window_seconds=0.01))
+        assert stats["batches"] == 1
+        assert (stats["idle_flushes"], stats["window_flushes"]) == (1, 0)
+
+    def test_window_closes_the_batch_while_a_request_is_not_waiting(self):
+        async def body(scheduler):
+            scheduler.admit()
+            scheduler.admit()  # mid-parse for the whole test
+            await solve_task(scheduler, (50.0,))
+            scheduler.release()
+            scheduler.release()
+            return scheduler.stats()
+
+        stats = run(with_scheduler(body, window_seconds=0.01))
+        assert (stats["idle_flushes"], stats["window_flushes"]) == (0, 1)
+
+    def test_without_admissions_only_the_window_flushes(self):
+        async def body(scheduler):
+            await asyncio.gather(solve_task(scheduler, (50.0,)),
+                                 solve_task(scheduler, (60.0,)))
+            return scheduler.stats()
+
+        stats = run(with_scheduler(body, window_seconds=0.01))
+        assert stats["batches"] == 1
+        assert (stats["idle_flushes"], stats["window_flushes"]) == (0, 1)
+
+
 class TestNaiveBaseline:
     def test_naive_mode_never_batches_or_coalesces(self):
         async def body(scheduler):

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.network.allocation import MaxMinFairAllocation
 from repro.service.client import ServiceClient
@@ -356,3 +361,223 @@ class TestStatsAndLifecycle:
         assert stats["naive"] is True
         assert stats["engine_solves"] == 4
         assert stats["coalesced"] == 0
+
+
+async def exchange_raw(host, port, data, *, timeout=5.0):
+    """Send raw bytes, half-close, and read until the server closes.
+
+    A reset counts as a close: the server may drop a connection whose
+    unread request bytes it refused.
+    """
+    reader, writer = await asyncio.open_connection(host, port)
+    received = b""
+    try:
+        writer.write(data)
+        writer.write_eof()
+        await writer.drain()
+        while True:
+            chunk = await asyncio.wait_for(reader.read(65536), timeout)
+            if not chunk:
+                break
+            received += chunk
+    except ConnectionError:
+        pass
+    finally:
+        writer.close()
+    return received
+
+
+def response_statuses(data):
+    """The status of every complete buffered response in ``data``."""
+    statuses = []
+    while data:
+        head, found, rest = data.partition(b"\r\n\r\n")
+        if not found:
+            break
+        statuses.append(int(head.split(b" ", 2)[1]))
+        match = re.search(rb"(?im)^content-length: *(\d+)", head)
+        length = int(match.group(1)) if match else 0
+        data = rest[length:]
+    return statuses
+
+
+def healthz_bytes(*headers, body=b""):
+    lines = ["GET /healthz HTTP/1.1", "Host: t", "Connection: close",
+             *headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+async def settled(predicate, timeout=5.0):
+    """Whether ``predicate()`` holds within ``timeout`` seconds."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        if loop.time() > deadline:
+            return False
+        await asyncio.sleep(0.01)
+    return True
+
+
+class TestWorkConservingFlush:
+    def test_lone_request_does_not_wait_out_the_window(self):
+        async def body(host, port, server):
+            status, _ = await asyncio.wait_for(
+                solve_once(host, port, BASE_REQUEST), timeout=5.0)
+            return status, server.scheduler.stats()
+
+        status, stats = run(with_server(body, window_seconds=30.0))
+        assert status == 200
+        assert stats["batches"] == 1
+        assert (stats["idle_flushes"], stats["window_flushes"]) == (1, 0)
+
+    def test_admitted_count_returns_to_zero(self):
+        """Every way a request can end releases its admission."""
+        truncated = (b"POST /solve HTTP/1.1\r\nContent-Length: 40\r\n\r\n"
+                     b"{\"nus\"")
+        solve = json.dumps(BASE_REQUEST).encode()
+        valid = (b"POST /solve HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                 % len(solve)) + solve
+
+        async def body(host, port, server):
+            admitted = []
+
+            async def record():
+                admitted.append(await settled(
+                    lambda: server.scheduler.admitted == 0))
+
+            # Malformed: a JSON error, then a framing violation.
+            await exchange_raw(host, port, b"POST /solve HTTP/1.1\r\n"
+                               b"Connection: close\r\n"
+                               b"Content-Length: 5\r\n\r\n{nope")
+            await record()
+            await exchange_raw(host, port, b"garbage\r\n\r\n")
+            await record()
+            # Idle timeout in the middle of a body.
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(truncated)
+            closed = await asyncio.wait_for(reader.read(1), timeout=5.0)
+            writer.close()
+            await record()
+            # Client disconnects: inside the headers, inside the body, and
+            # while its solve runs.
+            for data in (b"POST /solve HTTP/1.1\r\nHost: t", truncated,
+                         valid):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(data)
+                await writer.drain()
+                writer.close()
+                await record()
+            status, _ = await solve_once(host, port, BASE_REQUEST)
+            await record()
+            return admitted, closed, status, server.stats()["server"]
+
+        admitted, closed, status, counters = run(
+            with_server(body, idle_timeout=0.3))
+        assert admitted == [True] * 7
+        assert closed == b""
+        assert counters["idle_timeouts"] >= 1
+        assert status == 200
+
+
+class TestRequestFraming:
+    """Strict ``Content-Length`` framing (RFC 9112 section 6)."""
+
+    @pytest.mark.parametrize("value", ["+55", "5_5", "-55", "0x37",
+                                       "55 55", "\u00b2"])
+    def test_non_digit_content_length_is_400(self, value):
+        async def body(host, port, server):
+            return await exchange_raw(host, port, healthz_bytes(
+                f"Content-Length: {value}", body=b"x" * 55))
+
+        raw = run(with_server(body))
+        assert response_statuses(raw) == [400]
+        assert b"bad_http" in raw
+
+    @pytest.mark.parametrize("headers", [
+        ("Content-Length: 2", "Content-Length: 55"),
+        ("Content-Length: 55", "Content-Length: 2"),
+        ("Content-Length: 55, 2",),
+    ])
+    def test_conflicting_content_lengths_are_400_and_close(self, headers):
+        async def body(host, port, server):
+            # No ``Connection: close``: the server must close by itself.
+            data = ("POST /solve HTTP/1.1\r\n" + "\r\n".join(headers)
+                    + "\r\n\r\n").encode() + b"x" * 55
+            return await exchange_raw(host, port, data)
+
+        raw = run(with_server(body))
+        assert response_statuses(raw) == [400]
+        assert b"bad_http" in raw and b"Connection: close" in raw
+
+    def test_agreeing_content_lengths_are_accepted(self):
+        async def body(host, port, server):
+            return await exchange_raw(host, port, healthz_bytes(
+                "Content-Length: 3", "Content-Length: 3, 3", body=b"abc"))
+
+        assert response_statuses(run(with_server(body))) == [200]
+
+    @pytest.mark.parametrize("coding", ["chunked", "gzip, chunked",
+                                        "identity"])
+    def test_transfer_encoding_gets_one_error_and_a_close(self, coding):
+        async def body(host, port, server):
+            data = (f"POST /solve HTTP/1.1\r\nTransfer-Encoding: {coding}"
+                    f"\r\n\r\n").encode() + b"5\r\nhello\r\n0\r\n\r\n"
+            raw = await exchange_raw(host, port, data)
+            return raw, server.stats()["server"]
+
+        raw, counters = run(with_server(body))
+        assert response_statuses(raw) == [400]
+        assert b"bad_http" in raw
+        assert counters["requests_total"] == 0  # no second request parsed
+
+
+_FIELD = st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF),
+                 max_size=12)
+_REQUEST_LINES = st.one_of(
+    st.sampled_from(["POST /solve HTTP/1.1", "GET /healthz HTTP/1.1",
+                     "GET /stats HTTP/1.0", "PUT /solve HTTP/1.1",
+                     "GET /healthz HTTP/2.0", "", " "]),
+    st.builds("{} {} {}".format, _FIELD, _FIELD, _FIELD))
+_LENGTHS = st.one_of(
+    st.integers(min_value=0, max_value=96).map(str),
+    st.sampled_from(["+5", "5_5", "-1", "0x10", "", "1e3", "3, 4",
+                     str(1 << 40)]),
+    _FIELD)
+_HEADER_LINES = st.one_of(
+    _LENGTHS.map("Content-Length: {}".format),
+    st.sampled_from(["Transfer-Encoding: chunked", "Connection: close",
+                     "Connection: keep-alive", "Host: t", "no colon",
+                     ":", " folded"]),
+    st.builds("{}: {}".format, _FIELD, _FIELD))
+_HEADERS = st.one_of(
+    st.lists(_HEADER_LINES, max_size=8),
+    st.integers(min_value=65, max_value=90).map(
+        lambda count: ["X-Flood: 1"] * count))
+_RAW_REQUESTS = st.one_of(
+    st.builds(lambda line, headers, body: "\r\n".join(
+        [line, *headers, "", ""]).encode("latin-1") + body,
+        _REQUEST_LINES, _HEADERS, st.binary(max_size=96)),
+    st.binary(max_size=160))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=_RAW_REQUESTS)
+def test_fuzzed_requests_never_get_5xx_or_hang(data):
+    """Raw request bytes get 4xx answers or a close — never a 5xx, never a
+    hang past the idle timeout — and leave the server whole."""
+    idle_timeout = 1.0
+
+    async def body(host, port, server):
+        raw = await exchange_raw(host, port, data,
+                                 timeout=idle_timeout + 4.0)
+        released = await settled(lambda: server.scheduler.admitted == 0)
+        reader, writer = await asyncio.open_connection(host, port)
+        head, _, _ = await raw_request(reader, writer)
+        writer.close()
+        return raw, released, head
+
+    raw, released, head = run(with_server(body, idle_timeout=idle_timeout))
+    assert all(status < 500 for status in response_statuses(raw)), raw
+    assert released
+    assert head.startswith(b"HTTP/1.1 200 ")
