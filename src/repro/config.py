@@ -9,7 +9,9 @@ Games, the batch/sweep layer and the runner all accept ``config=``;
 Tolerance defaults match the pre-refactor constants exactly, and the
 per-game migration defaults (duopoly ``1e-4``, oligopoly ``1e-3``) are kept
 by leaving ``migration_tolerance=None`` — a config only overrides a game's
-documented default when one is set explicitly.
+documented default when one is set explicitly.  The games take no tolerance
+keyword of their own, so every tolerance they use has passed the config's
+validation.
 """
 
 from __future__ import annotations
@@ -52,13 +54,17 @@ class SolverConfig:
     Parameters
     ----------
     migration_tolerance:
-        Relative surplus-balance tolerance of the ISP market-split
-        bisection, or ``None`` to keep each game's documented default
+        Relative surplus-balance tolerance of the ISP market split, or
+        ``None`` to keep each game's documented default
         (:data:`repro.core.duopoly.DUOPOLY_MIGRATION_TOLERANCE` = 1e-4,
         :data:`repro.core.oligopoly.OLIGOPOLY_MIGRATION_TOLERANCE` = 1e-3).
+        :class:`~repro.core.duopoly.DuopolyGame` and
+        :class:`~repro.core.oligopoly.OligopolyGame` take their tolerance
+        only from here.
     switching_tolerance:
-        Minimum per-CP utility gain that counts as a profitable partition
-        switch in :class:`repro.core.cp_game.CPPartitionGame` (1e-6).
+        Minimum relative utility gain that counts as a profitable class
+        switch in :class:`repro.core.cp_game.CPPartitionGame` (1e-6), the
+        floor of every CP's move slack; the game takes it only from here.
     surplus_tolerance:
         Utility-comparison slack when ranking partition preferences and
         verifying Nash/competitive equilibria (1e-9, the former

@@ -124,19 +124,19 @@ class DuopolyGame:
         opponent holds the remainder (the paper's experiments use 1/2).
     mechanism:
         Rate-allocation mechanism inside every service class.
-    migration_tolerance:
-        Surplus-equalisation tolerance of the share bisection.  Resolution
-        order: explicit value, then ``config.migration_tolerance``, then
-        :data:`DUOPOLY_MIGRATION_TOLERANCE` (1e-4).
+    migration_iterations:
+        Bisection steps of the market-share solve.
     config:
-        Solver configuration threaded into every layer below.
+        Solver configuration threaded into every layer below.  Its
+        ``migration_tolerance`` sets the surplus-equalisation tolerance of
+        the share bisection (``self.migration_tolerance``); when it is
+        ``None`` the game keeps :data:`DUOPOLY_MIGRATION_TOLERANCE` (1e-4).
     """
 
     def __init__(self, population: Population, total_nu: float,
                  strategic_capacity_share: float = 0.5,
                  mechanism: Optional[RateAllocationMechanism] = None,
-                 *, migration_tolerance: Optional[float] = None,
-                 migration_iterations: int = 40,
+                 *, migration_iterations: int = 40,
                  config: Optional[SolverConfig] = None) -> None:
         if not math.isfinite(total_nu) or total_nu < 0.0:
             raise ModelValidationError(
@@ -151,12 +151,10 @@ class DuopolyGame:
         self.strategic_capacity_share = float(strategic_capacity_share)
         self.mechanism = mechanism
         self.config = resolve_config(config)
-        if migration_tolerance is None:
-            migration_tolerance = (
-                self.config.migration_tolerance
-                if self.config.migration_tolerance is not None
-                else DUOPOLY_MIGRATION_TOLERANCE)
-        self.migration_tolerance = migration_tolerance
+        self.migration_tolerance = (
+            self.config.migration_tolerance
+            if self.config.migration_tolerance is not None
+            else DUOPOLY_MIGRATION_TOLERANCE)
         self.migration_iterations = migration_iterations
 
     # ------------------------------------------------------------------ #
@@ -238,7 +236,6 @@ class DuopolyGame:
         for nu in nus:
             game = DuopolyGame(self.population, float(nu),
                                self.strategic_capacity_share, self.mechanism,
-                               migration_tolerance=self.migration_tolerance,
                                migration_iterations=self.migration_iterations,
                                config=self.config)
             outcomes.append(game.outcome(strategy, opponent_strategy))

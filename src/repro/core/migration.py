@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
@@ -124,14 +124,14 @@ def isp_outcome_at_share(population: Population, total_nu: float, isp: IspConfig
                          share: float,
                          mechanism: Optional[RateAllocationMechanism] = None,
                          min_share: float = DEFAULT_MIN_SHARE,
-                         initial_premium: Optional[Iterable[int]] = None,
                          config: Optional[SolverConfig] = None
                          ) -> PartitionOutcome:
     """Second-stage outcome at ISP ``isp`` when it holds market share ``share``.
 
-    The ISP's per-capita capacity is ``nu_I = gamma_I * total_nu / m_I``; the
-    CPs then play the class-selection game at that ISP.  ``initial_premium``
-    warm-starts the class-selection solver from a nearby equilibrium.
+    The ISP's per-capita capacity is ``nu_I = gamma_I * total_nu / m_I``
+    (the share floored at ``min_share``); the CPs then play the
+    class-selection game at that ISP, whose competitive equilibrium is
+    memoised, so repeated probes of one share are lookups.
     """
     if total_nu < 0.0 or not math.isfinite(total_nu):
         raise ModelValidationError(f"total_nu must be non-negative, got {total_nu!r}")
@@ -139,7 +139,7 @@ def isp_outcome_at_share(population: Population, total_nu: float, isp: IspConfig
     nu_isp = isp.capacity_share * total_nu / effective_share
     game = CPPartitionGame(population, nu_isp, isp.strategy, mechanism,
                            config=config)
-    return game.competitive_equilibrium(initial_premium=initial_premium)
+    return game.competitive_equilibrium()
 
 
 def _surplus_at_share(population: Population, total_nu: float, isp: IspConfig,

@@ -96,20 +96,20 @@ class OligopolyGame:
     capacity_shares:
         Mapping from ISP name to its capacity share ``gamma_I``; the shares
         must sum to 1.
-    migration_tolerance:
-        Surplus-equalisation tolerance of the migration tatonnement.
-        Resolution order: explicit value, then
-        ``config.migration_tolerance``, then
-        :data:`OLIGOPOLY_MIGRATION_TOLERANCE` (1e-3).
+    migration_iterations:
+        Iteration limit of the migration solve (a bisection for two ISPs,
+        a tatonnement for three or more).
     config:
-        Solver configuration threaded into every layer below.
+        Solver configuration threaded into every layer below.  Its
+        ``migration_tolerance`` sets the surplus-equalisation tolerance of
+        the migration solve (``self.migration_tolerance``); when it is
+        ``None`` the game keeps :data:`OLIGOPOLY_MIGRATION_TOLERANCE` (1e-3).
     """
 
     def __init__(self, population: Population, total_nu: float,
                  capacity_shares: Mapping[str, float],
                  mechanism: Optional[RateAllocationMechanism] = None,
-                 *, migration_tolerance: Optional[float] = None,
-                 migration_iterations: int = 80,
+                 *, migration_iterations: int = 80,
                  config: Optional[SolverConfig] = None) -> None:
         if not math.isfinite(total_nu) or total_nu < 0.0:
             raise ModelValidationError(
@@ -129,12 +129,10 @@ class OligopolyGame:
         self.capacity_shares = dict(capacity_shares)
         self.mechanism = mechanism
         self.config = resolve_config(config)
-        if migration_tolerance is None:
-            migration_tolerance = (
-                self.config.migration_tolerance
-                if self.config.migration_tolerance is not None
-                else OLIGOPOLY_MIGRATION_TOLERANCE)
-        self.migration_tolerance = migration_tolerance
+        self.migration_tolerance = (
+            self.config.migration_tolerance
+            if self.config.migration_tolerance is not None
+            else OLIGOPOLY_MIGRATION_TOLERANCE)
         self.migration_iterations = migration_iterations
 
     # ------------------------------------------------------------------ #

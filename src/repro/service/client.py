@@ -81,34 +81,56 @@ class ServiceClient:
         return await self._read_response()
 
     async def _read_response(self) -> ServiceResponse:
+        """The next response; any framing or payload defect is a
+        :class:`ConnectionError`, after which the connection is closed
+        (its byte stream can no longer be trusted)."""
+        try:
+            return await self._read_framed_response()
+        except ConnectionError:
+            await self.close()
+            raise
+        except (asyncio.IncompleteReadError, ValueError) as error:
+            # EOF inside a declared body, a line past the stream limit, or a
+            # body that is not UTF-8 JSON.
+            await self.close()
+            raise ConnectionError(f"malformed response: {error!r}") from error
+
+    async def _read_framed_response(self) -> ServiceResponse:
         assert self._reader is not None
         status_line = await self._reader.readline()
         if not status_line:
             raise ConnectionError("server closed the connection")
         parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
+        if (len(parts) < 2 or not parts[0].startswith("HTTP/1.")
+                or not _is_digits(parts[1], 3)):
             raise ConnectionError(f"malformed status line {status_line!r}")
         status = int(parts[1])
-        length = 0
+        lengths: list[str] = []
+        encodings: list[str] = []
         close_after = False
-        chunked = False
         while True:
             line = await self._reader.readline()
             if line in (b"\r\n", b"\n"):
                 break
-            if not line:
+            if not line.endswith(b"\n"):
                 raise ConnectionError("connection closed inside headers")
-            name, _, value = line.decode("latin-1").partition(":")
-            name = name.strip().lower()
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise ConnectionError(f"malformed header line {line!r}")
+            name, value = name.strip().lower(), value.strip()
             if name == "content-length":
-                length = int(value.strip())
+                lengths.append(value)
             elif name == "transfer-encoding":
-                chunked = value.strip().lower() == "chunked"
-            elif name == "connection" and value.strip().lower() == "close":
+                encodings.append(value.lower())
+            elif name == "connection" and value.lower() == "close":
                 close_after = True
-        if chunked:
+        if encodings:
+            if encodings != ["chunked"] or lengths:
+                raise ConnectionError(
+                    f"unsupported framing {encodings!r} with lengths {lengths!r}")
             raw = await self._read_chunked_body()
         else:
+            length = _content_length(lengths)
             raw = await self._reader.readexactly(length) if length else b"{}"
         payload = json.loads(raw.decode("utf-8"))
         if close_after:
@@ -124,21 +146,47 @@ class ServiceClient:
         pieces: list[bytes] = []
         while True:
             size_line = await self._reader.readline()
-            if not size_line:
+            if not size_line.endswith(b"\n"):
                 raise ConnectionError("connection closed inside chunked body")
-            try:
-                size = int(size_line.strip().split(b";", 1)[0], 16)
-            except ValueError:
-                raise ConnectionError(
-                    f"malformed chunk size {size_line!r}") from None
+            # chunk-size = 1*HEXDIG, optionally followed by chunk extensions.
+            size_field = size_line.split(b";", 1)[0].rstrip(b" \t\r\n")
+            if not (size_field and all(byte in _HEX_DIGITS for byte in size_field)):
+                raise ConnectionError(f"malformed chunk size {size_line!r}")
+            size = int(size_field, 16)
             if size == 0:
                 # Trailer section: read through the blank terminator line.
                 while True:
                     trailer = await self._reader.readline()
-                    if trailer in (b"\r\n", b"\n", b""):
-                        break
-                return b"".join(pieces)
+                    if trailer in (b"\r\n", b"\n"):
+                        return b"".join(pieces)
+                    if not trailer.endswith(b"\n"):
+                        raise ConnectionError(
+                            "connection closed inside chunk trailers")
             pieces.append(await self._reader.readexactly(size))
             separator = await self._reader.readexactly(2)
             if separator != b"\r\n":
                 raise ConnectionError("missing CRLF after chunk")
+
+
+#: The bytes a chunk size may use (RFC 9112 §7.1: ``1*HEXDIG``).
+_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
+
+
+def _is_digits(text: str, count: Optional[int] = None) -> bool:
+    """True when ``text`` is ASCII decimal digits only (``count`` of them)."""
+    return (text.isascii() and text.isdigit()
+            and (count is None or len(text) == count))
+
+
+def _content_length(values: list[str]) -> int:
+    """The body length from every ``Content-Length`` value (RFC 9112 §6.3).
+
+    Mirrors the server's check: each value must be plain ASCII digits
+    (``int()`` alone would accept ``+2`` and ``0_2``) and all of them must
+    agree.  A response without one has no framing this client reads.
+    """
+    if not values:
+        raise ConnectionError("response has neither Content-Length nor chunking")
+    if len(set(values)) > 1 or not _is_digits(values[0]):
+        raise ConnectionError(f"bad Content-Length {values!r}")
+    return int(values[0])

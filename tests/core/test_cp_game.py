@@ -196,19 +196,17 @@ class TestCompetitiveEquilibrium:
         # Premium members pay c <= v, so every CP earns a non-negative profit.
         assert all(value >= -1e-12 for value in utilities.values())
 
-    def test_throughput_estimator_validation(self, two_provider_population):
-        with pytest.raises(ModelValidationError):
-            CPPartitionGame(two_provider_population, 1.0, ISPStrategy(0.5, 0.5),
-                            throughput_estimator="bogus")
-
     def test_negative_nu_rejected(self, two_provider_population):
         with pytest.raises(ModelValidationError):
             CPPartitionGame(two_provider_population, -1.0, ISPStrategy(0.5, 0.5))
 
     def test_max_member_estimator_also_converges(self, medium_random_population):
-        game = CPPartitionGame(medium_random_population, 3.0, ISPStrategy(1.0, 0.4),
-                               throughput_estimator="max_member")
+        """A mechanism without a common cap estimates a class's throughput
+        by its largest member throughput (the paper's literal rule)."""
+        game = CPPartitionGame(medium_random_population, 3.0, ISPStrategy(0.6, 0.4),
+                               AlphaFairAllocation(alpha=1.0))
         outcome = game.competitive_equilibrium()
+        assert outcome.converged
         assert game.verify_competitive(outcome) == []
 
 
@@ -239,35 +237,6 @@ class TestNashEquilibrium:
         nash = nash_equilibrium(population, nu=1.0, strategy=strategy)
         competitive = competitive_equilibrium(population, nu=1.0, strategy=strategy)
         assert set(nash.premium_indices) == set(competitive.premium_indices)
-
-    def test_initial_premium_seed(self):
-        population = rich_and_poor_population()
-        game = CPPartitionGame(population, nu=1.5, strategy=ISPStrategy(0.7, 0.3))
-        outcome = game.nash_equilibrium(initial_premium=[0, 1])
-        assert game.verify_nash(outcome) == []
-
-
-class TestInitialPremiumValidation:
-    """A warm start naming a provider outside ``[0, n)`` is an input error:
-    ``-1`` must not silently warm-start CP ``n - 1`` (under a different cache
-    key than ``[n - 1]``), and ``n`` must not surface as an ``IndexError``."""
-
-    @pytest.mark.parametrize("solve", [
-        pytest.param(competitive_equilibrium, id="competitive"),
-        pytest.param(nash_equilibrium, id="nash"),
-    ])
-    @pytest.mark.parametrize("index", [-1, 4, 99])
-    def test_out_of_range_index_rejected(self, solve, index):
-        population = rich_and_poor_population()
-        with pytest.raises(ModelValidationError, match="initial_premium"):
-            solve(population, 1.5, ISPStrategy(0.7, 0.3),
-                  initial_premium=[0, index])
-
-    def test_in_range_indices_accepted(self):
-        population = rich_and_poor_population()
-        outcome = competitive_equilibrium(population, 1.5, ISPStrategy(0.7, 0.3),
-                                          initial_premium=[3, 0, 0])
-        assert outcome.converged
 
 
 class TestTieBreaking:

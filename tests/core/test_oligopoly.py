@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import SolverConfig
 from repro.errors import ModelValidationError
 from repro.core.duopoly import DuopolyGame
 from repro.core.oligopoly import OligopolyGame
@@ -130,7 +131,7 @@ class TestAgainstDuopolySolver:
         oligopoly = OligopolyGame(
             small_random_population, total_nu=4.0,
             capacity_shares={"ISP-I": 0.5, "ISP-J": 0.5},
-            migration_tolerance=duopoly.migration_tolerance,
+            config=SolverConfig(migration_tolerance=duopoly.migration_tolerance),
             migration_iterations=duopoly.migration_iterations)
         expected = duopoly.outcome(strategy)
         actual = oligopoly.outcome({"ISP-I": strategy,
@@ -150,7 +151,7 @@ class TestAgainstDuopolySolver:
             # ``DuopolyGame`` gives the other ISP ``1 - 0.7``, which is
             # 0.30000000000000004, not 0.3.
             capacity_shares={"ISP-I": 0.7, "ISP-J": 1.0 - 0.7},
-            migration_tolerance=duopoly.migration_tolerance,
+            config=SolverConfig(migration_tolerance=duopoly.migration_tolerance),
             migration_iterations=duopoly.migration_iterations)
         strategy = ISPStrategy(1.0, 0.4)
         expected = duopoly.outcome(strategy)

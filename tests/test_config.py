@@ -2,8 +2,9 @@
 
 These tests pin the config's guarantees: the per-game tolerance defaults
 stay exactly what each game documented before SolverConfig existed,
-explicit arguments beat config values beat game defaults, every tolerance
-is a finite real number, and cache keys never alias across configs.
+config values beat game defaults, every tolerance is a finite real number
+and reaches the games only through the config, and cache keys never alias
+across configs.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ def test_game_defaults_without_config(small_random_population):
     assert oligopoly.migration_tolerance == OLIGOPOLY_MIGRATION_TOLERANCE
     cp_game = CPPartitionGame(small_random_population, 100.0,
                               PUBLIC_OPTION_STRATEGY, MaxMinFairAllocation())
-    assert cp_game.switching_tolerance == 1e-6
     assert cp_game.config.switching_tolerance == 1e-6
 
 
@@ -98,18 +98,34 @@ def test_config_overrides_game_default_and_explicit_beats_config(
     config = SolverConfig(migration_tolerance=1e-5, switching_tolerance=1e-7)
     duopoly = DuopolyGame(small_random_population, 100.0, 0.5, config=config)
     assert duopoly.migration_tolerance == 1e-5
-    explicit = DuopolyGame(small_random_population, 100.0, 0.5,
-                           migration_tolerance=1e-2, config=config)
-    assert explicit.migration_tolerance == 1e-2
+    oligopoly = OligopolyGame(small_random_population, 100.0,
+                              {"a": 0.5, "b": 0.5}, config=config)
+    assert oligopoly.migration_tolerance == 1e-5
     cp_game = CPPartitionGame(small_random_population, 100.0,
                               PUBLIC_OPTION_STRATEGY, MaxMinFairAllocation(),
                               config=config)
-    assert cp_game.switching_tolerance == 1e-7
-    cp_explicit = CPPartitionGame(small_random_population, 100.0,
-                                  PUBLIC_OPTION_STRATEGY,
-                                  MaxMinFairAllocation(),
-                                  switching_tolerance=1e-3, config=config)
-    assert cp_explicit.switching_tolerance == 1e-3
+    assert cp_game.config.switching_tolerance == 1e-7
+    # An explicit config= beats the ambient one.
+    with use_config(SolverConfig(migration_tolerance=1e-2)):
+        explicit = DuopolyGame(small_random_population, 100.0, 0.5,
+                               config=config)
+    assert explicit.migration_tolerance == 1e-5
+
+
+@pytest.mark.parametrize("game, keyword", [
+    (lambda population, **kw: DuopolyGame(population, 100.0, 0.5, **kw),
+     "migration_tolerance"),
+    (lambda population, **kw: OligopolyGame(
+        population, 100.0, {"a": 0.5, "b": 0.5}, **kw), "migration_tolerance"),
+    (lambda population, **kw: CPPartitionGame(
+        population, 100.0, PUBLIC_OPTION_STRATEGY, **kw), "switching_tolerance"),
+])
+def test_games_take_tolerances_only_from_the_validated_config(
+        small_random_population, game, keyword):
+    # A per-game keyword would bypass SolverConfig's validation (``True``,
+    # ``nan`` and ``inf`` used to be accepted there); only ``config=`` is.
+    with pytest.raises(TypeError, match=keyword):
+        game(small_random_population, **{keyword: True})
 
 
 # --------------------------------------------------------------------------- #
