@@ -11,8 +11,8 @@ analysis of network-neutrality regulation:
   Public Option ISP and the oligopolistic competition game
   (Sections III-IV);
 * :mod:`repro.workloads` — the paper's content-provider populations;
-* :mod:`repro.simulation` — sweeps, figure reproductions and Monte-Carlo
-  replication.
+* :mod:`repro.simulation` — the batched equilibrium engine, sweeps and
+  figure reproductions.
 
 Quickstart::
 
@@ -34,15 +34,12 @@ from repro.errors import (
 )
 from repro.network import (
     AlphaFairAllocation,
-    BottleneckLink,
     ContentProvider,
     ExponentialSensitivityDemand,
     MaxMinFairAllocation,
-    NetworkSystem,
     Population,
     ProportionalFairAllocation,
     RateEquilibrium,
-    TwoClassLink,
     WeightedFairAllocation,
     check_axioms,
     solve_rate_equilibrium,
@@ -100,9 +97,6 @@ __all__ = [
     "WeightedFairAllocation",
     "RateEquilibrium",
     "solve_rate_equilibrium",
-    "NetworkSystem",
-    "BottleneckLink",
-    "TwoClassLink",
     "check_axioms",
     # games
     "ISPStrategy",

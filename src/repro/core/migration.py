@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.config import SolverConfig, resolve_config
+from repro.config import SolverConfig, _check_tolerance, resolve_config
 from repro.errors import ModelValidationError
 from repro.core.cp_game import CPPartitionGame, PartitionOutcome
 from repro.core.strategy import ISPStrategy
@@ -305,14 +305,17 @@ def solve_market_split(population: Population, total_nu: float,
     isps:
         Participating ISPs; their capacity shares must sum to 1.
     tolerance:
-        Relative tolerance on the surplus equalisation.  An explicit value
+        Relative tolerance on the surplus equalisation, a finite positive
+        number (:class:`ModelValidationError` otherwise).  An explicit value
         wins over ``config.migration_tolerance``; when both are ``None`` the
         default is :data:`DEFAULT_MIGRATION_TOLERANCE`.
     config:
         Solver configuration threaded into every per-ISP partition game.
     """
     config = resolve_config(config)
-    if tolerance is None:
+    if tolerance is not None:
+        _check_tolerance("tolerance", tolerance, positive=True)
+    else:
         tolerance = (config.migration_tolerance
                      if config.migration_tolerance is not None
                      else DEFAULT_MIGRATION_TOLERANCE)

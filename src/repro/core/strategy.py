@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 from repro.errors import ModelValidationError
-from repro.network.link import BottleneckLink, TwoClassLink
 
 __all__ = [
     "ISPStrategy",
@@ -70,10 +69,6 @@ class ISPStrategy:
     def ordinary_share(self) -> float:
         """Capacity share of the free ordinary class, ``1 - kappa``."""
         return 1.0 - self.kappa
-
-    def two_class_link(self, capacity: float) -> TwoClassLink:
-        """Materialise this strategy as a two-class split of a link."""
-        return TwoClassLink(BottleneckLink(capacity), self.kappa, self.price)
 
     def describe(self) -> str:
         """Short human-readable description used in tables and reports."""

@@ -3,9 +3,12 @@
 This subpackage implements Section II of the paper: throughput-sensitive
 demand functions (Assumption 1), content-provider parameterisation,
 axiomatic rate-allocation mechanisms (Axioms 1-4), the unique rate
-equilibrium of Theorem 1 and its per-capita reduction (Lemma 1), and the
-two-class (ordinary/premium) bottleneck-link model used by the games in
-:mod:`repro.core`.
+equilibrium of Theorem 1 and its per-capita reduction (Lemma 1), and a
+reference checker of the axioms that tests run mechanisms against.
+
+Everything here works in the per-capita capacity ``nu = mu / M``: by
+Axiom 4, scaling the consumer count ``M`` and the capacity ``mu`` together
+changes no equilibrium, so no solver takes the absolute pair.
 """
 
 from repro.network.demand import (
@@ -30,8 +33,6 @@ from repro.network.allocation import (
     WeightedFairAllocation,
 )
 from repro.network.equilibrium import RateEquilibrium, solve_rate_equilibrium
-from repro.network.system import NetworkSystem, ServiceClassOutcome
-from repro.network.link import BottleneckLink, ServiceClassSpec, TwoClassLink
 from repro.network.axioms import AxiomReport, check_axioms
 
 __all__ = [
@@ -59,12 +60,6 @@ __all__ = [
     # equilibrium
     "RateEquilibrium",
     "solve_rate_equilibrium",
-    # system
-    "NetworkSystem",
-    "ServiceClassOutcome",
-    "BottleneckLink",
-    "TwoClassLink",
-    "ServiceClassSpec",
     # axioms
     "AxiomReport",
     "check_axioms",

@@ -152,12 +152,6 @@ class DemandFunction(ABC):
             out[..., j] = function.evaluate_array(thetas[..., j])
         return out
 
-    @classmethod
-    def batch_evaluate(cls, functions: Sequence["DemandFunction"],
-                       thetas: np.ndarray) -> np.ndarray:
-        """Convenience wrapper: pack and evaluate in one call."""
-        return cls.batch_evaluate_packed(cls.pack_parameters(functions), thetas)
-
     def throughput_fraction(self, omega: float) -> float:
         """Demand expressed against ``omega = theta / theta_hat`` (Figure 2)."""
         return self(omega * self._theta_hat)

@@ -8,9 +8,7 @@
 * :mod:`repro.simulation.sweep` — price/capacity/strategy sweeps over the
   monopoly and duopoly games;
 * :mod:`repro.simulation.experiments` — one entry point per paper figure
-  (and per analytic claim), used by the benchmark suite and the CLI;
-* :mod:`repro.simulation.montecarlo` — replication of experiments across
-  population seeds.
+  (and per analytic claim), used by the benchmark suite and the CLI.
 """
 
 from repro.simulation.batch import (
@@ -27,7 +25,6 @@ from repro.simulation.sweep import (
     monopoly_price_sweep,
 )
 from repro.simulation import experiments
-from repro.simulation.montecarlo import MonteCarloSummary, monte_carlo
 
 __all__ = [
     "BatchRateEquilibrium",
@@ -42,6 +39,4 @@ __all__ = [
     "duopoly_price_sweep",
     "duopoly_capacity_sweep",
     "experiments",
-    "monte_carlo",
-    "MonteCarloSummary",
 ]

@@ -56,6 +56,19 @@ class TestValidation:
         with pytest.raises(ModelValidationError):
             solve_market_split(medium_random_population, 10.0, isps)
 
+    @pytest.mark.parametrize("tolerance", [True, float("nan"), float("inf"),
+                                           0.0, -1.0])
+    def test_explicit_tolerance_is_validated(self, medium_random_population,
+                                             tolerance):
+        # Same rule as SolverConfig.migration_tolerance: finite, positive,
+        # not a bool.  An inf or True tolerance would stop the share
+        # bisection at its first midpoint yet report convergence.
+        isps = [IspConfig("a", ISPStrategy(1.0, 0.4), 0.5),
+                IspConfig("b", PUBLIC_OPTION_STRATEGY, 0.5)]
+        with pytest.raises(ModelValidationError, match="tolerance"):
+            solve_market_split(medium_random_population, 10.0, isps,
+                               tolerance=tolerance)
+
 
 class TestSingleIsp:
     def test_single_isp_gets_everything(self, medium_random_population):

@@ -50,12 +50,6 @@ class TestISPStrategy:
         assert len(strategies) == 2
         assert ISPStrategy(0.2, 0.1) < ISPStrategy(0.5, 0.1)
 
-    def test_two_class_link(self):
-        link = ISPStrategy(0.25, 0.4).two_class_link(capacity=100.0)
-        assert link.premium.capacity_share == pytest.approx(0.25)
-        assert link.premium.price == pytest.approx(0.4)
-        assert link.ordinary.capacity_share == pytest.approx(0.75)
-
     def test_describe(self):
         assert "public option" in PUBLIC_OPTION_STRATEGY.describe()
         assert "kappa=0.5" in ISPStrategy(0.5, 0.3).describe()

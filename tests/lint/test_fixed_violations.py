@@ -53,9 +53,8 @@ class TestHoistedToleranceConstants:
         assert oligopoly._SHARE_SUM_TOLERANCE == 1e-9
         assert oligopoly._SURPLUS_SCALE_FLOOR == 1e-12
 
-    def test_system_and_provider_and_demand_constants(self):
-        from repro.network import demand, provider, system
-        assert system._SATURATION_TOLERANCE == 1e-9
+    def test_provider_and_demand_constants(self):
+        from repro.network import demand, provider
         assert provider._THETA_HAT_MATCH_TOLERANCE == 1e-9
         assert demand._ENDPOINT_TOLERANCE == 1e-12
         assert demand._ZERO_LIMIT_SCALE == 1e-12

