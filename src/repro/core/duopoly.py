@@ -13,7 +13,8 @@ Public Option aligns the non-neutral ISP's selfish incentives with the
 consumer, without any regulation.  :meth:`DuopolyGame.best_response`
 searches a strategy grid to verify this alignment numerically, and
 :meth:`DuopolyGame.price_sweep`/:meth:`DuopolyGame.capacity_sweep` drive
-the Figure 7/8 reproductions.
+the Figure 7/8 reproductions: one migration solve per grid point, each
+solving a class cap when it first needs it and looking it up afterwards.
 """
 
 from __future__ import annotations
@@ -25,18 +26,14 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.core.cp_game import PartitionOutcome
-from repro.core.migration import (
-    DEFAULT_MIN_SHARE,
-    IspConfig,
-    MarketSplit,
-    solve_market_split,
-)
+from repro.core.migration import IspConfig, MarketSplit, solve_market_split
 from repro.core.strategy import ISPStrategy, PUBLIC_OPTION_STRATEGY
 from repro.network.allocation import RateAllocationMechanism
 from repro.network.provider import Population
 
 __all__ = ["DuopolyOutcome", "DuopolyGame", "STRATEGIC_ISP",
-           "PUBLIC_OPTION_ISP", "DUOPOLY_MIGRATION_TOLERANCE"]
+           "PUBLIC_OPTION_ISP", "DUOPOLY_MIGRATION_TOLERANCE",
+           "DUOPOLY_MIGRATION_ITERATIONS"]
 
 #: Default names used for the two ISPs.
 STRATEGIC_ISP = "ISP-I"
@@ -46,6 +43,10 @@ PUBLIC_OPTION_ISP = "ISP-J"
 #: is an exact share bisection, so it affords a tighter tolerance than the
 #: oligopoly tatonnement (``OLIGOPOLY_MIGRATION_TOLERANCE`` = 1e-3).
 DUOPOLY_MIGRATION_TOLERANCE = 1e-4
+
+#: Step budget of the duopoly's share bisection.  Its share-width rule
+#: stops it within 17 steps, so the budget never binds.
+DUOPOLY_MIGRATION_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,6 @@ class DuopolyGame:
         opponent holds the remainder (the paper's experiments use 1/2).
     mechanism:
         Rate-allocation mechanism inside every service class.
-    migration_iterations:
-        Bisection steps of the market-share solve.
     config:
         Solver configuration threaded into every layer below.  Its
         ``migration_tolerance`` sets the surplus-equalisation tolerance of
@@ -136,8 +135,7 @@ class DuopolyGame:
     def __init__(self, population: Population, total_nu: float,
                  strategic_capacity_share: float = 0.5,
                  mechanism: Optional[RateAllocationMechanism] = None,
-                 *, migration_iterations: int = 40,
-                 config: Optional[SolverConfig] = None) -> None:
+                 *, config: Optional[SolverConfig] = None) -> None:
         if not math.isfinite(total_nu) or total_nu < 0.0:
             raise ModelValidationError(
                 f"total_nu must be non-negative, got {total_nu!r}")
@@ -155,7 +153,6 @@ class DuopolyGame:
             self.config.migration_tolerance
             if self.config.migration_tolerance is not None
             else DUOPOLY_MIGRATION_TOLERANCE)
-        self.migration_iterations = migration_iterations
 
     # ------------------------------------------------------------------ #
     def outcome(self, strategy: ISPStrategy,
@@ -164,10 +161,10 @@ class DuopolyGame:
         """Migration equilibrium when the strategic ISP plays ``strategy``.
 
         Every per-ISP second-stage solve inside the migration bisection runs
-        on the batched equilibrium engine's shared memoisation, so repeated
-        queries (within one sweep or across sweeps) reuse partition outcomes
-        — e.g. the Public Option opponent's surplus curve is solved once for
-        an entire price grid.
+        on the game layer's shared memoisation (partition outcomes and class
+        caps), so repeated queries (within one sweep or across sweeps) are
+        lookups — e.g. the Public Option opponent's surplus curve is solved
+        once for an entire price grid.
         """
         isps = (
             IspConfig(STRATEGIC_ISP, strategy, self.strategic_capacity_share),
@@ -177,7 +174,7 @@ class DuopolyGame:
         split = solve_market_split(
             self.population, self.total_nu, isps, self.mechanism,
             tolerance=self.migration_tolerance,
-            max_iterations=self.migration_iterations,
+            max_iterations=DUOPOLY_MIGRATION_ITERATIONS,
             config=self.config,
         )
         return DuopolyOutcome(strategy_strategic=strategy,
@@ -194,52 +191,15 @@ class DuopolyGame:
         return [self.outcome(ISPStrategy(kappa, float(price)), opponent_strategy)
                 for price in prices]
 
-    def _warm_capacity_axis(self, strategy: ISPStrategy,
-                            nus: Sequence[float],
-                            opponent_strategy: ISPStrategy) -> None:
-        """Batch the capacity axis' deterministic migration probes.
-
-        The share bisection inside :func:`solve_market_split` always opens
-        with the two bracket probes ``share in {min_share, 1 - min_share}``,
-        and every all-ordinary side (``kappa = 0`` — the Public Option in
-        all the paper's experiments) resolves such a probe with the
-        *full-population* Theorem-1 cap at ``nu_isp = gamma nu / share``.
-        Those capacities are known for the whole grid up front, so one
-        grid solve (:func:`solve_rate_equilibria`
-        via :func:`warm_equilibrium_cache`) seeds the class-cap cache and
-        turns the per-point bracket solves into lookups.
-        """
-        # Imported lazily: ``repro.simulation`` imports the sweep layer,
-        # which imports this module — a top-level import would be circular.
-        from repro.simulation.batch import warm_equilibrium_cache
-
-        capacities = set()
-        for side_strategy, gamma in (
-                (strategy, self.strategic_capacity_share),
-                (opponent_strategy, 1.0 - self.strategic_capacity_share)):
-            if side_strategy.kappa != 0.0:
-                continue
-            for nu in nus:
-                for share in (DEFAULT_MIN_SHARE, 1.0 - DEFAULT_MIN_SHARE):
-                    capacities.add(gamma * float(nu) / share)
-        if capacities:
-            warm_equilibrium_cache(self.population, sorted(capacities),
-                                   self.mechanism, config=self.config)
-
     def capacity_sweep(self, strategy: ISPStrategy, nus: Iterable[float],
                        opponent_strategy: ISPStrategy = PUBLIC_OPTION_STRATEGY
                        ) -> List[DuopolyOutcome]:
         """Outcomes of a fixed strategy pair across total capacities (Figure 8)."""
-        nus = tuple(float(nu) for nu in nus)
-        self._warm_capacity_axis(strategy, nus, opponent_strategy)
-        outcomes = []
-        for nu in nus:
-            game = DuopolyGame(self.population, float(nu),
-                               self.strategic_capacity_share, self.mechanism,
-                               migration_iterations=self.migration_iterations,
-                               config=self.config)
-            outcomes.append(game.outcome(strategy, opponent_strategy))
-        return outcomes
+        return [DuopolyGame(self.population, float(nu),
+                            self.strategic_capacity_share, self.mechanism,
+                            config=self.config
+                            ).outcome(strategy, opponent_strategy)
+                for nu in nus]
 
     # ------------------------------------------------------------------ #
     # Best responses (Theorem 5)

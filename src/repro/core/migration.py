@@ -37,7 +37,9 @@ __all__ = ["IspConfig", "MarketSplit", "solve_market_split",
 
 #: Smallest market share considered; avoids the singular ``nu_I = inf`` and
 #: models the paper's observation that an ISP is never literally empty.
-DEFAULT_MIN_SHARE = 1e-4
+#: The duopoly bisection opens with the probes ``_MIN_SHARE`` and
+#: ``1 - _MIN_SHARE``.
+_MIN_SHARE = 1e-4
 
 #: Default relative tolerance on the surplus equalisation (overridable per
 #: call or via ``SolverConfig.migration_tolerance``).
@@ -123,19 +125,18 @@ class MarketSplit:
 def isp_outcome_at_share(population: Population, total_nu: float, isp: IspConfig,
                          share: float,
                          mechanism: Optional[RateAllocationMechanism] = None,
-                         min_share: float = DEFAULT_MIN_SHARE,
                          config: Optional[SolverConfig] = None
                          ) -> PartitionOutcome:
     """Second-stage outcome at ISP ``isp`` when it holds market share ``share``.
 
     The ISP's per-capita capacity is ``nu_I = gamma_I * total_nu / m_I``
-    (the share floored at ``min_share``); the CPs then play the
+    (the share floored at ``_MIN_SHARE``); the CPs then play the
     class-selection game at that ISP, whose competitive equilibrium is
     memoised, so repeated probes of one share are lookups.
     """
     if total_nu < 0.0 or not math.isfinite(total_nu):
         raise ModelValidationError(f"total_nu must be non-negative, got {total_nu!r}")
-    effective_share = max(float(share), min_share)
+    effective_share = max(float(share), _MIN_SHARE)
     nu_isp = isp.capacity_share * total_nu / effective_share
     game = CPPartitionGame(population, nu_isp, isp.strategy, mechanism,
                            config=config)
@@ -145,30 +146,28 @@ def isp_outcome_at_share(population: Population, total_nu: float, isp: IspConfig
 def _surplus_at_share(population: Population, total_nu: float, isp: IspConfig,
                       share: float,
                       mechanism: Optional[RateAllocationMechanism],
-                      min_share: float,
                       config: Optional[SolverConfig] = None) -> float:
     """Consumer surplus at an ISP holding ``share`` of the consumers.
 
-    Relies on the batched equilibrium engine's shared memoisation: the
+    Relies on the game layer's shared memoisation: the
     partition outcome at a given ``(population, nu_I, strategy, mechanism)``
     is cached across *all* migration solves (this generalises the per-solve
     dict cache the solver used to carry), so e.g. the Public Option ISP's
     surplus curve is computed once for an entire price sweep.
     """
     outcome = isp_outcome_at_share(population, total_nu, isp, share,
-                                   mechanism, min_share, config=config)
+                                   mechanism, config=config)
     return outcome.consumer_surplus
 
 
 def _build_split(population: Population, total_nu: float,
                  isps: Sequence[IspConfig], shares: Dict[str, float],
                  mechanism: Optional[RateAllocationMechanism],
-                 min_share: float, converged: bool,
-                 iterations: int,
+                 converged: bool, iterations: int,
                  config: Optional[SolverConfig] = None) -> MarketSplit:
     outcomes = {
         isp.name: isp_outcome_at_share(population, total_nu, isp,
-                                       shares[isp.name], mechanism, min_share,
+                                       shares[isp.name], mechanism,
                                        config=config)
         for isp in isps
     }
@@ -176,7 +175,7 @@ def _build_split(population: Population, total_nu: float,
     # The common level is the share-weighted mean over ISPs that actually
     # hold consumers; ISPs driven to (numerically) zero share are excluded
     # from the residual because consumers cannot be forced to stay there.
-    active = [isp.name for isp in isps if shares[isp.name] > 2.0 * min_share]
+    active = [isp.name for isp in isps if shares[isp.name] > 2.0 * _MIN_SHARE]
     if not active:
         active = [isp.name for isp in isps]
     total_active = sum(shares[name] for name in active)
@@ -191,8 +190,7 @@ def _build_split(population: Population, total_nu: float,
 def _solve_duopoly(population: Population, total_nu: float,
                    first: IspConfig, second: IspConfig,
                    mechanism: Optional[RateAllocationMechanism],
-                   min_share: float, tolerance: float,
-                   max_iterations: int,
+                   tolerance: float, max_iterations: int,
                    config: Optional[SolverConfig] = None) -> MarketSplit:
     """Bisection on the first ISP's market share for the two-ISP case."""
     surplus_scale = 1.0
@@ -200,49 +198,49 @@ def _solve_duopoly(population: Population, total_nu: float,
     def gap(share_first: float) -> float:
         nonlocal surplus_scale
         phi_first = _surplus_at_share(population, total_nu, first, share_first,
-                                      mechanism, min_share, config)
+                                      mechanism, config)
         phi_second = _surplus_at_share(population, total_nu, second,
-                                       1.0 - share_first, mechanism, min_share,
-                                       config)
+                                       1.0 - share_first, mechanism, config)
         surplus_scale = max(surplus_scale, abs(phi_first), abs(phi_second))
         return phi_first - phi_second
 
-    low, high = min_share, 1.0 - min_share
+    low, high = _MIN_SHARE, 1.0 - _MIN_SHARE
     gap_low, gap_high = gap(low), gap(high)
     if gap_low <= 0.0:
         # Even with a vanishing share, the first ISP cannot match the second:
         # all consumers go to the second ISP.
         shares = {first.name: 0.0, second.name: 1.0}
         return _build_split(population, total_nu, (first, second), shares,
-                            mechanism, min_share, True, 1, config)
+                            mechanism, True, 1, config)
     if gap_high >= 0.0:
         shares = {first.name: 1.0, second.name: 0.0}
         return _build_split(population, total_nu, (first, second), shares,
-                            mechanism, min_share, True, 1, config)
+                            mechanism, True, 1, config)
+    converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         mid = 0.5 * (low + high)
         value = gap(mid)
         if abs(value) <= tolerance * surplus_scale:
             low = high = mid
+            converged = True
             break
         if value > 0.0:
             low = mid
         else:
             high = mid
         if high - low <= _DUOPOLY_SHARE_WIDTH:
+            converged = True
             break
     share_first = 0.5 * (low + high)
     shares = {first.name: share_first, second.name: 1.0 - share_first}
-    split = _build_split(population, total_nu, (first, second), shares,
-                         mechanism, min_share, True, iterations, config)
-    return split
+    return _build_split(population, total_nu, (first, second), shares,
+                        mechanism, converged, iterations, config)
 
 
 def _solve_multi(population: Population, total_nu: float,
                  isps: Sequence[IspConfig],
                  mechanism: Optional[RateAllocationMechanism],
-                 min_share: float,
                  tolerance: float, max_iterations: int,
                  config: Optional[SolverConfig] = None) -> MarketSplit:
     """Tatonnement on market shares for three or more ISPs.
@@ -261,37 +259,35 @@ def _solve_multi(population: Population, total_nu: float,
     for iterations in range(1, max_iterations + 1):
         surpluses = {
             isp.name: _surplus_at_share(population, total_nu, isp,
-                                        shares[isp.name], mechanism, min_share,
-                                        config)
+                                        shares[isp.name], mechanism, config)
             for isp in isps
         }
         mean = sum(shares[name] * surpluses[name] for name in shares)
         scale = max(mean, max(surpluses.values()), _SURPLUS_SCALE_FLOOR)
         residual = max(abs(surpluses[isp.name] - mean) for isp in isps
-                       if shares[isp.name] > 2.0 * min_share) \
-            if any(shares[isp.name] > 2.0 * min_share for isp in isps) else 0.0
+                       if shares[isp.name] > 2.0 * _MIN_SHARE) \
+            if any(shares[isp.name] > 2.0 * _MIN_SHARE for isp in isps) else 0.0
         if residual <= tolerance * scale:
             return _build_split(population, total_nu, isps, shares, mechanism,
-                                min_share, True, iterations, config)
+                                True, iterations, config)
         if residual > previous_residual:
             step = max(step * 0.5, 0.05)
         previous_residual = residual
         updated = {}
         for isp in isps:
             relative = (surpluses[isp.name] - mean) / scale
-            updated[isp.name] = max(min_share,
+            updated[isp.name] = max(_MIN_SHARE,
                                     shares[isp.name] * (1.0 + step * relative))
         total = sum(updated.values())
         shares = {name: value / total for name, value in updated.items()}
     return _build_split(population, total_nu, isps, shares, mechanism,
-                        min_share, False, iterations, config)
+                        False, iterations, config)
 
 
 def solve_market_split(population: Population, total_nu: float,
                        isps: Sequence[IspConfig],
                        mechanism: Optional[RateAllocationMechanism] = None,
-                       *, min_share: float = DEFAULT_MIN_SHARE,
-                       tolerance: Optional[float] = None,
+                       *, tolerance: Optional[float] = None,
                        max_iterations: int = 60,
                        config: Optional[SolverConfig] = None) -> MarketSplit:
     """Find the consumer-migration equilibrium among the given ISPs.
@@ -309,6 +305,10 @@ def solve_market_split(population: Population, total_nu: float,
         number (:class:`ModelValidationError` otherwise).  An explicit value
         wins over ``config.migration_tolerance``; when both are ``None`` the
         default is :data:`DEFAULT_MIGRATION_TOLERANCE`.
+    max_iterations:
+        Step budget of the share bisection (two ISPs) or the tatonnement
+        (three or more), at least 1.  ``converged`` is ``False`` when the
+        budget ran out before a stopping rule held.
     config:
         Solver configuration threaded into every per-ISP partition game.
     """
@@ -319,6 +319,9 @@ def solve_market_split(population: Population, total_nu: float,
         tolerance = (config.migration_tolerance
                      if config.migration_tolerance is not None
                      else DEFAULT_MIGRATION_TOLERANCE)
+    if max_iterations < 1:
+        raise ModelValidationError(
+            f"max_iterations must be at least 1, got {max_iterations!r}")
     if not isps:
         raise ModelValidationError("at least one ISP is required")
     names = [isp.name for isp in isps]
@@ -332,9 +335,9 @@ def solve_market_split(population: Population, total_nu: float,
     if len(isps) == 1:
         shares = {isps[0].name: 1.0}
         return _build_split(population, total_nu, isps, shares, mechanism,
-                            min_share, True, 0, config)
+                            True, 0, config)
     if len(isps) == 2:
         return _solve_duopoly(population, total_nu, isps[0], isps[1], mechanism,
-                              min_share, tolerance, max_iterations, config)
-    return _solve_multi(population, total_nu, isps, mechanism, min_share,
-                        tolerance, max_iterations, config)
+                              tolerance, max_iterations, config)
+    return _solve_multi(population, total_nu, isps, mechanism, tolerance,
+                        max_iterations, config)

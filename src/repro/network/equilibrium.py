@@ -31,7 +31,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.cache import LRUCache, all_cache_stats
+from repro.cache import LRUCache
 from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.network.allocation import (
@@ -53,8 +53,6 @@ __all__ = [
     "population_surplus_weights",
     "cached_class_cap",
     "mechanism_cache_key",
-    "default_class_cap_cache",
-    "equilibrium_cache_stats",
     "clear_equilibrium_caches",
 ]
 
@@ -649,11 +647,6 @@ _DEFAULT_MECHANISM = MaxMinFairAllocation()
 _CLASS_CAP_CACHE = LRUCache(maxsize=16384, name="class_caps")
 
 
-def default_class_cap_cache() -> LRUCache:
-    """The shared class-cap cache (for pre-seeding)."""
-    return _CLASS_CAP_CACHE
-
-
 def mechanism_cache_key(mechanism: Optional[RateAllocationMechanism],
                         ) -> tuple[Any, ...]:
     """Cache key of ``mechanism`` (``None`` means the default max-min)."""
@@ -675,9 +668,11 @@ def cached_class_cap(population: Population,
                      mask: Optional[np.ndarray],
                      nu: float,
                      mechanism: Optional[CommonCapAllocation] = None,
-                     cache: Optional[LRUCache] = None,
                      config: Optional[SolverConfig] = None) -> float:
     """Equilibrium common throughput cap of a service class, memoised.
+
+    The one function that builds a ``class_caps`` key and puts a cap into
+    that cache.
 
     ``mask`` is a boolean array over the parent population (``None`` — or an
     all-true mask — means the full population); the cache key holds it as a
@@ -693,11 +688,10 @@ def cached_class_cap(population: Population,
     """
     resolved = mechanism if mechanism is not None else _DEFAULT_MECHANISM
     config = resolve_config(config)
-    cache = _CLASS_CAP_CACHE if cache is None else cache
     members = None if mask is None or mask.all() else mask
     key = (population,
            None if members is None else np.packbits(members).tobytes(),
-           float(nu), mechanism_cache_key(resolved), config.cache_key())
+           float(nu), resolved.cache_key(), config.cache_key())
 
     def solve() -> float:
         profile = common_cap_profile(population, resolved)
@@ -712,16 +706,8 @@ def cached_class_cap(population: Population,
 
     if config.cache_policy == "bypass":
         return solve()
-    return cache.get_or_compute(key, solve)  # type: ignore[return-value]
-
-
-def equilibrium_cache_stats() -> dict[str, dict[str, Any]]:
-    """Hit/miss counters of the class-cap cache (for benchmark reports).
-
-    A filtered view of :func:`repro.cache.all_cache_stats`, where the cache
-    self-registers under the name used here.
-    """
-    return {"class_caps": all_cache_stats()["class_caps"]}
+    return _CLASS_CAP_CACHE.get_or_compute(  # type: ignore[return-value]
+        key, solve)
 
 
 def clear_equilibrium_caches() -> None:

@@ -4,9 +4,9 @@ The serving hot path: requests arriving within one batch that share a
 ``(population fingerprint, mechanism key, config.cache_key())`` batch key
 are fused into **one** ``warm_equilibrium_cache`` call over the union of
 their nu-grids and fanned back out, so k concurrent what-if queries against
-one population cost one grid cap solve (and leave the shared class-cap
-cache warm for every later request: only the caps are cached, one float
-per grid point, since every served series is computed from them).
+one population solve each union point once, through the class-cap cache
+(which stays warm for every later request: only the caps are cached, one
+float per grid point, since every served series is computed from them).
 Identical requests — same batch key *and* same grid — are coalesced: one
 still in flight shares its awaitable future, so a thundering herd of equal
 queries costs one solve, and one already answered is served at once from a
@@ -269,9 +269,8 @@ class MicroBatchScheduler:
             return
         batch, size = future.result()
         points = len(solve_key[1])
-        if batch.fixed_point_rows is not None \
-                or not 0 < points <= RETAINED_POINTS:
-            return  # (G, n) rows, an empty grid, or over the whole budget
+        if not 0 < points <= RETAINED_POINTS:
+            return  # an empty grid, or over the whole budget
         self._retained[solve_key] = (batch, size)
         self.retained_points += points
         while self.retained_points > RETAINED_POINTS:

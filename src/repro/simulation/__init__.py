@@ -1,8 +1,8 @@
 """Experiment harness: sweeps, result containers and figure reproductions.
 
-* :mod:`repro.simulation.batch` — the batched equilibrium engine: whole
-  capacity grids solved in one grid cap solve, plus the
-  shared equilibrium/partition memoisation the game layer runs on;
+* :mod:`repro.simulation.batch` — the batched equilibrium engine: a whole
+  capacity grid as one cap vector, solved directly or with each point
+  read through the class-cap cache;
 * :mod:`repro.simulation.results` — light containers for series and sweep
   results, with plain-text table rendering (no plotting dependency);
 * :mod:`repro.simulation.sweep` — price/capacity/strategy sweeps over the
@@ -13,7 +13,6 @@
 
 from repro.simulation.batch import (
     BatchRateEquilibrium,
-    clear_equilibrium_caches,
     solve_rate_equilibria,
     warm_equilibrium_cache,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "BatchRateEquilibrium",
     "solve_rate_equilibria",
     "warm_equilibrium_cache",
-    "clear_equilibrium_caches",
     "Series",
     "SweepResult",
     "ExperimentResult",

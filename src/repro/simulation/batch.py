@@ -13,17 +13,15 @@ the Theorem-1 cap.  This module:
   rate, utilisation, consumer surplus, premium revenue) come from the caps
   in ``O(G + n)`` memory; the per-provider ``(G, n)`` matrices are built
   only when asked for;
-* re-exports the class-cap cache
-  (:func:`repro.network.equilibrium.cached_class_cap`), which memoises the
-  Theorem-1 cap of each (class, capacity) so the monopoly, duopoly and
-  CP-partition games stop re-solving identical sub-problems during
-  best-response passes;
-* pre-seeds that cache with the full population's caps over an upcoming
-  sweep grid (:func:`warm_equilibrium_cache`), turning the per-point solves
-  of the sweep layer into lookups.
+* reads a grid through the class-cap cache
+  (:func:`warm_equilibrium_cache`, one
+  :func:`repro.network.equilibrium.cached_class_cap` per point), so the
+  service's repeated grids and the game layer share their caps.
 
-The scalar path (:func:`repro.network.equilibrium.solve_rate_equilibrium`)
-runs the same cap solver and builds its profile with the same row function
+Only cap-parameterised mechanisms have a batch; the scalar
+:func:`repro.network.equilibrium.solve_rate_equilibrium` solves any other
+mechanism by fixed-point iteration.  For a cap mechanism it runs the same
+cap solver and builds its profile with the same row function
 (:func:`repro.network.equilibrium.common_cap_row`), so batch and scalar
 results are bit-for-bit identical — a property the test suite asserts
 across mechanisms and demand families.
@@ -36,8 +34,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from repro.cache import LRUCache
-from repro.config import SolverConfig, resolve_config
+from repro.config import SolverConfig
 from repro.errors import ModelValidationError
 from repro.network.allocation import (
     CommonCapAllocation,
@@ -45,19 +42,13 @@ from repro.network.allocation import (
     RateAllocationMechanism,
 )
 from repro.network.equilibrium import (
-    CommonCapProfile,
     ExponentialMaxMinProfile,
     RateEquilibrium,
     cached_class_cap,
-    clear_equilibrium_caches,
     common_cap_profile,
     common_cap_row,
-    default_class_cap_cache,
-    equilibrium_cache_stats,
-    mechanism_cache_key,
     population_surplus_weights,
     solve_common_caps,
-    solve_rate_equilibrium,
 )
 from repro.network.provider import Population
 
@@ -65,9 +56,6 @@ __all__ = [
     "BatchRateEquilibrium",
     "solve_rate_equilibria",
     "warm_equilibrium_cache",
-    "cached_class_cap",
-    "equilibrium_cache_stats",
-    "clear_equilibrium_caches",
 ]
 
 _T = TypeVar("_T")
@@ -90,17 +78,14 @@ class BatchRateEquilibrium:
     equilibrium throughput at ``nus[g]``) are stacked on first access from
     :meth:`provider_row`, the row function that :meth:`equilibrium_at` and
     the scalar solver use too, so rows are bit-identical to the scalar
-    solver's output at the same ``nu``.  Only mechanisms without a cap (the
-    fixed-point fallback) carry explicit ``fixed_point_rows``.
+    solver's output at the same ``nu``.
     """
 
     population: Population
     nus: np.ndarray
     common_caps: np.ndarray
-    mechanism: RateAllocationMechanism = field(
+    mechanism: CommonCapAllocation = field(
         default_factory=MaxMinFairAllocation)
-    #: ``(thetas, demands)`` matrices, only for mechanisms without a cap.
-    fixed_point_rows: Optional[tuple[np.ndarray, np.ndarray]] = None
     # Lazily computed arrays by name.  Every value is a pure function of the
     # fields above, so threads racing on one key store equal arrays.
     _memo: dict[str, Any] = field(default_factory=dict, init=False,
@@ -123,10 +108,6 @@ class BatchRateEquilibrium:
     # ---------------------------------------------------------------- #
     def provider_row(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Equilibrium ``(thetas, demands)`` at grid point ``index``."""
-        if self.fixed_point_rows is not None:
-            thetas, demands = self.fixed_point_rows
-            return thetas[index], demands[index]
-        assert isinstance(self.mechanism, CommonCapAllocation)
         return common_cap_row(self.population, self.mechanism,
                               float(self.common_caps[index]))
 
@@ -139,8 +120,6 @@ class BatchRateEquilibrium:
         return value
 
     def _stack_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.fixed_point_rows is not None:
-            return self.fixed_point_rows
         shape = (len(self.nus), len(self.population))
         thetas, demands = np.empty(shape), np.empty(shape)
         for index in range(shape[0]):
@@ -182,13 +161,9 @@ class BatchRateEquilibrium:
     def take(self, indices: Sequence[int]) -> "BatchRateEquilibrium":
         """The batch restricted to (and reordered by) grid ``indices``."""
         picked = np.asarray(indices, dtype=np.intp)
-        rows = self.fixed_point_rows
-        if rows is not None:
-            rows = (rows[0][picked], rows[1][picked])
         return BatchRateEquilibrium(
             population=self.population, nus=self.nus[picked],
-            common_caps=self.common_caps[picked], mechanism=self.mechanism,
-            fixed_point_rows=rows)
+            common_caps=self.common_caps[picked], mechanism=self.mechanism)
 
     # ---------------------------------------------------------------- #
     # Aggregate series from the caps, ``(G,)`` each.
@@ -197,10 +172,8 @@ class BatchRateEquilibrium:
         """Aggregate carried rate and consumer surplus at every grid point."""
         count = len(self.nus)
         rates, surpluses = np.zeros(count), np.zeros(count)
-        profile: Optional[CommonCapProfile] = None
-        if self.fixed_point_rows is None and len(self.population):
-            assert isinstance(self.mechanism, CommonCapAllocation)
-            profile = common_cap_profile(self.population, self.mechanism)
+        profile = (common_cap_profile(self.population, self.mechanism)
+                   if len(self.population) else None)
         if isinstance(profile, ExponentialMaxMinProfile):
             weights = population_surplus_weights(self.population, profile)
             for index, cap in enumerate(self.common_caps.tolist()):
@@ -249,8 +222,27 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _capacity_grid(nus: Sequence[float]) -> np.ndarray:
-    return np.asarray([float(nu) for nu in nus], dtype=float)
+def _checked_grid(nus: Sequence[float],
+                  mechanism: Optional[RateAllocationMechanism],
+                  ) -> tuple[np.ndarray, CommonCapAllocation]:
+    """The capacity grid as an array, and the (default max-min) mechanism.
+
+    Raises :class:`ModelValidationError` for an invalid grid or a mechanism
+    without a Theorem-1 cap.
+    """
+    nus_arr = np.asarray([float(nu) for nu in nus], dtype=float)
+    if nus_arr.ndim != 1:
+        raise ModelValidationError("nus must be a 1-D sequence of capacities")
+    if np.any(~np.isfinite(nus_arr)) or np.any(nus_arr < 0.0):
+        raise ModelValidationError(
+            "per-capita capacities must all be finite and >= 0")
+    if mechanism is None:
+        return nus_arr, MaxMinFairAllocation()
+    if not isinstance(mechanism, CommonCapAllocation):
+        raise ModelValidationError(
+            f"{type(mechanism).__name__} has no Theorem-1 cap, so it has no "
+            "batched solve; use solve_rate_equilibrium per capacity")
+    return nus_arr, mechanism
 
 
 def solve_rate_equilibria(population: Population, nus: Sequence[float],
@@ -260,97 +252,32 @@ def solve_rate_equilibria(population: Population, nus: Sequence[float],
     """Rate equilibria of ``population`` at every capacity in ``nus`` at once.
 
     The batched counterpart of
-    :func:`~repro.network.equilibrium.solve_rate_equilibrium`.  For
+    :func:`~repro.network.equilibrium.solve_rate_equilibrium` for
     cap-parameterised mechanisms (the paper's max-min fair mechanism
-    included) the grid's caps come from one ``solve_caps`` call and are all
-    the batch stores; other mechanisms fall back to per-point scalar solves
-    and keep their ``(G, n)`` rows.  Degenerate grid points (``nu = 0``,
-    uncongested capacities, empty populations) are handled exactly like the
-    scalar path.
+    included): the grid's caps come from one ``solve_caps`` call and are
+    all the batch stores.  Degenerate grid points (``nu = 0``, uncongested
+    capacities, empty populations) are handled exactly like the scalar
+    path.  A mechanism without a cap raises :class:`ModelValidationError`.
     """
-    nus_arr = _capacity_grid(nus)
-    if nus_arr.ndim != 1:
-        raise ModelValidationError("nus must be a 1-D sequence of capacities")
-    if np.any(~np.isfinite(nus_arr)) or np.any(nus_arr < 0.0):
-        raise ModelValidationError(
-            "per-capita capacities must all be finite and >= 0")
-    if mechanism is None:
-        mechanism = MaxMinFairAllocation()
-    config = resolve_config(config)
-    if isinstance(mechanism, CommonCapAllocation):
-        caps = solve_common_caps(population, nus_arr, mechanism, config)
-        return BatchRateEquilibrium(population=population, nus=nus_arr,
-                                    common_caps=caps, mechanism=mechanism)
-    # Scalar fallback for arbitrary mechanisms (fixed-point iteration): no
-    # cap describes the equilibrium, so solve per point and stack.
-    rows = [solve_rate_equilibrium(population, float(nu), mechanism, config)
-            for nu in nus_arr]
-    return _fixed_point_batch(population, nus_arr, rows, mechanism)
-
-
-def _fixed_point_batch(population: Population, nus: np.ndarray,
-                       rows: Sequence[RateEquilibrium],
-                       mechanism: RateAllocationMechanism
-                       ) -> BatchRateEquilibrium:
-    """A batch of explicit equilibrium rows (mechanisms without a cap)."""
-    shape = (len(nus), len(population))
-    thetas, demands = np.empty(shape), np.empty(shape)
-    for index, row in enumerate(rows):
-        thetas[index] = row.thetas
-        demands[index] = row.demands
-    return BatchRateEquilibrium(
-        population=population, nus=nus,
-        common_caps=np.array([row.common_cap for row in rows], dtype=float),
-        mechanism=mechanism, fixed_point_rows=(thetas, demands))
+    nus_arr, mechanism = _checked_grid(nus, mechanism)
+    caps = solve_common_caps(population, nus_arr, mechanism, config)
+    return BatchRateEquilibrium(population=population, nus=nus_arr,
+                                common_caps=caps, mechanism=mechanism)
 
 
 def warm_equilibrium_cache(population: Population, nus: Sequence[float],
                            mechanism: Optional[RateAllocationMechanism] = None,
-                           cache: Optional[LRUCache] = None,
                            config: Optional[SolverConfig] = None,
                            ) -> BatchRateEquilibrium:
-    """Solve a capacity grid in one pass and seed the class-cap cache.
+    """:func:`solve_rate_equilibria` read through the class-cap cache.
 
-    After this call, ``cached_class_cap(population, None, nu, ...)`` (and
-    therefore the game layer's full-population class caps) is a lookup for
-    every ``nu`` in the grid.  Only grid points not already cached are
-    solved, so re-warming the same grid (e.g. repeated sweeps over one
-    population) costs a handful of dictionary lookups.  Returns the batch,
-    so callers can also read the grid directly; a warmed grid holds one
-    float per point.  The cache keys mirror :func:`cached_class_cap`
-    exactly (including the config's ``cache_key()``); ``cache`` replaces
-    the shared class-cap cache.  A ``bypass`` cache policy, or a mechanism
-    without a cap, just solves the grid.
+    Each grid point is one :func:`cached_class_cap` of the full population,
+    so a point some earlier solve or game already needed is a lookup, and
+    every point solved here is one for later callers.  The caps equal
+    :func:`solve_rate_equilibria`'s bit for bit.
     """
-    config = resolve_config(config)
-    if mechanism is None:
-        mechanism = MaxMinFairAllocation()
-    if (config.cache_policy == "bypass"
-            or not isinstance(mechanism, CommonCapAllocation)):
-        return solve_rate_equilibria(population, nus, mechanism, config)
-    if cache is None:
-        cache = default_class_cap_cache()
-    mechanism_key = mechanism_cache_key(mechanism)
-    config_key = config.cache_key()
-    nus_arr = _capacity_grid(nus)
-    keys = [(population, None, float(nu), mechanism_key, config_key)
-            for nu in nus_arr]
-    # Read hits up front and keep local copies: the seeding puts below may
-    # LRU-evict earlier grid keys, so the cache must not be re-read during
-    # assembly.
-    caps = np.empty(len(nus_arr))
-    missing = []
-    for index, key in enumerate(keys):
-        cap = cache.get(key)
-        if cap is None:
-            missing.append(index)
-        else:
-            caps[index] = cap
-    if missing:
-        solved = solve_rate_equilibria(population, nus_arr[missing], mechanism,
-                                       config)
-        for batch_index, grid_index in enumerate(missing):
-            caps[grid_index] = solved.common_caps[batch_index]
-            cache.put(keys[grid_index], float(caps[grid_index]))
+    nus_arr, mechanism = _checked_grid(nus, mechanism)
+    caps = np.array([cached_class_cap(population, None, nu, mechanism, config)
+                     for nu in nus_arr.tolist()], dtype=float)
     return BatchRateEquilibrium(population=population, nus=nus_arr,
                                 common_caps=caps, mechanism=mechanism)

@@ -5,12 +5,11 @@ per-capita ISP surplus ``Psi``, consumer surplus ``Phi`` and (for the
 duopoly) the strategic ISP's market share ``m_I`` as named series — exactly
 the quantities plotted in the paper's Figures 4, 5, 7 and 8.
 
-All four sweeps run on the batched equilibrium engine
-(:mod:`repro.simulation.batch`): the full population's Theorem-1 caps at
-every service-class capacity in the grid are solved in one grid cap solve
-up front and seeded into the class-cap cache, and the per-point
-second-stage games then read their class caps and partition outcomes from
-that shared memoisation (each class's rates follow from its cap).
+Every per-point game reads its class caps and partition outcomes through
+the shared memoisation of the game layer (the class-cap cache of
+:func:`repro.network.equilibrium.cached_class_cap` and the partition
+outcome cache), so a cap one grid point needs is solved when first needed
+and is a lookup for every later point that needs it again.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.core.monopoly import MonopolyGame
 from repro.core.strategy import ISPStrategy, PUBLIC_OPTION_STRATEGY
 from repro.network.allocation import RateAllocationMechanism
 from repro.network.provider import Population
-from repro.simulation.batch import warm_equilibrium_cache
 from repro.simulation.results import Series, SweepResult
 
 __all__ = [
@@ -32,17 +30,6 @@ __all__ = [
     "duopoly_price_sweep",
     "duopoly_capacity_sweep",
 ]
-
-
-def _class_capacities(nus: Sequence[float],
-                      kappas: Iterable[float]) -> tuple[float, ...]:
-    """Every service-class capacity a sweep grid will need, de-duplicated."""
-    capacities = set()
-    for nu in nus:
-        for kappa in kappas:
-            capacities.add(kappa * float(nu))
-            capacities.add((1.0 - kappa) * float(nu))
-    return tuple(sorted(capacities))
 
 
 def monopoly_price_sweep(population: Population, nus: Iterable[float],
@@ -56,12 +43,6 @@ def monopoly_price_sweep(population: Population, nus: Iterable[float],
     per-capita capacity value in ``nus``.
     """
     price_grid = tuple(float(p) for p in prices)
-    nus = tuple(float(nu) for nu in nus)
-    # One vectorised pass solves the full population's cap at every class
-    # capacity the grid can produce (all-ordinary / all-premium
-    # partitions); the per-point games below then start from cache hits.
-    warm_equilibrium_cache(population, _class_capacities(nus, (kappa,)),
-                           mechanism, config=config)
     psi_panel = SweepResult(title=f"Per capita ISP surplus Psi vs price (kappa={kappa})",
                             parameters={"kappa": kappa})
     phi_panel = SweepResult(title=f"Per capita consumer surplus Phi vs price (kappa={kappa})",
@@ -90,10 +71,6 @@ def monopoly_capacity_sweep(population: Population,
     strategy in ``strategies``.
     """
     nu_grid = tuple(float(nu) for nu in nus)
-    warm_equilibrium_cache(
-        population,
-        _class_capacities(nu_grid, {s.kappa for s in strategies}),
-        mechanism, config=config)
     grid_parameters = {"strategies": [s.describe() for s in strategies]}
     psi_panel = SweepResult(title="Per capita ISP surplus Psi vs capacity nu",
                             parameters=dict(grid_parameters))
@@ -121,10 +98,9 @@ def duopoly_price_sweep(population: Population, nus: Iterable[float],
                         ) -> tuple[SweepResult, SweepResult, SweepResult]:
     """Market share, ISP surplus and consumer surplus vs price (Figure 7).
 
-    The duopoly's class capacities depend on the migration equilibrium's
-    market shares, so they cannot be pre-batched; instead the sweep relies
-    on the engine's shared memoisation, under which e.g. the Public Option
-    ISP's surplus curve — identical across all price points — is solved once.
+    The sweep relies on the game layer's shared memoisation, under which
+    e.g. the Public Option ISP's surplus curve — identical across all price
+    points — is solved once.
     """
     price_grid = tuple(float(p) for p in prices)
     grid_parameters = {

@@ -11,6 +11,7 @@ from repro.core.migration import (
     solve_market_split,
 )
 from repro.core.strategy import ISPStrategy, PUBLIC_OPTION_STRATEGY
+from repro.workloads.populations import paper_population
 
 
 class TestIspConfig:
@@ -122,6 +123,39 @@ class TestDuopolySplit:
         expected = split.shares["strategic"] * split.outcomes["strategic"].isp_surplus
         assert split.isp_surplus("strategic") == pytest.approx(expected)
         assert split.isp_surplus("po") == 0.0
+
+
+class TestDuopolyConvergenceReport:
+    """``converged`` holds only when a stopping rule ended the bisection.
+
+    ISP-I at (kappa=0.5, c=0.1) against a Public Option at nu=40 stops on
+    the surplus-tolerance rule at step 14; one step leaves a residual of
+    68% of the common surplus.
+    """
+
+    ISPS = (IspConfig("ISP-I", ISPStrategy(0.5, 0.1), 0.5),
+            IspConfig("ISP-J", PUBLIC_OPTION_STRATEGY, 0.5))
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        return paper_population(count=200, seed=1)
+
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_empty_step_budget_rejected(self, population, max_iterations):
+        with pytest.raises(ModelValidationError, match="max_iterations"):
+            solve_market_split(population, 40.0, self.ISPS,
+                               max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("max_iterations, iterations, converged",
+                             [(1, 1, False), (13, 13, False), (14, 14, True),
+                              (40, 14, True)])
+    def test_converged_only_when_a_stopping_rule_held(
+            self, population, max_iterations, iterations, converged):
+        split = solve_market_split(population, 40.0, self.ISPS,
+                                   tolerance=1e-4,
+                                   max_iterations=max_iterations)
+        assert split.iterations == iterations
+        assert split.converged is converged
 
 
 class TestMultiIspSplit:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import SolverConfig
 from repro.errors import ModelValidationError
-from repro.core.duopoly import DuopolyGame
+from repro.core.duopoly import DUOPOLY_MIGRATION_ITERATIONS, DuopolyGame
 from repro.core.oligopoly import OligopolyGame
 from repro.core.strategy import ISPStrategy, PUBLIC_OPTION_STRATEGY, strategy_grid
 
@@ -132,7 +132,7 @@ class TestAgainstDuopolySolver:
             small_random_population, total_nu=4.0,
             capacity_shares={"ISP-I": 0.5, "ISP-J": 0.5},
             config=SolverConfig(migration_tolerance=duopoly.migration_tolerance),
-            migration_iterations=duopoly.migration_iterations)
+            migration_iterations=DUOPOLY_MIGRATION_ITERATIONS)
         expected = duopoly.outcome(strategy)
         actual = oligopoly.outcome({"ISP-I": strategy,
                                     "ISP-J": PUBLIC_OPTION_STRATEGY})
@@ -152,7 +152,7 @@ class TestAgainstDuopolySolver:
             # 0.30000000000000004, not 0.3.
             capacity_shares={"ISP-I": 0.7, "ISP-J": 1.0 - 0.7},
             config=SolverConfig(migration_tolerance=duopoly.migration_tolerance),
-            migration_iterations=duopoly.migration_iterations)
+            migration_iterations=DUOPOLY_MIGRATION_ITERATIONS)
         strategy = ISPStrategy(1.0, 0.4)
         expected = duopoly.outcome(strategy)
         actual = oligopoly.outcome({"ISP-I": strategy,

@@ -20,6 +20,7 @@ class TestHoistedToleranceConstants:
     """RL006 fixes: every hoisted constant keeps its pre-fix value."""
 
     def test_equilibrium_constants(self):
+        from repro.cache import all_cache_stats
         from repro.network import equilibrium as eq
         assert eq._UNCONGESTED_SLACK == 1e-15
         assert eq._CONGESTION_SLACK == 1e-12
@@ -74,6 +75,7 @@ class TestCacheKeyThreading:
     def test_class_cap_cache_isolates_configs(self):
         import numpy as np
 
+        from repro.cache import all_cache_stats
         from repro.network import equilibrium as eq
         from repro.network.provider import ContentProvider, Population
 
@@ -84,13 +86,13 @@ class TestCacheKeyThreading:
         mask = np.array([True, False])
         eq.clear_equilibrium_caches()
         eq.cached_class_cap(population, mask, 0.2, config=SolverConfig())
-        first = eq.default_class_cap_cache().stats()["size"]
+        first = all_cache_stats()["class_caps"]["size"]
         assert first > 0
         # Same population and class, different tolerance config: must be a
         # fresh cap entry (a colliding key would alias the old one).
         eq.cached_class_cap(population, mask, 0.2,
                             config=SolverConfig(bisection_tolerance=1e-10))
-        second = eq.default_class_cap_cache().stats()["size"]
+        second = all_cache_stats()["class_caps"]["size"]
         assert second > first
 
 

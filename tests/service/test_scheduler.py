@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.config import SolverConfig
 from repro.network.allocation import (
     MaxMinFairAllocation,
-    ProportionalFairAllocation,
     ProportionalToDemandAllocation,
 )
 from repro.service import scheduler as scheduler_module
@@ -179,18 +178,6 @@ class TestRetainedOutcomes:
             for _ in range(2):
                 await scheduler.solve(POPULATION, (50.0, 60.0), MAXMIN,
                                       CONFIG)
-            return scheduler.stats()
-
-        stats = run(with_scheduler(body, window_seconds=0.0))
-        assert stats["engine_solves"] == 2
-        assert stats["retained_points"] == 0
-
-    def test_fixed_point_rows_are_not_retained(self):
-        # A mechanism without a cap keeps (G, n) rows: not O(G) to retain.
-        async def body(scheduler):
-            for _ in range(2):
-                await scheduler.solve(POPULATION, (50.0,),
-                                      ProportionalFairAllocation(), CONFIG)
             return scheduler.stats()
 
         stats = run(with_scheduler(body, window_seconds=0.0))

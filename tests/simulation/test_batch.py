@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cache import clear_all_caches
+from repro.cache import all_cache_stats, clear_all_caches
 from repro.core.cp_game import CPPartitionGame
 from repro.core.duopoly import DuopolyGame
 from repro.core.strategy import ISPStrategy
@@ -33,11 +33,8 @@ from repro.network.demand import (
     StepDemand,
     UnitDemand,
 )
-from repro.network.equilibrium import (
-    cached_class_cap,
-    default_class_cap_cache,
-    solve_rate_equilibrium,
-)
+from repro.errors import ModelValidationError
+from repro.network.equilibrium import cached_class_cap, solve_rate_equilibrium
 from repro.network.provider import ContentProvider, Population
 from repro.simulation.batch import (
     solve_rate_equilibria,
@@ -81,18 +78,11 @@ def exponential_population() -> Population:
     return random_population(PopulationSpec(count=60), seed=13)
 
 
-def grid_for(population: Population,
-             include_extremes: bool = True) -> tuple[float, ...]:
-    """A capacity grid spanning every regime, including degenerate points.
-
-    ``include_extremes=False`` drops the near-zero capacity: the generic
-    fixed-point path (non-cap mechanisms) legitimately fails to converge
-    there, in batch and scalar form alike.
-    """
+def grid_for(population: Population) -> tuple[float, ...]:
+    """A capacity grid spanning every regime, including degenerate points."""
     load = population.unconstrained_per_capita_load
-    extremes = (0.0, 1e-9) if include_extremes else ()
-    return extremes + (0.05 * load, 0.3 * load, 0.8 * load,
-                       load, 1.5 * load, 10.0 * load)
+    return (0.0, 1e-9, 0.05 * load, 0.3 * load, 0.8 * load,
+            load, 1.5 * load, 10.0 * load)
 
 
 MECHANISMS = [
@@ -100,7 +90,6 @@ MECHANISMS = [
     pytest.param(ProportionalToDemandAllocation(), id="prop-to-demand"),
     pytest.param(WeightedFairAllocation({"cp-0001": 2.0, "linear": 3.0},
                                         default_weight=1.0), id="weighted"),
-    pytest.param(AlphaFairAllocation(alpha=1.0), id="alpha-fair"),
 ]
 
 POPULATIONS = [
@@ -129,10 +118,8 @@ class TestBatchMatchesScalar:
     @pytest.mark.parametrize("make_population", POPULATIONS)
     def test_dense_grid(self, make_population, mechanism):
         population = make_population()
-        from repro.network.allocation import CommonCapAllocation
-        include_extremes = isinstance(mechanism, CommonCapAllocation)
-        batch = solve_rate_equilibria(
-            population, grid_for(population, include_extremes), mechanism)
+        batch = solve_rate_equilibria(population, grid_for(population),
+                                      mechanism)
         assert_equilibria_match(batch, population, mechanism)
 
     def test_default_mechanism_is_maxmin(self):
@@ -185,11 +172,19 @@ class TestBatchMatchesScalar:
 
     def test_rejects_invalid_grid(self):
         population = exponential_population()
-        from repro.errors import ModelValidationError
         with pytest.raises(ModelValidationError):
             solve_rate_equilibria(population, (-1.0,))
         with pytest.raises(ModelValidationError):
             solve_rate_equilibria(population, (float("nan"),))
+
+    @pytest.mark.parametrize("solve", [solve_rate_equilibria,
+                                       warm_equilibrium_cache])
+    def test_rejects_mechanism_without_cap(self, solve):
+        # A batch is a cap vector; mechanisms without a Theorem-1 cap are
+        # solved point by point with ``solve_rate_equilibrium``.
+        population = exponential_population()
+        with pytest.raises(ModelValidationError, match="AlphaFairAllocation"):
+            solve(population, (0.5,), AlphaFairAllocation(alpha=1.0))
 
     @given(count=st.integers(min_value=1, max_value=10),
            seed=st.integers(min_value=0, max_value=10_000),
@@ -284,45 +279,26 @@ class TestEquilibriumCaches:
         load = population.unconstrained_per_capita_load
         nus = (0.1 * load, 0.5 * load, 1.5 * load)
         batch = warm_equilibrium_cache(population, nus)
-        cache = default_class_cap_cache()
-        misses = cache.misses
+        misses = all_cache_stats()["class_caps"]["misses"]
         for index, nu in enumerate(nus):
             direct = solve_rate_equilibrium(population, nu)
             np.testing.assert_array_equal(batch.thetas[index], direct.thetas)
             assert cached_class_cap(population, None, nu) == direct.common_cap
-        assert cache.misses == misses  # every lookup hit a seeded cap
-
-    def test_warm_equilibrium_cache_survives_lru_eviction(self):
-        """A partially-cached grid larger than the cache must still assemble.
-
-        The seeding puts can evict rows the pre-scan found cached; the
-        returned batch must not depend on re-reading the cache.
-        """
-        from repro.cache import LRUCache
-        population = exponential_population()
-        load = population.unconstrained_per_capita_load
-        cache = LRUCache(maxsize=2)
-        nus = tuple(fraction * load for fraction in (0.1, 0.2, 0.3, 0.4, 0.5))
-        warm_equilibrium_cache(population, nus[:1], cache=cache)
-        batch = warm_equilibrium_cache(population, nus, cache=cache)
-        for index, nu in enumerate(nus):
-            direct = solve_rate_equilibrium(population, nu)
-            np.testing.assert_array_equal(batch.thetas[index], direct.thetas)
-            assert float(batch.common_caps[index]) == direct.common_cap
+        # Every lookup hit a seeded cap.
+        assert all_cache_stats()["class_caps"]["misses"] == misses
 
     def test_warm_equilibrium_cache_skips_already_cached_rows(self):
         population = exponential_population()
         load = population.unconstrained_per_capita_load
         nus = (0.2 * load, 0.8 * load)
         first = warm_equilibrium_cache(population, nus)
-        cache = default_class_cap_cache()
-        misses_before = cache.misses
-        hits_before = cache.hits
+        before = all_cache_stats()["class_caps"]
         # Re-warming a partially overlapping grid only solves the new point:
         # the two already-warmed points hit, only 1.4*load misses.
         second = warm_equilibrium_cache(population, nus + (1.4 * load,))
-        assert cache.misses == misses_before + 1
-        assert cache.hits == hits_before + 2
+        after = all_cache_stats()["class_caps"]
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 2
         np.testing.assert_array_equal(first.thetas, second.thetas[:2])
         np.testing.assert_array_equal(
             second.thetas[2],
@@ -397,8 +373,8 @@ class TestCpGameCacheEquivalence:
 
 class TestCapacityAxisBatching:
     """Columnar profile kernel: scalar ``solve_cap`` vs batched ``solve_caps``,
-    mask-keyed class caps, chunked carried evaluation, and the capacity
-    sweep's bracket warming — all must agree with the scalar path."""
+    mask-keyed class caps, restricted profiles and the duopoly capacity
+    sweep — all must agree with the scalar path."""
 
     def setup_method(self):
         clear_all_caches()
@@ -502,7 +478,7 @@ class TestCapacityAxisBatching:
             for nu in (0.2 * load, 0.8 * load):
                 assert direct.solve_cap(nu) == profile.solve_cap(nu)
 
-    def test_capacity_sweep_warming_matches_per_point_outcomes(self):
+    def test_capacity_sweep_matches_per_point_outcomes(self):
         population = random_population(PopulationSpec(count=50), seed=9)
         load = population.unconstrained_per_capita_load
         nus = (0.3 * load, 0.6 * load, 1.1 * load)
@@ -511,8 +487,10 @@ class TestCapacityAxisBatching:
         clear_all_caches()
         swept = game.capacity_sweep(strategy, nus)
         clear_all_caches()
+        # Each sweep point solves its caps when first needed, exactly like
+        # a cold per-point game: the outcomes agree bit for bit.
         for nu, warm in zip(nus, swept):
             cold = DuopolyGame(population, nu, 0.5).outcome(strategy)
-            assert abs(warm.market_share - cold.market_share) <= TOL
-            assert abs(warm.consumer_surplus - cold.consumer_surplus) <= TOL
-            assert abs(warm.isp_surplus - cold.isp_surplus) <= TOL
+            assert warm.market_share == cold.market_share
+            assert warm.consumer_surplus == cold.consumer_surplus
+            assert warm.isp_surplus == cold.isp_surplus

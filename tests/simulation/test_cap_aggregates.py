@@ -19,9 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.cache import clear_all_caches
+from repro.cache import all_cache_stats, clear_all_caches
 from repro.network.allocation import (
-    AlphaFairAllocation,
     MaxMinFairAllocation,
     ProportionalToDemandAllocation,
     WeightedFairAllocation,
@@ -31,7 +30,6 @@ from repro.network.equilibrium import (
     ExponentialMaxMinProfile,
     cached_class_cap,
     common_cap_profile,
-    default_class_cap_cache,
     solve_rate_equilibrium,
 )
 from repro.network.provider import ContentProvider, Population
@@ -261,35 +259,21 @@ class TestCapDefinedBatch:
             np.testing.assert_array_equal(demands, scalar.demands)
             np.testing.assert_array_equal(batch.thetas[index], thetas)
 
-    def test_take_slices_fixed_point_rows(self):
-        # Mechanisms without a cap keep explicit rows; ``take`` (the
-        # scheduler's fan-out) must slice them along with the grid.
-        population = random_population(PopulationSpec(count=12), seed=8)
-        load = population.unconstrained_per_capita_load
-        batch = solve_rate_equilibria(population, (0.3 * load, 0.7 * load),
-                                      AlphaFairAllocation(alpha=1.0))
-        picked = batch.take([1, 0])
-        assert picked.nus.tolist() == batch.nus.tolist()[::-1]
-        np.testing.assert_array_equal(picked.thetas, batch.thetas[::-1])
-        assert (picked.consumer_surpluses().tolist()
-                == batch.consumer_surpluses().tolist()[::-1])
-
     def test_caps_only_warming_seeds_class_caps(self):
         population = random_population(PopulationSpec(count=30), seed=4)
         load = population.unconstrained_per_capita_load
         nus = (0.1 * load, 0.5 * load, 1.5 * load)
-        class_caps = default_class_cap_cache()
         cold = warm_equilibrium_cache(population, nus)
-        assert len(class_caps) == len(nus)
-        hits = class_caps.hits
+        assert all_cache_stats()["class_caps"]["size"] == len(nus)
+        hits = all_cache_stats()["class_caps"]["hits"]
         warm = warm_equilibrium_cache(population, nus)
-        assert class_caps.hits == hits + len(nus)
+        assert all_cache_stats()["class_caps"]["hits"] == hits + len(nus)
         np.testing.assert_array_equal(warm.common_caps, cold.common_caps)
         assert warm.aggregate_rates.tolist() == cold.aggregate_rates.tolist()
         # The game layer's cap lookups hit the seeded entries.
         for nu, cap in zip(nus, cold.common_caps):
             assert cached_class_cap(population, None, nu) == cap
-        assert class_caps.hits == hits + 2 * len(nus)
+        assert all_cache_stats()["class_caps"]["hits"] == hits + 2 * len(nus)
 
 
 def test_non_detail_path_allocates_no_grid_matrix():
