@@ -31,8 +31,7 @@ def main() -> None:
     load = population.unconstrained_per_capita_load
     nu = 0.5 * load
     shares = {"cable-co": 0.5, "telco": 0.3, "fiber-startup": 0.2}
-    game = OligopolyGame(population, total_nu=nu, capacity_shares=shares,
-                         migration_iterations=150)
+    game = OligopolyGame(population, total_nu=nu, capacity_shares=shares)
     print(f"{len(population)} CPs, nu = {nu:.1f}, capacity shares = {shares}")
 
     # ------------------------------------------------------------------ #

@@ -22,7 +22,7 @@ This module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence
 
 from repro.config import SolverConfig, _check_tolerance, resolve_config
@@ -234,8 +234,16 @@ def _solve_duopoly(population: Population, total_nu: float,
             break
     share_first = 0.5 * (low + high)
     shares = {first.name: share_first, second.name: 1.0 - share_first}
-    return _build_split(population, total_nu, (first, second), shares,
-                        mechanism, converged, iterations, config)
+    split = _build_split(population, total_nu, (first, second), shares,
+                         mechanism, converged, iterations, config)
+    # The returned midpoint was never probed; it meets the surplus rule too
+    # when its own gap, read off the surpluses just built, is in tolerance.
+    phi_first = split.surpluses[first.name]
+    phi_second = split.surpluses[second.name]
+    surplus_scale = max(surplus_scale, abs(phi_first), abs(phi_second))
+    if not converged and abs(phi_first - phi_second) <= tolerance * surplus_scale:
+        split = replace(split, converged=True)
+    return split
 
 
 def _solve_multi(population: Population, total_nu: float,
@@ -308,7 +316,7 @@ def solve_market_split(population: Population, total_nu: float,
     max_iterations:
         Step budget of the share bisection (two ISPs) or the tatonnement
         (three or more), at least 1.  ``converged`` is ``False`` when the
-        budget ran out before a stopping rule held.
+        budget ran out and the returned shares meet no stopping rule.
     config:
         Solver configuration threaded into every per-ISP partition game.
     """

@@ -32,13 +32,18 @@ from repro.network.allocation import RateAllocationMechanism
 from repro.network.provider import Population
 
 __all__ = ["OligopolyOutcome", "OligopolyGame",
-           "OLIGOPOLY_MIGRATION_TOLERANCE"]
+           "OLIGOPOLY_MIGRATION_TOLERANCE", "OLIGOPOLY_MIGRATION_ITERATIONS"]
 
 #: The oligopoly's documented migration-tolerance default: the multi-ISP
 #: tatonnement converges on the small surplus discontinuities of
 #: Equation (9), so it runs at a looser tolerance than the duopoly's exact
 #: share bisection (``DUOPOLY_MIGRATION_TOLERANCE`` = 1e-4).
 OLIGOPOLY_MIGRATION_TOLERANCE = 1e-3
+
+#: Step budget of the migration solve (a share bisection for two ISPs, a
+#: tatonnement for three or more).  The bisection's share-width rule stops
+#: it within 17 steps, so the budget binds only the tatonnement.
+OLIGOPOLY_MIGRATION_ITERATIONS = 150
 
 #: Slack allowed when checking that capacity shares sum to one.
 _SHARE_SUM_TOLERANCE = 1e-9
@@ -96,9 +101,6 @@ class OligopolyGame:
     capacity_shares:
         Mapping from ISP name to its capacity share ``gamma_I``; the shares
         must sum to 1.
-    migration_iterations:
-        Iteration limit of the migration solve (a bisection for two ISPs,
-        a tatonnement for three or more).
     config:
         Solver configuration threaded into every layer below.  Its
         ``migration_tolerance`` sets the surplus-equalisation tolerance of
@@ -109,8 +111,7 @@ class OligopolyGame:
     def __init__(self, population: Population, total_nu: float,
                  capacity_shares: Mapping[str, float],
                  mechanism: Optional[RateAllocationMechanism] = None,
-                 *, migration_iterations: int = 80,
-                 config: Optional[SolverConfig] = None) -> None:
+                 *, config: Optional[SolverConfig] = None) -> None:
         if not math.isfinite(total_nu) or total_nu < 0.0:
             raise ModelValidationError(
                 f"total_nu must be non-negative, got {total_nu!r}")
@@ -133,7 +134,6 @@ class OligopolyGame:
             self.config.migration_tolerance
             if self.config.migration_tolerance is not None
             else OLIGOPOLY_MIGRATION_TOLERANCE)
-        self.migration_iterations = migration_iterations
 
     # ------------------------------------------------------------------ #
     def outcome(self, strategies: Mapping[str, ISPStrategy]) -> OligopolyOutcome:
@@ -148,7 +148,7 @@ class OligopolyGame:
         split = solve_market_split(
             self.population, self.total_nu, isps, self.mechanism,
             tolerance=self.migration_tolerance,
-            max_iterations=self.migration_iterations,
+            max_iterations=OLIGOPOLY_MIGRATION_ITERATIONS,
             config=self.config,
         )
         return OligopolyOutcome(strategies=dict(strategies),

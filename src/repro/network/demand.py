@@ -16,15 +16,22 @@ implements that family plus several other Assumption-1-compliant families
 (linear, step/threshold, sigmoid, piecewise-linear, constant-elasticity)
 that are useful for testing the axiomatic machinery and for modelling
 application classes beyond the paper's three archetypes.
+
+A family supplies its parameter names and one array formula over
+throughputs already clipped to ``[0, theta_hat]``.  Everything else lives
+in :class:`DemandFunction` and is derived from that formula: the scalar
+call, :meth:`~DemandFunction.evaluate_array`, the zero-throughput limit and
+the packed evaluation of many same-family functions that
+:meth:`repro.network.provider.Population.demands_at` runs.  Every path
+therefore gives the same bits for the same throughput.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -42,22 +49,28 @@ __all__ = [
     "validate_demand_function",
 ]
 
-#: Fraction of ``theta_hat`` at which the generic zero-throughput demand
-#: limit is probed numerically.
-_ZERO_LIMIT_SCALE = 1e-12
-
 #: Slack allowed on the piecewise-linear endpoint condition ``(1.0, 1.0)``.
 _ENDPOINT_TOLERANCE = 1e-12
+
+#: Packed parameters of ``k`` same-family functions: ``theta_hats`` of shape
+#: ``(k,)`` first, then one entry per name in the family's ``parameters``.
+Packed = tuple[Any, ...]
 
 
 class DemandFunction(ABC):
     """Abstract base class for demand functions satisfying Assumption 1.
 
-    Concrete subclasses must implement :meth:`evaluate` on the open interval
-    ``(0, theta_hat]``; the base class handles clamping (``theta <= 0`` maps
-    to the limiting demand at zero, ``theta >= theta_hat`` maps to ``1``) so
-    that every instance is a total function on ``[0, +inf)``.
+    A family supplies two things: :attr:`parameters`, the names of the
+    instance attributes its formula reads, and :meth:`formula`, the demand
+    on throughputs already clipped to ``[0, theta_hat]``.  The base class
+    owns the rest: the NaN guard, the clamping (``theta <= 0`` is evaluated
+    at ``0``, ``theta >= theta_hat`` gives ``1``, results are clipped to
+    ``[0, 1]``) and the parameter packing, so every instance is a total
+    function on the real line and all evaluation paths share one formula.
     """
+
+    #: Instance attributes the formula reads, packed after ``theta_hat``.
+    parameters: ClassVar[tuple[str, ...]] = ()
 
     def __init__(self, theta_hat: float) -> None:
         if not math.isfinite(theta_hat) or theta_hat <= 0.0:
@@ -71,95 +84,59 @@ class DemandFunction(ABC):
         """Unconstrained per-user throughput (the domain's right endpoint)."""
         return self._theta_hat
 
+    @staticmethod
     @abstractmethod
-    def evaluate(self, theta: float) -> float:
-        """Demand at a throughput ``theta`` in ``(0, theta_hat]``."""
+    def formula(thetas: np.ndarray, packed: Packed) -> np.ndarray:
+        """Demands of ``k`` packed functions at ``(..., k)`` throughputs.
 
-    def demand_at_zero(self) -> float:
-        """Limit of the demand as throughput approaches zero.
-
-        The default takes a numerical limit; subclasses with a closed form
-        (e.g. the exponential family, whose limit is ``0``) override this.
+        ``thetas[..., j]`` lies in ``[0, theta_hats[j]]`` and belongs to the
+        ``j``-th function of ``packed`` (see :meth:`pack_parameters`).  At
+        ``theta = 0`` the formula must give the zero-throughput limit.
         """
-        return self.evaluate(self._theta_hat * _ZERO_LIMIT_SCALE)
-
-    def __call__(self, theta: float) -> float:
-        if theta != theta:  # NaN guard
-            raise ModelValidationError("throughput must not be NaN")
-        if theta <= 0.0:
-            return self.demand_at_zero()
-        if theta >= self._theta_hat:
-            return 1.0
-        value = self.evaluate(theta)
-        # Numerical noise protection: demand is a fraction of users.
-        return min(1.0, max(0.0, value))
-
-    # -- vectorised evaluation --------------------------------------------
-    def evaluate_array(self, thetas: np.ndarray) -> np.ndarray:
-        """Vectorised total evaluation: the array counterpart of ``__call__``.
-
-        Applies the same clamping as the scalar path (``theta <= 0`` maps to
-        the zero-throughput limit, ``theta >= theta_hat`` maps to ``1``) and
-        delegates the interior to the family's closed form
-        (:meth:`_evaluate_array`).  Accepts arrays of any shape.
-        """
-        thetas = np.asarray(thetas, dtype=float)
-        if np.isnan(thetas).any():
-            raise ModelValidationError("throughput must not be NaN")
-        result = np.empty(thetas.shape, dtype=float)
-        low = thetas <= 0.0
-        high = thetas >= self._theta_hat
-        result[low] = self.demand_at_zero()
-        result[high] = 1.0
-        interior = ~(low | high)
-        if np.any(interior):
-            values = np.asarray(self._evaluate_array(thetas[interior]), dtype=float)
-            result[interior] = np.clip(values, 0.0, 1.0)
-        return result
-
-    def _evaluate_array(self, thetas: np.ndarray) -> np.ndarray:
-        """Closed-form demand on a 1-D array of interior throughputs.
-
-        The fallback evaluates the scalar form pointwise; every shipped
-        family overrides this with a true vectorised expression.
-        """
-        return np.array([self.evaluate(float(theta)) for theta in thetas])
-
-    # -- batched multi-function evaluation ---------------------------------
-    @classmethod
-    def pack_parameters(cls, functions: Sequence["DemandFunction"]) -> object:
-        """Precompute whatever :meth:`batch_evaluate_packed` needs.
-
-        Populations cache the packed form per demand family so that repeated
-        demand evaluations (the equilibrium solvers' hot loop) do not re-read
-        per-instance attributes.  The generic pack is just the instances.
-        """
-        return tuple(functions)
 
     @classmethod
-    def batch_evaluate_packed(cls, packed: object, thetas: np.ndarray) -> np.ndarray:
+    def pack_parameters(cls, functions: Sequence["DemandFunction"]) -> Packed:
+        """``(theta_hats, *parameters)`` of same-family functions as arrays.
+
+        Populations cache the packed form per demand family so that the
+        equilibrium solvers' hot loop does not re-read instance attributes.
+        """
+        return tuple(np.array([getattr(f, name) for f in functions], dtype=float)
+                     for name in ("theta_hat", *cls.parameters))
+
+    @classmethod
+    def batch_evaluate_packed(cls, packed: Packed, thetas: np.ndarray) -> np.ndarray:
         """Demands of ``k`` same-family functions at ``(..., k)`` throughputs.
 
         ``thetas[..., j]`` is evaluated by the ``j``-th packed function; the
-        result has the same shape.  The generic implementation loops over
-        functions (vectorising only across the leading axes); families with
-        closed forms override it with a fully array-level kernel.
+        result has the same shape.  This is the one place the clamping lives.
         """
-        functions = packed  # type: ignore[assignment]
-        thetas = np.asarray(thetas, dtype=float)
-        out = np.empty(thetas.shape, dtype=float)
-        for j, function in enumerate(functions):  # type: ignore[arg-type]
-            out[..., j] = function.evaluate_array(thetas[..., j])
-        return out
+        theta_hats = packed[0]
+        # Two ufuncs clip in a third of ``np.clip``'s time on this hot path.
+        # ``+ 0.0`` turns a ``-0.0`` throughput into ``+0.0``, so a formula
+        # that divides by theta sees ``+inf``.
+        clipped = np.minimum(np.maximum(thetas, 0.0), theta_hats) + 0.0
+        demands = np.where(clipped >= theta_hats, 1.0, cls.formula(clipped, packed))
+        return np.minimum(np.maximum(demands, 0.0), 1.0)
+
+    def evaluate_array(self, thetas: np.typing.ArrayLike) -> np.ndarray:
+        """Demands at an array of throughputs of any shape."""
+        values = np.asarray(thetas, dtype=float)
+        if np.isnan(values).any():
+            raise ModelValidationError("throughput must not be NaN")
+        packed = self.pack_parameters([self])
+        return self.batch_evaluate_packed(packed, values[..., np.newaxis])[..., 0]
+
+    def __call__(self, theta: float) -> float:
+        return float(self.evaluate_array(theta))
+
+    def demand_at_zero(self) -> float:
+        """Limit of the demand as throughput approaches zero."""
+        return self(0.0)
 
     def throughput_fraction(self, omega: float) -> float:
         """Demand expressed against ``omega = theta / theta_hat`` (Figure 2)."""
         return self(omega * self._theta_hat)
-
-    def offered_load(self, theta: float) -> float:
-        """Per-user offered load ``d(theta) * theta`` (the paper's ``rho`` before
-        the popularity weight ``alpha_i`` is applied)."""
-        return self(theta) * min(theta, self._theta_hat)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(theta_hat={self._theta_hat!r})"
@@ -174,6 +151,8 @@ class ExponentialSensitivityDemand(DemandFunction):
     (web search) whose users tolerate heavy congestion.
     """
 
+    parameters = ("beta",)
+
     def __init__(self, theta_hat: float, beta: float) -> None:
         super().__init__(theta_hat)
         if not math.isfinite(beta) or beta < 0.0:
@@ -182,40 +161,15 @@ class ExponentialSensitivityDemand(DemandFunction):
             )
         self.beta = float(beta)
 
-    def evaluate(self, theta: float) -> float:
-        congestion = self._theta_hat / theta - 1.0
-        return math.exp(-self.beta * congestion)
-
-    def _evaluate_array(self, thetas: np.ndarray) -> np.ndarray:
-        return np.exp(-self.beta * (self._theta_hat / thetas - 1.0))
-
-    @classmethod
-    def pack_parameters(cls, functions: Sequence["DemandFunction"]) -> object:
-        theta_hats = np.array([f.theta_hat for f in functions], dtype=float)
-        betas = np.array([f.beta for f in functions], dtype=float)  # type: ignore[attr-defined]
-        return theta_hats, betas
-
-    @classmethod
-    def batch_evaluate_packed(cls, packed: object, thetas: np.ndarray) -> np.ndarray:
-        theta_hats, betas = packed  # type: ignore[misc]
-        thetas = np.asarray(thetas, dtype=float)
-        clipped = np.minimum(thetas, theta_hats)
-        positive = clipped > 0.0
+    @staticmethod
+    def formula(thetas: np.ndarray, packed: Packed) -> np.ndarray:
+        theta_hats, betas = packed
+        # At theta = 0 (or a subnormal theta) the ratio overflows to inf and
+        # the demand is its limit 0.  Demand is exactly 1 for beta == 0 at
+        # every theta, where exp(-0 * inf) would be NaN.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            congestion = np.where(
-                positive, theta_hats / np.where(positive, clipped, 1.0) - 1.0, np.inf)
-            demands = np.exp(-betas * congestion)
-        # theta <= 0: demand limit is 0 for beta > 0.  Demand is exactly 1
-        # for beta == 0 at every theta: setting it explicitly also covers a
-        # subnormal theta, whose ratio overflows to inf and would give
-        # exp(-0 * inf) = NaN.
-        demands = np.where(positive, demands, 0.0)
-        demands = np.where((clipped >= theta_hats) | (betas == 0.0), 1.0,
-                           demands)
-        return np.clip(demands, 0.0, 1.0)
-
-    def demand_at_zero(self) -> float:
-        return 1.0 if self.beta == 0.0 else 0.0
+            demands = np.exp(-betas * (theta_hats / thetas - 1.0))
+        return np.where(betas == 0.0, 1.0, demands)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -227,32 +181,18 @@ class ExponentialSensitivityDemand(DemandFunction):
 class LinearDemand(DemandFunction):
     """Demand that rises linearly from ``floor`` at zero throughput to 1."""
 
+    parameters = ("floor",)
+
     def __init__(self, theta_hat: float, floor: float = 0.0) -> None:
         super().__init__(theta_hat)
         if not 0.0 <= floor <= 1.0:
             raise ModelValidationError(f"floor must lie in [0, 1], got {floor!r}")
         self.floor = float(floor)
 
-    def evaluate(self, theta: float) -> float:
-        return self.floor + (1.0 - self.floor) * (theta / self._theta_hat)
-
-    def _evaluate_array(self, thetas: np.ndarray) -> np.ndarray:
-        return self.floor + (1.0 - self.floor) * (thetas / self._theta_hat)
-
-    @classmethod
-    def pack_parameters(cls, functions: Sequence["DemandFunction"]) -> object:
-        theta_hats = np.array([f.theta_hat for f in functions], dtype=float)
-        floors = np.array([f.floor for f in functions], dtype=float)  # type: ignore[attr-defined]
-        return theta_hats, floors
-
-    @classmethod
-    def batch_evaluate_packed(cls, packed: object, thetas: np.ndarray) -> np.ndarray:
-        theta_hats, floors = packed  # type: ignore[misc]
-        clipped = np.clip(np.asarray(thetas, dtype=float), 0.0, theta_hats)
-        return floors + (1.0 - floors) * (clipped / theta_hats)
-
-    def demand_at_zero(self) -> float:
-        return self.floor
+    @staticmethod
+    def formula(thetas: np.ndarray, packed: Packed) -> np.ndarray:
+        theta_hats, floors = packed
+        return floors + (1.0 - floors) * (thetas / theta_hats)
 
 
 class UnitDemand(DemandFunction):
@@ -262,22 +202,9 @@ class UnitDemand(DemandFunction):
     where the rate equilibrium should reduce to a pure capacity split.
     """
 
-    def evaluate(self, theta: float) -> float:
-        return 1.0
-
-    def _evaluate_array(self, thetas: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def formula(thetas: np.ndarray, packed: Packed) -> np.ndarray:
         return np.ones_like(thetas)
-
-    @classmethod
-    def pack_parameters(cls, functions: Sequence["DemandFunction"]) -> object:
-        return len(functions)
-
-    @classmethod
-    def batch_evaluate_packed(cls, packed: object, thetas: np.ndarray) -> np.ndarray:
-        return np.ones_like(np.asarray(thetas, dtype=float))
-
-    def demand_at_zero(self) -> float:
-        return 1.0
 
 
 class StepDemand(DemandFunction):
@@ -288,6 +215,8 @@ class StepDemand(DemandFunction):
     (default 1% of ``theta_hat``).  With ``width -> 0`` this approaches the
     behaviour of hard-real-time applications.
     """
+
+    parameters = ("threshold", "width", "floor")
 
     def __init__(self, theta_hat: float, threshold: float, width: float = 0.01,
                  floor: float = 0.0) -> None:
@@ -306,40 +235,13 @@ class StepDemand(DemandFunction):
         self.width = float(width)
         self.floor = float(floor)
 
-    def evaluate(self, theta: float) -> float:
-        omega = theta / self._theta_hat
-        lower = self.threshold - self.width
-        if omega >= self.threshold:
-            return 1.0
-        if omega <= lower:
-            return self.floor
+    @staticmethod
+    def formula(thetas: np.ndarray, packed: Packed) -> np.ndarray:
+        theta_hats, thresholds, widths, floors = packed
         # Linear ramp across the smoothing band keeps the function continuous.
-        ramp = (omega - lower) / self.width
-        return self.floor + (1.0 - self.floor) * ramp
-
-    def _evaluate_array(self, thetas: np.ndarray) -> np.ndarray:
-        omegas = thetas / self._theta_hat
-        lower = self.threshold - self.width
-        ramp = np.clip((omegas - lower) / self.width, 0.0, 1.0)
-        return self.floor + (1.0 - self.floor) * ramp
-
-    @classmethod
-    def pack_parameters(cls, functions: Sequence["DemandFunction"]) -> object:
-        theta_hats = np.array([f.theta_hat for f in functions], dtype=float)
-        thresholds = np.array([f.threshold for f in functions], dtype=float)  # type: ignore[attr-defined]
-        widths = np.array([f.width for f in functions], dtype=float)  # type: ignore[attr-defined]
-        floors = np.array([f.floor for f in functions], dtype=float)  # type: ignore[attr-defined]
-        return theta_hats, thresholds, widths, floors
-
-    @classmethod
-    def batch_evaluate_packed(cls, packed: object, thetas: np.ndarray) -> np.ndarray:
-        theta_hats, thresholds, widths, floors = packed  # type: ignore[misc]
-        omegas = np.clip(np.asarray(thetas, dtype=float), 0.0, theta_hats) / theta_hats
-        ramp = np.clip((omegas - (thresholds - widths)) / widths, 0.0, 1.0)
+        ramp = np.clip((thetas / theta_hats - (thresholds - widths)) / widths,
+                       0.0, 1.0)
         return floors + (1.0 - floors) * ramp
-
-    def demand_at_zero(self) -> float:
-        return self.floor
 
 
 class SigmoidDemand(DemandFunction):
@@ -348,6 +250,8 @@ class SigmoidDemand(DemandFunction):
     ``d(theta) = s(omega) / s(1)`` where ``s`` is a logistic curve, so the
     Assumption-1 endpoint condition ``d(theta_hat) = 1`` holds exactly.
     """
+
+    parameters = ("midpoint", "steepness")
 
     def __init__(self, theta_hat: float, midpoint: float = 0.5,
                  steepness: float = 10.0) -> None:
@@ -362,36 +266,15 @@ class SigmoidDemand(DemandFunction):
             )
         self.midpoint = float(midpoint)
         self.steepness = float(steepness)
-        self._norm = self._logistic(1.0)
 
-    def _logistic(self, omega: float) -> float:
-        return 1.0 / (1.0 + math.exp(-self.steepness * (omega - self.midpoint)))
+    @staticmethod
+    def formula(thetas: np.ndarray, packed: Packed) -> np.ndarray:
+        theta_hats, midpoints, steepness = packed
 
-    def evaluate(self, theta: float) -> float:
-        return self._logistic(theta / self._theta_hat) / self._norm
+        def logistic(omegas: Any) -> Any:
+            return 1.0 / (1.0 + np.exp(-steepness * (omegas - midpoints)))
 
-    def _evaluate_array(self, thetas: np.ndarray) -> np.ndarray:
-        omegas = thetas / self._theta_hat
-        logistic = 1.0 / (1.0 + np.exp(-self.steepness * (omegas - self.midpoint)))
-        return logistic / self._norm
-
-    @classmethod
-    def pack_parameters(cls, functions: Sequence["DemandFunction"]) -> object:
-        theta_hats = np.array([f.theta_hat for f in functions], dtype=float)
-        midpoints = np.array([f.midpoint for f in functions], dtype=float)  # type: ignore[attr-defined]
-        steepness = np.array([f.steepness for f in functions], dtype=float)  # type: ignore[attr-defined]
-        norms = np.array([f._norm for f in functions], dtype=float)  # type: ignore[attr-defined]
-        return theta_hats, midpoints, steepness, norms
-
-    @classmethod
-    def batch_evaluate_packed(cls, packed: object, thetas: np.ndarray) -> np.ndarray:
-        theta_hats, midpoints, steepness, norms = packed  # type: ignore[misc]
-        omegas = np.clip(np.asarray(thetas, dtype=float), 0.0, theta_hats) / theta_hats
-        logistic = 1.0 / (1.0 + np.exp(-steepness * (omegas - midpoints)))
-        return np.clip(logistic / norms, 0.0, 1.0)
-
-    def demand_at_zero(self) -> float:
-        return self._logistic(0.0) / self._norm
+        return logistic(thetas / theta_hats) / logistic(1.0)
 
 
 class PiecewiseLinearDemand(DemandFunction):
@@ -423,33 +306,23 @@ class PiecewiseLinearDemand(DemandFunction):
             if not 0.0 <= d0 <= 1.0 or not 0.0 <= d1 <= 1.0:
                 raise ModelValidationError("demand values must lie in [0, 1]")
         self.points = pts
-        self._omegas = [w for w, _ in pts]
-        self._demands = [d for _, d in pts]
-        self._omega_array = np.array(self._omegas, dtype=float)
-        self._demand_array = np.array(self._demands, dtype=float)
 
-    def evaluate(self, theta: float) -> float:
-        omega = theta / self._theta_hat
-        # Binary search for the segment containing omega (the breakpoints are
-        # strictly increasing), instead of a linear scan.
-        index = bisect_left(self._omegas, omega)
-        if index >= len(self._omegas):
-            return 1.0
-        if index == 0:
-            return self._demands[0]
-        if self._omegas[index] == omega:
-            return self._demands[index]
-        w0, d0 = self.points[index - 1]
-        w1, d1 = self.points[index]
-        frac = (omega - w0) / (w1 - w0)
-        return d0 + (d1 - d0) * frac
+    @classmethod
+    def pack_parameters(cls, functions: Sequence[DemandFunction]) -> Packed:
+        # Breakpoint lists differ in length, so each function keeps its own
+        # ``(omegas, demands)`` pair of arrays.
+        theta_hats = np.array([f.theta_hat for f in functions], dtype=float)
+        return theta_hats, tuple(np.array(f.points).T  # type: ignore[attr-defined]
+                                 for f in functions)
 
-    def _evaluate_array(self, thetas: np.ndarray) -> np.ndarray:
-        omegas = thetas / self._theta_hat
-        return np.interp(omegas, self._omega_array, self._demand_array)
-
-    def demand_at_zero(self) -> float:
-        return self.points[0][1]
+    @staticmethod
+    def formula(thetas: np.ndarray, packed: Packed) -> np.ndarray:
+        theta_hats, breakpoints = packed
+        demands = np.empty(thetas.shape, dtype=float)
+        for j, (omegas, values) in enumerate(breakpoints):
+            demands[..., j] = np.interp(thetas[..., j] / theta_hats[j],
+                                        omegas, values)
+        return demands
 
 
 class ConstantElasticityDemand(DemandFunction):
@@ -459,6 +332,8 @@ class ConstantElasticityDemand(DemandFunction):
     ``elasticity = 0`` reduces to :class:`UnitDemand`.
     """
 
+    parameters = ("elasticity",)
+
     def __init__(self, theta_hat: float, elasticity: float = 1.0) -> None:
         super().__init__(theta_hat)
         if not math.isfinite(elasticity) or elasticity < 0.0:
@@ -467,31 +342,15 @@ class ConstantElasticityDemand(DemandFunction):
             )
         self.elasticity = float(elasticity)
 
-    def evaluate(self, theta: float) -> float:
-        if self.elasticity == 0.0:
-            return 1.0
-        return (theta / self._theta_hat) ** self.elasticity
-
-    def _evaluate_array(self, thetas: np.ndarray) -> np.ndarray:
-        if self.elasticity == 0.0:
-            return np.ones_like(thetas)
-        return (thetas / self._theta_hat) ** self.elasticity
-
-    @classmethod
-    def pack_parameters(cls, functions: Sequence["DemandFunction"]) -> object:
-        theta_hats = np.array([f.theta_hat for f in functions], dtype=float)
-        elasticities = np.array([f.elasticity for f in functions], dtype=float)  # type: ignore[attr-defined]
-        return theta_hats, elasticities
-
-    @classmethod
-    def batch_evaluate_packed(cls, packed: object, thetas: np.ndarray) -> np.ndarray:
-        theta_hats, elasticities = packed  # type: ignore[misc]
-        omegas = np.clip(np.asarray(thetas, dtype=float), 0.0, theta_hats) / theta_hats
+    @staticmethod
+    def formula(thetas: np.ndarray, packed: Packed) -> np.ndarray:
+        theta_hats, elasticities = packed
+        omegas = thetas / theta_hats
+        # A full-shape exponent keeps numpy on its general pow: a broadcast
+        # exponent of 2 or 0.5 takes a square/sqrt shortcut whose last bit
+        # can differ, so one function would disagree with its population.
         # 0 ** 0 == 1 in numpy, which matches the elasticity == 0 limit.
-        return omegas ** elasticities
-
-    def demand_at_zero(self) -> float:
-        return 1.0 if self.elasticity == 0.0 else 0.0
+        return omegas ** np.broadcast_to(elasticities, omegas.shape).copy()
 
 
 def validate_demand_function(demand: DemandFunction, *, samples: int = 257,
@@ -541,12 +400,6 @@ def validate_demand_function(demand: DemandFunction, *, samples: int = 257,
         )
 
 
-def demand_family(theta_hat: float, betas: Iterable[float]
-                  ) -> list[ExponentialSensitivityDemand]:
-    """Convenience constructor for a family of Equation-(3) demand curves."""
-    return [ExponentialSensitivityDemand(theta_hat, beta) for beta in betas]
-
-
 @dataclass(frozen=True)
 class DemandSample:
     """One sampled point of a demand curve (used by Figure 2 reproduction)."""
@@ -560,8 +413,7 @@ def sample_demand_curve(demand: DemandFunction, *, points: int = 101
     """Sample ``d`` against the throughput fraction ``omega`` on ``[0, 1]``."""
     if points < 2:
         raise ModelValidationError("points must be at least 2")
-    return [
-        DemandSample(omega=k / (points - 1),
-                     demand=demand.throughput_fraction(k / (points - 1)))
-        for k in range(points)
-    ]
+    omegas = np.arange(points) / (points - 1)
+    demands = demand.evaluate_array(omegas * demand.theta_hat)
+    return [DemandSample(omega=omega, demand=value)
+            for omega, value in zip(omegas.tolist(), demands.tolist())]

@@ -519,9 +519,10 @@ class Population(Sequence[ContentProvider]):
 
         ``thetas`` may be a single profile of shape ``(n,)`` or a stack of
         profiles of shape ``(..., n)`` (the batched equilibrium engine passes
-        a ``(grid, n)`` matrix); the result has the same shape.  Evaluation
-        is vectorised per demand family via the closed-form batch kernels in
-        :mod:`repro.network.demand`.
+        a ``(grid, n)`` matrix); the result has the same shape.  Each demand
+        family is evaluated in one array call of its formula
+        (:meth:`~repro.network.demand.DemandFunction.batch_evaluate_packed`),
+        bit-identical to calling each CP's demand on its own.
         """
         thetas = np.asarray(thetas, dtype=float)
         size = self._size

@@ -532,8 +532,7 @@ def lemma4_proportional_shares(population: Optional[Population] = None,
     population = _population(population, "beta_correlated", count, seed)
     if capacity_shares is None:
         capacity_shares = {"ISP-A": 0.5, "ISP-B": 0.3, "ISP-C": 0.2}
-    game = OligopolyGame(population, nu, capacity_shares,
-                         migration_iterations=150)
+    game = OligopolyGame(population, nu, capacity_shares)
     # The tolerance absorbs the migration solver's equalisation resolution.
     report = game.verify_proportional_shares(strategy, tolerance=0.02)
     panel = SweepResult(title=f"Market share vs capacity share (nu={nu:g})")

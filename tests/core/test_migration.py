@@ -126,11 +126,13 @@ class TestDuopolySplit:
 
 
 class TestDuopolyConvergenceReport:
-    """``converged`` holds only when a stopping rule ended the bisection.
+    """``converged`` holds only when the returned split meets a stopping rule.
 
     ISP-I at (kappa=0.5, c=0.1) against a Public Option at nu=40 stops on
-    the surplus-tolerance rule at step 14; one step leaves a residual of
-    68% of the common surplus.
+    the surplus-tolerance rule at step 14.  After 13 steps the returned
+    midpoint already meets that rule (residual 4.1e-5 of the common
+    surplus); after 12 it does not (1.3e-4), and one step leaves a residual
+    of 68%.
     """
 
     ISPS = (IspConfig("ISP-I", ISPStrategy(0.5, 0.1), 0.5),
@@ -147,8 +149,8 @@ class TestDuopolyConvergenceReport:
                                max_iterations=max_iterations)
 
     @pytest.mark.parametrize("max_iterations, iterations, converged",
-                             [(1, 1, False), (13, 13, False), (14, 14, True),
-                              (40, 14, True)])
+                             [(1, 1, False), (12, 12, False), (13, 13, True),
+                              (14, 14, True), (40, 14, True)])
     def test_converged_only_when_a_stopping_rule_held(
             self, population, max_iterations, iterations, converged):
         split = solve_market_split(population, 40.0, self.ISPS,

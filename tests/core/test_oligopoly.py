@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import SolverConfig
 from repro.errors import ModelValidationError
-from repro.core.duopoly import DUOPOLY_MIGRATION_ITERATIONS, DuopolyGame
+from repro.core.duopoly import DuopolyGame
 from repro.core.oligopoly import OligopolyGame
 from repro.core.strategy import ISPStrategy, PUBLIC_OPTION_STRATEGY, strategy_grid
 
@@ -66,8 +66,7 @@ class TestLemma4:
 
     def test_asymmetric_capacities_three_isps(self, small_random_population):
         game = OligopolyGame(small_random_population, total_nu=4.0,
-                             capacity_shares={"a": 0.5, "b": 0.3, "c": 0.2},
-                             migration_iterations=200)
+                             capacity_shares={"a": 0.5, "b": 0.3, "c": 0.2})
         report = game.verify_proportional_shares(ISPStrategy(0.8, 0.4),
                                                  tolerance=0.03)
         assert report["holds"], report
@@ -115,10 +114,12 @@ class TestAgainstDuopolySolver:
     """At N=2 the oligopoly game must agree exactly with ``DuopolyGame``.
 
     Both front-ends drive the identical ``solve_market_split`` share search
-    (same ISP order, same tolerances) on the same capacity floats, so the
-    agreement is exact equality, not approximate.  The capacities must match
-    to the last bit: the cap solver's iterates depend on the carried-load
-    values, so a one-ulp change in an ISP's capacity can move its caps.
+    (same ISP order, same tolerances; its share-width rule stops it within
+    17 steps, under either game's step budget) on the same capacity floats,
+    so the agreement is exact equality, not approximate.  The capacities
+    must match to the last bit: the cap solver's iterates depend on the
+    carried-load values, so a one-ulp change in an ISP's capacity can move
+    its caps.
     """
 
     @pytest.mark.parametrize("strategy", [ISPStrategy(1.0, 0.3),
@@ -131,8 +132,7 @@ class TestAgainstDuopolySolver:
         oligopoly = OligopolyGame(
             small_random_population, total_nu=4.0,
             capacity_shares={"ISP-I": 0.5, "ISP-J": 0.5},
-            config=SolverConfig(migration_tolerance=duopoly.migration_tolerance),
-            migration_iterations=DUOPOLY_MIGRATION_ITERATIONS)
+            config=SolverConfig(migration_tolerance=duopoly.migration_tolerance))
         expected = duopoly.outcome(strategy)
         actual = oligopoly.outcome({"ISP-I": strategy,
                                     "ISP-J": PUBLIC_OPTION_STRATEGY})
@@ -151,8 +151,7 @@ class TestAgainstDuopolySolver:
             # ``DuopolyGame`` gives the other ISP ``1 - 0.7``, which is
             # 0.30000000000000004, not 0.3.
             capacity_shares={"ISP-I": 0.7, "ISP-J": 1.0 - 0.7},
-            config=SolverConfig(migration_tolerance=duopoly.migration_tolerance),
-            migration_iterations=DUOPOLY_MIGRATION_ITERATIONS)
+            config=SolverConfig(migration_tolerance=duopoly.migration_tolerance))
         strategy = ISPStrategy(1.0, 0.4)
         expected = duopoly.outcome(strategy)
         actual = oligopoly.outcome({"ISP-I": strategy,
@@ -171,8 +170,7 @@ class TestMultiProviderInvariants:
     def test_share_and_surplus_invariants(self, small_random_population,
                                           capacity_shares):
         game = OligopolyGame(small_random_population, total_nu=4.0,
-                             capacity_shares=capacity_shares,
-                             migration_iterations=200)
+                             capacity_shares=capacity_shares)
         strategies = {name: (ISPStrategy(1.0, 0.3) if name == "a"
                              else PUBLIC_OPTION_STRATEGY)
                       for name in capacity_shares}
@@ -199,8 +197,7 @@ class TestMultiProviderInvariants:
         names = [f"isp{i}" for i in range(count)]
         capacity_shares = {name: 1.0 / count for name in names}
         game = OligopolyGame(small_random_population, total_nu=4.0,
-                             capacity_shares=capacity_shares,
-                             migration_iterations=200)
+                             capacity_shares=capacity_shares)
         outcome = game.homogeneous_outcome(ISPStrategy(1.0, 0.3))
         # Lemma 4: under homogeneous strategies the capacity-proportional
         # split equalises surplus, so the solver should stay close to it.

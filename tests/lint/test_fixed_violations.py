@@ -58,7 +58,6 @@ class TestHoistedToleranceConstants:
         from repro.network import demand, provider
         assert provider._THETA_HAT_MATCH_TOLERANCE == 1e-9
         assert demand._ENDPOINT_TOLERANCE == 1e-12
-        assert demand._ZERO_LIMIT_SCALE == 1e-12
 
 
 class TestCacheKeyThreading:

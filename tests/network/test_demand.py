@@ -16,10 +16,10 @@ from repro.network.demand import (
     SigmoidDemand,
     StepDemand,
     UnitDemand,
-    demand_family,
     sample_demand_curve,
     validate_demand_function,
 )
+from repro.network.provider import ContentProvider, Population
 
 ALL_FAMILIES = [
     ExponentialSensitivityDemand(theta_hat=2.0, beta=3.0),
@@ -124,11 +124,6 @@ class TestExponentialSensitivity:
         with pytest.raises(ModelValidationError):
             demand(float("nan"))
 
-    def test_demand_family_builder(self):
-        family = demand_family(1.0, [0.1, 1.0, 10.0])
-        assert [d.beta for d in family] == [0.1, 1.0, 10.0]
-        assert all(d.theta_hat == 1.0 for d in family)
-
 
 class TestOtherFamilies:
     def test_linear_demand_interpolates(self):
@@ -186,30 +181,69 @@ class TestOtherFamilies:
         zero_elasticity = ConstantElasticityDemand(theta_hat=2.0, elasticity=0.0)
         assert zero_elasticity(0.1) == 1.0
 
-    def test_offered_load_caps_at_theta_hat(self):
-        demand = UnitDemand(theta_hat=2.0)
-        assert demand.offered_load(5.0) == pytest.approx(2.0)
+
+#: Families whose scalar, array and population paths disagreed before every
+#: path shared one formula, then every shipped family.
+PATH_FAMILIES = [
+    pytest.param(ExponentialSensitivityDemand(theta_hat=2.0, beta=0.0),
+                 id="exponential-beta0"),
+    pytest.param(ConstantElasticityDemand(theta_hat=2.0, elasticity=0.0),
+                 id="elasticity0"),
+    pytest.param(ConstantElasticityDemand(theta_hat=2.0, elasticity=2.0),
+                 id="elasticity2"),
+    pytest.param(StepDemand(theta_hat=2.0, threshold=1.0, width=0.1),
+                 id="step-threshold1"),
+    pytest.param(PiecewiseLinearDemand(
+        theta_hat=2.0, points=[(0.0, 0.1), (0.3, 0.15), (1.0, 1.0)]),
+        id="piecewise"),
+    *(pytest.param(demand, id=f"{type(demand).__name__}-{index}")
+      for index, demand in enumerate(ALL_FAMILIES)),
+]
+
+
+class TestOneFormula:
+    """``d(theta)``, ``evaluate_array`` and ``Population.demands_at`` all
+    evaluate the family's one formula, so they agree bit for bit."""
+
+    @pytest.mark.parametrize("demand", PATH_FAMILIES)
+    def test_every_path_gives_the_same_bits(self, demand):
+        theta_hat = demand.theta_hat
+        interior = theta_hat * np.linspace(0.0, 1.0, 66)[1:-1]
+        thetas = np.concatenate([[-1.0, 0.0, 5e-324], interior,
+                                 [theta_hat, 10.0 * theta_hat]])
+        # Two CPs share the family so the population packs a group of two,
+        # next to a default exponential CP.
+        population = Population([
+            ContentProvider(name=name, alpha=0.2, theta_hat=theta_hat,
+                            demand=demand)
+            for name in ("a", "b")
+        ] + [ContentProvider(name="default", alpha=0.2, theta_hat=1.0)])
+        profiles = np.column_stack([thetas, thetas, np.ones_like(thetas)])
+        packed = population.demands_at(profiles)[:, 0]
+        scalar = np.array([demand(float(theta)) for theta in thetas])
+        assert scalar.tobytes() == demand.evaluate_array(thetas).tobytes()
+        assert scalar.tobytes() == packed.tobytes()
+        assert scalar[1] == demand.demand_at_zero()
+        assert scalar[-2] == scalar[-1] == 1.0
 
 
 class TestValidation:
     def test_validator_rejects_decreasing_function(self):
         class Decreasing(ExponentialSensitivityDemand):
-            def evaluate(self, theta):
-                return 1.0 - 0.5 * theta / self.theta_hat
-
-            def demand_at_zero(self):
-                return 1.0
+            @staticmethod
+            def formula(thetas, packed):
+                theta_hats, _ = packed
+                return 1.0 - 0.5 * thetas / theta_hats
 
         with pytest.raises(ModelValidationError):
             validate_demand_function(Decreasing(theta_hat=1.0, beta=1.0))
 
     def test_validator_rejects_discontinuous_function(self):
         class Jumpy(UnitDemand):
-            def evaluate(self, theta):
-                return 0.0 if theta < 0.5 * self.theta_hat else 1.0
-
-            def demand_at_zero(self):
-                return 0.0
+            @staticmethod
+            def formula(thetas, packed):
+                (theta_hats,) = packed
+                return np.where(thetas < 0.5 * theta_hats, 0.0, 1.0)
 
         with pytest.raises(ModelValidationError):
             validate_demand_function(Jumpy(theta_hat=1.0))
@@ -219,11 +253,9 @@ class TestValidation:
         # steep demands legitimately jump ~0.251 there) but a genuine step
         # discontinuity must still be caught.
         class EarlyJump(UnitDemand):
-            def evaluate(self, theta):
-                return 0.4 if theta < 1.5 / 256 else 1.0
-
-            def demand_at_zero(self):
-                return 0.4
+            @staticmethod
+            def formula(thetas, packed):
+                return np.where(thetas < 1.5 / 256, 0.4, 1.0)
 
         with pytest.raises(ModelValidationError, match="jumps"):
             validate_demand_function(EarlyJump(theta_hat=1.0))

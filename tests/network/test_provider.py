@@ -169,7 +169,7 @@ class TestVectorisedDemand:
         vectorised = small_random_population.demands_at(thetas)
         scalar = np.array([cp.demand_at(theta)
                            for cp, theta in zip(small_random_population, thetas)])
-        np.testing.assert_allclose(vectorised, scalar, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(vectorised, scalar)
 
     def test_zero_throughput_limits(self, two_provider_population):
         demands = two_provider_population.demands_at(np.zeros(2))
