@@ -39,6 +39,8 @@ from repro.network.allocation import (
 from repro.network.equilibrium import (
     RateEquilibrium,
     cached_class_cap,
+    class_cap,
+    exponential_profile,
     mechanism_cache_key,
     solve_rate_equilibrium,
 )
@@ -230,6 +232,14 @@ class CPPartitionGame:
     destination class capacity — an epsilon-equilibrium whose slack per CP
     matches the error of the throughput-taking approximation for that CP.
     For the paper's 1000-CP workload the slack is negligible (< 1%).
+
+    A game keeps the class caps it solves in a dict of its own, keyed by
+    ``(class nu, packed class mask)``: its best-response rounds revisit the
+    same classes many times, while another game almost never asks for one
+    of them.  Only a class holding every CP reads the shared full-population
+    cap cache.  Every ``rho`` row of the throughput-taking utilities comes
+    from the population's sorted profile when every CP has Equation-(3)
+    demand.
     """
 
     def __init__(self, population: Population, nu: float, strategy: ISPStrategy,
@@ -245,12 +255,13 @@ class CPPartitionGame:
         self._theta_hats = population.theta_hats
         self._alphas = population.alphas
         self._revenues = population.revenue_rates
+        self._premium_margins = self._revenues - strategy.price
         own_load = self._alphas * self._theta_hats
         self._margin_into_premium = self._move_slack(own_load, self.premium_nu)
         self._margin_into_ordinary = self._move_slack(own_load, self.ordinary_nu)
-        #: Per-cap ``rho_i`` memo: the best-response loops re-evaluate the
-        #: same handful of caps while marginal CPs bounce between classes.
-        self._rho_cache: dict[float, np.ndarray] = {}
+        # No outcome refers back to the game, so this memo dies with it.
+        self._caps: dict[tuple[float, bytes], float] = {}
+        self._profile = exponential_profile(population)
 
     # ------------------------------------------------------------------ #
     # Class-level helpers
@@ -285,18 +296,33 @@ class CPPartitionGame:
                             class_nu: float) -> float:
         """Throughput level a joining CP would take as given (Assumption 3).
 
-        ``mask`` selects the class's ``count`` members; it goes straight
-        into the packed-bitmask key of the class-cap cache, so no index
-        tuples or class ``Population`` objects are built per iteration.
+        ``mask`` selects the class's ``count`` members; under a cap
+        mechanism the cap comes from :meth:`_class_cap`, so no index tuples
+        or class ``Population`` objects are built per iteration.
         """
         if class_nu <= 0.0:
             return 0.0
         if count == 0:
             return math.inf
         if isinstance(self.mechanism, CommonCapAllocation):
-            return cached_class_cap(self.population, mask, class_nu,
-                                    self.mechanism, config=self.config)
+            return self._class_cap(mask, class_nu)
         return float(np.max(self._class_equilibrium(mask, class_nu).thetas))
+
+    def _class_cap(self, mask: np.ndarray, class_nu: float) -> float:
+        """Theorem-1 cap of the non-empty class ``mask`` at ``class_nu > 0``,
+        memoised per game (under ``cache_policy="bypass"`` too: the memo is
+        private to one solve)."""
+        key = (class_nu, np.packbits(mask).tobytes())
+        cap = self._caps.get(key)
+        if cap is None:
+            if mask.all():
+                cap = cached_class_cap(self.population, class_nu,
+                                       self.mechanism, config=self.config)
+            else:
+                cap = class_cap(self.population, mask, class_nu,
+                                self.mechanism, config=self.config)
+            self._caps[key] = cap
+        return cap
 
     def _class_equilibrium(self, mask: np.ndarray, class_nu: float
                            ) -> RateEquilibrium:
@@ -318,27 +344,17 @@ class CPPartitionGame:
         if not mask.any():
             return np.zeros(0)
         if type(self.mechanism) is MaxMinFairAllocation:
-            cap = 0.0
-            if class_nu > 0.0:
-                cap = cached_class_cap(self.population, mask, class_nu,
-                                       self.mechanism, config=self.config)
+            cap = self._class_cap(mask, class_nu) if class_nu > 0.0 else 0.0
             return self._rho_at_cap(cap)[mask]
         return self._class_equilibrium(mask, class_nu).rhos
 
     def _rho_at_cap(self, cap: float) -> np.ndarray:
-        """Per-user-base throughput ``rho_i`` every CP expects at a class cap."""
-        rho = self._rho_cache.get(cap)
-        if rho is None:
-            if math.isinf(cap):
-                thetas = self._theta_hats.copy()
-            else:
-                thetas = np.minimum(self._theta_hats, cap)
-            demands = self.population.demands_at(thetas)
-            rho = demands * thetas
-            if len(self._rho_cache) >= 256:
-                self._rho_cache.clear()
-            self._rho_cache[cap] = rho
-        return rho
+        """Per-user-base throughput ``rho_i`` every CP expects at a class cap
+        (off the sorted profile when every CP has Equation-(3) demand)."""
+        if self._profile is not None:
+            return self._profile.rhos_at(cap)
+        thetas = np.minimum(self._theta_hats, cap)
+        return self.population.demands_at(thetas) * thetas
 
     def _build_outcome(self, mask: np.ndarray, kind: str, converged: bool,
                        iterations: int) -> PartitionOutcome:
@@ -395,8 +411,7 @@ class CPPartitionGame:
         cap_premium = self._class_cap_for_mask(
             mask, premium_count, self.premium_nu)
         ordinary_utility = self._revenues * self._rho_at_cap(cap_ordinary)
-        premium_utility = ((self._revenues - self.strategy.price)
-                           * self._rho_at_cap(cap_premium))
+        premium_utility = self._premium_margins * self._rho_at_cap(cap_premium)
         scale = np.maximum(_UTILITY_SCALE_FLOOR,
                            np.maximum(np.abs(ordinary_utility),
                                       np.abs(premium_utility)))
@@ -551,8 +566,8 @@ class CPPartitionGame:
         non-convergence after 50 passes.  Intended for small populations
         (tests, illustrations); the competitive equilibrium is the
         work-horse for the paper's 1000-CP experiments.  Under max-min
-        fairness the class cap of every candidate deviation runs through the
-        shared class-cap cache, and the outcome itself is memoised.
+        fairness the class cap of every candidate deviation is solved once
+        per game (:meth:`_class_cap`), and the outcome itself is memoised.
         """
         return self._memoised("nash", self._solve_nash)
 

@@ -134,10 +134,6 @@ class DemandFunction(ABC):
         """Limit of the demand as throughput approaches zero."""
         return self(0.0)
 
-    def throughput_fraction(self, omega: float) -> float:
-        """Demand expressed against ``omega = theta / theta_hat`` (Figure 2)."""
-        return self(omega * self._theta_hat)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(theta_hat={self._theta_hat!r})"
 

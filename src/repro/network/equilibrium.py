@@ -50,7 +50,9 @@ __all__ = [
     "CommonCapProfile",
     "ExponentialMaxMinProfile",
     "common_cap_profile",
+    "exponential_profile",
     "population_surplus_weights",
+    "class_cap",
     "cached_class_cap",
     "mechanism_cache_key",
     "clear_equilibrium_caches",
@@ -421,34 +423,48 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         # empty and the carried load is exactly ``prefix[-1]``.
         return self.unconstrained_load
 
-    def _tail_terms(self, cap: float, count: int) -> np.ndarray:
-        """Per-consumer rates ``alpha_i d_i(cap) cap`` of the congested tail.
+    def _tail_demands(self, cap: float, count: int) -> np.ndarray:
+        """Equation-(3) demands ``d_i(cap)`` of the congested tail.
 
         The tail is every provider from sorted position ``count`` on (those
-        with ``theta_hat > cap``).  Same arithmetic as the expression form —
-        ``theta/cap - 1`` then ``alpha * exp(-beta * congestion) * cap`` —
-        evaluated through ``out=`` kernels into the one buffer the division
-        allocates.
+        with ``theta_hat > cap``).  Same arithmetic as the expression form
+        ``exp(-beta * (theta/cap - 1))``, evaluated through ``out=`` kernels
+        into the one buffer the division allocates.  Below the profile's
+        ``_tiny_cap`` the ratio ``theta / cap`` may overflow:
+        ``exp(-beta * inf)`` is 0 for ``beta > 0``, and ``beta = 0`` terms
+        get their exact demand 1 instead of ``NaN``.
         """
-        if cap < self._tiny_cap:
-            return self._tiny_cap_tail_terms(cap, count)
-        buffer = np.divide(self._theta_hats[count:], cap)
-        np.subtract(buffer, 1.0, out=buffer)
-        np.multiply(self._neg_betas[count:], buffer, out=buffer)
-        np.exp(buffer, out=buffer)
+        neg_betas = self._neg_betas[count:]
+        if cap >= self._tiny_cap:
+            buffer = np.divide(self._theta_hats[count:], cap)
+            np.subtract(buffer, 1.0, out=buffer)
+            return np.exp(np.multiply(neg_betas, buffer, out=buffer), out=buffer)
+        with np.errstate(over="ignore", invalid="ignore"):
+            buffer = neg_betas * (self._theta_hats[count:] / cap - 1.0)
+        buffer[neg_betas == 0.0] = 0.0
+        return np.exp(buffer, out=buffer)
+
+    def _tail_terms(self, cap: float, count: int) -> np.ndarray:
+        """Per-consumer rates ``alpha_i d_i(cap) cap`` of the congested tail."""
+        buffer = self._tail_demands(cap, count)
         np.multiply(self._alphas[count:], buffer, out=buffer)
         np.multiply(buffer, cap, out=buffer)
         return buffer
 
-    def _tiny_cap_tail_terms(self, cap: float, count: int) -> np.ndarray:
-        """:meth:`_tail_terms` at a cap so small that ``theta / cap`` may
-        overflow: ``exp(-beta * inf)`` is 0 for ``beta > 0``, and ``beta = 0``
-        terms are set to their exact value (demand 1) instead of ``NaN``."""
-        neg_betas = self._neg_betas[count:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            exponents = neg_betas * (self._theta_hats[count:] / cap - 1.0)
-        exponents[neg_betas == 0.0] = 0.0
-        return self._alphas[count:] * np.exp(exponents) * cap
+    def rhos_at(self, cap: float) -> np.ndarray:
+        """``rho_i = d_i(t_i) t_i`` at ``t = min(theta_hat, cap)``, in
+        population order, for a cap ``>= 0``: ``theta_hat_i`` exactly where
+        saturated, so the row equals ``demands_at(t) * t`` bit for bit."""
+        rhos = np.zeros(self.size)
+        if cap <= 0.0:
+            return rhos
+        count = self._theta_hats.searchsorted(cap, side="right")
+        order = self.order
+        rhos[order[:count]] = self._theta_hats[:count]
+        if count < self.size:
+            tail = self._tail_demands(cap, count)
+            rhos[order[count:]] = np.multiply(tail, cap, out=tail)
+        return rhos
 
     def carried_scalar(self, cap: float) -> float:
         """Carried load at one cap: prefix lookup plus the exponential tail.
@@ -522,16 +538,25 @@ def common_cap_profile(population: Population,
     batched solvers always agree on the numerics.
     """
     if type(mechanism) is MaxMinFairAllocation:
-        profile: Optional[ExponentialMaxMinProfile] = getattr(
-            population, "_exp_maxmin_profile", None)
+        profile = exponential_profile(population)
         if profile is not None:
             return profile
-        parameters = population.exponential_parameters
-        if parameters is not None:
-            profile = ExponentialMaxMinProfile(population.alphas, *parameters)
-            population._exp_maxmin_profile = profile  # type: ignore[attr-defined]
-            return profile
     return GenericCapProfile(population, mechanism)
+
+
+def exponential_profile(population: Population
+                        ) -> Optional[ExponentialMaxMinProfile]:
+    """The population's sorted profile, or ``None`` unless every provider
+    has Equation-(3) demand; built once and kept on the population."""
+    profile: Optional[ExponentialMaxMinProfile] = getattr(
+        population, "_exp_maxmin_profile", None)
+    if profile is None:
+        parameters = population.exponential_parameters
+        if parameters is None:
+            return None
+        profile = ExponentialMaxMinProfile(population.alphas, *parameters)
+        population._exp_maxmin_profile = profile  # type: ignore[attr-defined]
+    return profile
 
 
 def solve_common_caps(population: Population, nus: Sequence[float],
@@ -635,14 +660,15 @@ def solve_rate_equilibrium(population: Population, nu: float,
 
 
 # --------------------------------------------------------------------------- #
-# Class-cap cache
+# Class caps and the full-population cap cache
 # --------------------------------------------------------------------------- #
 # Populations are immutable and mechanisms are keyed by value
 # (``RateAllocationMechanism.cache_key``), so a cached cap can never go
 # stale: entries are only ever dropped by LRU eviction or an explicit
-# ``clear_equilibrium_caches()``.  The game layer's best-response passes
-# re-solve the same (class, capacity) caps many times over; this cache turns
-# those re-solves into lookups.
+# ``clear_equilibrium_caches()``.  The batch engine, the service and every
+# CP game whose class holds the whole population share these caps; a
+# proper class's cap is memoised by its own game instead, since almost no
+# other game ever asks for the same class.
 _DEFAULT_MECHANISM = MaxMinFairAllocation()
 _CLASS_CAP_CACHE = LRUCache(maxsize=16384, name="class_caps")
 
@@ -664,48 +690,52 @@ def population_surplus_weights(population: Population,
     return profile.surplus_weights(population.utility_rates[profile.order])
 
 
-def cached_class_cap(population: Population,
-                     mask: Optional[np.ndarray],
-                     nu: float,
-                     mechanism: Optional[CommonCapAllocation] = None,
-                     config: Optional[SolverConfig] = None) -> float:
-    """Equilibrium common throughput cap of a service class, memoised.
+def class_cap(population: Population, mask: np.ndarray, nu: float,
+              mechanism: Optional[CommonCapAllocation] = None,
+              config: Optional[SolverConfig] = None) -> float:
+    """Equilibrium common throughput cap of the class ``mask`` selects.
 
-    The one function that builds a ``class_caps`` key and puts a cap into
-    that cache.
-
-    ``mask`` is a boolean array over the parent population (``None`` — or an
-    all-true mask — means the full population); the cache key holds it as a
-    packed bitmask, ``(population, mask bits, nu, mechanism.cache_key(),
-    config.cache_key())``, so entries computed under different tolerances
-    never alias.  The value equals ``solve_rate_equilibrium(...).common_cap``
-    of the class exactly.  For the paper's workload (max-min fairness,
-    exponential demand) a class is solved on
-    :meth:`ExponentialMaxMinProfile.restricted` of the population's profile,
-    with no ``Population`` object, index tuple or argsort per call; other
-    classes are solved on their own sub-population.
-    ``cache_policy="bypass"`` solves without touching the cache.
+    ``mask`` is a boolean array over ``population``.  The value equals
+    ``solve_rate_equilibrium(...).common_cap`` of the class exactly.  For
+    the paper's workload (max-min fairness, exponential demand) the class
+    is solved on :meth:`ExponentialMaxMinProfile.restricted` of the
+    population's profile, with no ``Population`` object, index tuple or
+    argsort; other classes are solved on their own sub-population.  Nothing
+    is cached here: a caller that asks again memoises the cap itself.
     """
     resolved = mechanism if mechanism is not None else _DEFAULT_MECHANISM
     config = resolve_config(config)
-    members = None if mask is None or mask.all() else mask
-    key = (population,
-           None if members is None else np.packbits(members).tobytes(),
-           float(nu), resolved.cache_key(), config.cache_key())
+    profile = common_cap_profile(population, resolved)
+    if isinstance(profile, ExponentialMaxMinProfile):
+        profile = profile.restricted(mask)
+    else:
+        profile = common_cap_profile(
+            population.subset(np.flatnonzero(mask)), resolved)
+    return profile.solve_cap(float(nu),
+                             residual_tolerance=config.bisection_tolerance)
+
+
+def cached_class_cap(population: Population, nu: float,
+                     mechanism: Optional[CommonCapAllocation] = None,
+                     config: Optional[SolverConfig] = None) -> float:
+    """Equilibrium common throughput cap of the full population, memoised.
+
+    The one function that builds a ``class_caps`` key and puts a cap into
+    that cache.  The key is ``(population, nu, mechanism.cache_key(),
+    config.cache_key())``, so entries computed under different tolerances
+    never alias.  The value equals ``solve_rate_equilibrium(...).common_cap``
+    exactly.  ``cache_policy="bypass"`` solves without touching the cache.
+    """
+    resolved = mechanism if mechanism is not None else _DEFAULT_MECHANISM
+    config = resolve_config(config)
 
     def solve() -> float:
-        profile = common_cap_profile(population, resolved)
-        if members is not None:
-            if isinstance(profile, ExponentialMaxMinProfile):
-                profile = profile.restricted(members)
-            else:
-                profile = common_cap_profile(
-                    population.subset(np.flatnonzero(members)), resolved)
-        return profile.solve_cap(float(nu),
-                                 residual_tolerance=config.bisection_tolerance)
+        return common_cap_profile(population, resolved).solve_cap(
+            float(nu), residual_tolerance=config.bisection_tolerance)
 
     if config.cache_policy == "bypass":
         return solve()
+    key = (population, float(nu), resolved.cache_key(), config.cache_key())
     return _CLASS_CAP_CACHE.get_or_compute(  # type: ignore[return-value]
         key, solve)
 

@@ -93,57 +93,6 @@ class ContentProvider:
                 f"({self.demand.theta_hat} != {self.theta_hat})"
             )
 
-    # ------------------------------------------------------------------ #
-    # Derived quantities used throughout the paper.
-    # ------------------------------------------------------------------ #
-    @property
-    def unconstrained_per_capita_rate(self) -> float:
-        """``alpha_i * theta_hat_i`` — per-capita unconstrained throughput.
-
-        The paper's ``lambda_hat_i`` equals ``alpha_i * M * theta_hat_i``;
-        dividing by the consumer size ``M`` gives this per-capita quantity,
-        which is what the per-capita capacity ``nu`` is compared against.
-        """
-        return self.alpha * self.theta_hat
-
-    def demand_at(self, theta: float) -> float:
-        """Demand fraction ``d_i(theta)`` (Assumption 1 compliant)."""
-        assert self.demand is not None
-        return self.demand(theta)
-
-    def rho(self, theta: float) -> float:
-        """Per-capita throughput over the CP's own user base (Equation 5).
-
-        ``rho_i(theta) = d_i(theta) * theta`` — throughput per member of the
-        CP's user base, before weighting by the popularity ``alpha``.
-        """
-        theta_eff = min(theta, self.theta_hat)
-        return self.demand_at(theta_eff) * theta_eff
-
-    def per_capita_rate(self, theta: float) -> float:
-        """Per-consumer throughput contribution ``alpha_i d_i(theta) theta``.
-
-        Multiplying by the consumer size ``M`` recovers the paper's
-        ``lambda_i`` of Equation (1).
-        """
-        return self.alpha * self.rho(theta)
-
-    def throughput(self, theta: float, consumers: float) -> float:
-        """Absolute aggregate throughput ``lambda_i`` for ``M = consumers``."""
-        if consumers < 0.0:
-            raise ModelValidationError("consumer size must be non-negative")
-        return consumers * self.per_capita_rate(theta)
-
-    def utility(self, per_capita_rate: float, consumers: float,
-                premium_price: float = 0.0) -> float:
-        """CP profit (Equation 4) given its realised per-capita rate.
-
-        ``premium_price`` is the per-unit-traffic charge ``c`` if the CP is in
-        the premium class, or 0 in the ordinary class.
-        """
-        margin = self.revenue_rate - premium_price
-        return margin * per_capita_rate * consumers
-
     def with_utility_rate(self, utility_rate: float) -> "ContentProvider":
         """Copy of this CP with a different consumer utility rate ``phi_i``."""
         return replace(self, utility_rate=utility_rate)

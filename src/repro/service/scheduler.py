@@ -4,7 +4,7 @@ The serving hot path: requests arriving within one batch that share a
 ``(population fingerprint, mechanism key, config.cache_key())`` batch key
 are fused into **one** ``warm_equilibrium_cache`` call over the union of
 their nu-grids and fanned back out, so k concurrent what-if queries against
-one population solve each union point once, through the class-cap cache
+one population solve each union point once, through the ``class_caps`` cache
 (which stays warm for every later request: only the caps are cached, one
 float per grid point, since every served series is computed from them).
 Identical requests — same batch key *and* same grid — are coalesced: one

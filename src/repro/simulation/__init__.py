@@ -2,7 +2,7 @@
 
 * :mod:`repro.simulation.batch` — the batched equilibrium engine: a whole
   capacity grid as one cap vector, solved directly or with each point
-  read through the class-cap cache;
+  read through the full-population cap cache;
 * :mod:`repro.simulation.results` — light containers for series and sweep
   results, with plain-text table rendering (no plotting dependency);
 * :mod:`repro.simulation.sweep` — price/capacity/strategy sweeps over the

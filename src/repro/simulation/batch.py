@@ -13,10 +13,11 @@ the Theorem-1 cap.  This module:
   rate, utilisation, consumer surplus, premium revenue) come from the caps
   in ``O(G + n)`` memory; the per-provider ``(G, n)`` matrices are built
   only when asked for;
-* reads a grid through the class-cap cache
+* reads a grid through the full-population cap cache
   (:func:`warm_equilibrium_cache`, one
   :func:`repro.network.equilibrium.cached_class_cap` per point), so the
-  service's repeated grids and the game layer share their caps.
+  service's repeated grids and any CP game whose class holds every CP share
+  their caps.
 
 Only cap-parameterised mechanisms have a batch; the scalar
 :func:`repro.network.equilibrium.solve_rate_equilibrium` solves any other
@@ -277,7 +278,7 @@ def warm_equilibrium_cache(population: Population, nus: Sequence[float],
     :func:`solve_rate_equilibria`'s bit for bit.
     """
     nus_arr, mechanism = _checked_grid(nus, mechanism)
-    caps = np.array([cached_class_cap(population, None, nu, mechanism, config)
+    caps = np.array([cached_class_cap(population, nu, mechanism, config)
                      for nu in nus_arr.tolist()], dtype=float)
     return BatchRateEquilibrium(population=population, nus=nus_arr,
                                 common_caps=caps, mechanism=mechanism)

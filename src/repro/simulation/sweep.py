@@ -5,11 +5,13 @@ per-capita ISP surplus ``Psi``, consumer surplus ``Phi`` and (for the
 duopoly) the strategic ISP's market share ``m_I`` as named series — exactly
 the quantities plotted in the paper's Figures 4, 5, 7 and 8.
 
-Every per-point game reads its class caps and partition outcomes through
-the shared memoisation of the game layer (the class-cap cache of
-:func:`repro.network.equilibrium.cached_class_cap` and the partition
-outcome cache), so a cap one grid point needs is solved when first needed
-and is a lookup for every later point that needs it again.
+Every per-point game reads its partition outcome through the shared
+partition-outcome cache, so a grid point whose game another point already
+played (the Public Option ISP's, say, across a price sweep) is a lookup.
+A game solves each class cap when it first needs it and keeps it for its
+own later best-response rounds; only the full population's caps are shared
+across games, through
+:func:`repro.network.equilibrium.cached_class_cap`.
 """
 
 from __future__ import annotations

@@ -23,7 +23,13 @@ from repro.network.demand import (
     SigmoidDemand,
     UnitDemand,
 )
-from repro.network.equilibrium import solve_rate_equilibrium
+from repro.cache import all_cache_stats, clear_all_caches
+from repro.config import SolverConfig
+from repro.network import equilibrium
+from repro.network.equilibrium import (
+    ExponentialMaxMinProfile,
+    solve_rate_equilibrium,
+)
 from repro.network.provider import ContentProvider, Population
 from repro.workloads.populations import PopulationSpec, random_population
 
@@ -208,6 +214,50 @@ class TestCompetitiveEquilibrium:
         outcome = game.competitive_equilibrium()
         assert outcome.converged
         assert game.verify_competitive(outcome) == []
+
+
+class TestClassCapMemo:
+    """A game keeps its class caps; only full-population caps are shared."""
+
+    def setup_method(self):
+        clear_all_caches()
+
+    def test_competitive_solve_leaves_no_masked_cap_in_shared_cache(
+            self, medium_random_population):
+        game = CPPartitionGame(medium_random_population, 3.0,
+                               ISPStrategy(0.6, 0.4))
+        game.competitive_equilibrium()
+        # The game did solve proper classes, in its own memo ...
+        size = len(medium_random_population)
+        assert any(not np.unpackbits(np.frombuffer(bits, np.uint8))[:size].all()
+                   for _, bits in game._caps)
+        # ... and the shared cache holds no class mask.
+        keys = list(equilibrium._CLASS_CAP_CACHE._data)
+        assert all(len(key) == 4 and not isinstance(part, bytes)
+                   for key in keys for part in key)
+        assert all_cache_stats()["class_caps"]["size"] == len(keys) <= 2
+
+    @pytest.mark.parametrize("cache_policy", ["shared", "bypass"])
+    def test_repeated_best_responses_solve_no_cap(
+            self, medium_random_population, monkeypatch, cache_policy):
+        game = CPPartitionGame(medium_random_population, 3.0,
+                               ISPStrategy(0.6, 0.4),
+                               config=SolverConfig(cache_policy=cache_policy))
+        mask = game._revenues > 0.6
+        assert 0 < np.count_nonzero(mask) < len(mask)
+        first = game._best_responses(mask)
+        solves = []
+        original = ExponentialMaxMinProfile.solve_cap
+
+        def counted(self, *args, **kwargs):
+            solves.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExponentialMaxMinProfile, "solve_cap", counted)
+        second = game._best_responses(mask.copy())
+        assert solves == []
+        for before, after in zip(first, second):
+            np.testing.assert_array_equal(before, after)
 
 
 class TestNashEquilibrium:

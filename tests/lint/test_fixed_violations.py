@@ -72,8 +72,6 @@ class TestCacheKeyThreading:
                 != base.cache_key())
 
     def test_class_cap_cache_isolates_configs(self):
-        import numpy as np
-
         from repro.cache import all_cache_stats
         from repro.network import equilibrium as eq
         from repro.network.provider import ContentProvider, Population
@@ -82,14 +80,13 @@ class TestCacheKeyThreading:
             ContentProvider(name="a", alpha=0.6, theta_hat=1.0, beta=1.0),
             ContentProvider(name="b", alpha=0.4, theta_hat=2.0, beta=0.5),
         ])
-        mask = np.array([True, False])
         eq.clear_equilibrium_caches()
-        eq.cached_class_cap(population, mask, 0.2, config=SolverConfig())
+        eq.cached_class_cap(population, 0.2, config=SolverConfig())
         first = all_cache_stats()["class_caps"]["size"]
         assert first > 0
-        # Same population and class, different tolerance config: must be a
-        # fresh cap entry (a colliding key would alias the old one).
-        eq.cached_class_cap(population, mask, 0.2,
+        # Same population and capacity, different tolerance config: must be
+        # a fresh cap entry (a colliding key would alias the old one).
+        eq.cached_class_cap(population, 0.2,
                             config=SolverConfig(bisection_tolerance=1e-10))
         second = all_cache_stats()["class_caps"]["size"]
         assert second > first

@@ -6,7 +6,8 @@ congested tail.  These tests evaluate the same work-conservation sum one
 provider at a time, in input order, with ``math`` scalars, and require the
 kernel to agree with it to ``1e-10`` (they differ only in summation order).
 They also check the kernel's edge cases (empty profiles, caps ``<= 0``,
-subnormal caps) and that ``solve_cap`` returns a root of the direct sum.
+subnormal caps), that ``solve_cap`` returns a root of the direct sum, and
+that ``rhos_at`` reproduces the population's demand row bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.network.equilibrium import ExponentialMaxMinProfile
+from repro.network.equilibrium import (
+    ExponentialMaxMinProfile,
+    exponential_profile,
+)
+from repro.network.provider import Population
 
 #: Agreement with the direct sum (absolute + relative).
 TOL = 1e-10
@@ -160,3 +165,29 @@ def test_carried_and_surplus_property(columns, cap_fraction):
     assert_close(carried, math.fsum(rates))
     assert_close(surplus, math.fsum(phi * rate
                                     for phi, rate in zip(phis, rates)))
+
+
+# --------------------------------------------------------------------------- #
+# The rho row read off the sorted profile
+# --------------------------------------------------------------------------- #
+
+@given(columns=weighted_columns_st,
+       cap_fraction=st.floats(min_value=0.0, max_value=1.5))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_rhos_at_matches_demand_row_exactly(columns, cap_fraction):
+    alphas, theta_hats, betas, _ = columns
+    population = Population.from_columns(np.minimum(alphas, 1.0), theta_hats,
+                                         betas)
+    profile = exponential_profile(population)
+    upper = profile.upper
+    # Zero, the smallest subnormal, the largest cap below the overflow-safe
+    # threshold, every theta_hat exactly (ties included), the saturation
+    # cap, beyond it, infinity and one drawn cap.
+    caps = [0.0, 5e-324, float(np.nextafter(upper * 1e-200, 0.0)),
+            *population.theta_hats.tolist(), upper, 10.0 * upper, math.inf,
+            cap_fraction * upper]
+    for cap in caps:
+        thetas = np.minimum(population.theta_hats, cap)
+        expected = population.demands_at(thetas) * thetas
+        np.testing.assert_array_equal(profile.rhos_at(cap), expected)

@@ -283,7 +283,3 @@ class TestSampling:
     def test_sample_demand_curve_requires_two_points(self):
         with pytest.raises(ModelValidationError):
             sample_demand_curve(UnitDemand(1.0), points=1)
-
-    def test_throughput_fraction_matches_direct_call(self):
-        demand = ExponentialSensitivityDemand(theta_hat=4.0, beta=1.0)
-        assert demand.throughput_fraction(0.5) == pytest.approx(demand(2.0))

@@ -55,35 +55,10 @@ class TestContentProviderValidation:
     def test_custom_demand_accepted(self):
         cp = ContentProvider(name="x", alpha=0.5, theta_hat=2.0,
                              demand=LinearDemand(theta_hat=2.0))
-        assert cp.demand_at(1.0) == pytest.approx(0.5)
+        assert cp.demand(1.0) == pytest.approx(0.5)
 
 
 class TestContentProviderDerivedQuantities:
-    def test_unconstrained_per_capita_rate(self):
-        cp = make_cp(alpha=0.5, theta_hat=2.0)
-        assert cp.unconstrained_per_capita_rate == pytest.approx(1.0)
-
-    def test_rho_caps_at_theta_hat(self):
-        cp = make_cp(beta=0.0, theta_hat=2.0)
-        assert cp.rho(5.0) == pytest.approx(2.0)
-
-    def test_per_capita_rate(self):
-        cp = make_cp(alpha=0.5, theta_hat=2.0, beta=0.0)
-        assert cp.per_capita_rate(2.0) == pytest.approx(1.0)
-
-    def test_throughput_scales_with_consumers(self):
-        cp = make_cp(alpha=0.5, theta_hat=2.0, beta=0.0)
-        assert cp.throughput(2.0, consumers=100.0) == pytest.approx(100.0)
-        with pytest.raises(ModelValidationError):
-            cp.throughput(2.0, consumers=-1.0)
-
-    def test_utility_ordinary_and_premium(self):
-        cp = make_cp(revenue=0.8)
-        rate = 0.5
-        assert cp.utility(rate, consumers=10.0) == pytest.approx(0.8 * 0.5 * 10.0)
-        assert cp.utility(rate, consumers=10.0, premium_price=0.3) == pytest.approx(
-            0.5 * 0.5 * 10.0)
-
     def test_with_utility_and_revenue_rate(self):
         cp = make_cp()
         assert cp.with_utility_rate(9.0).utility_rate == 9.0
@@ -167,7 +142,7 @@ class TestVectorisedDemand:
     def test_matches_scalar_evaluation(self, small_random_population):
         thetas = small_random_population.theta_hats * 0.4
         vectorised = small_random_population.demands_at(thetas)
-        scalar = np.array([cp.demand_at(theta)
+        scalar = np.array([cp.demand(theta)
                            for cp, theta in zip(small_random_population, thetas)])
         np.testing.assert_array_equal(vectorised, scalar)
 

@@ -34,7 +34,11 @@ from repro.network.demand import (
     UnitDemand,
 )
 from repro.errors import ModelValidationError
-from repro.network.equilibrium import cached_class_cap, solve_rate_equilibrium
+from repro.network.equilibrium import (
+    cached_class_cap,
+    class_cap,
+    solve_rate_equilibrium,
+)
 from repro.network.provider import ContentProvider, Population
 from repro.simulation.batch import (
     solve_rate_equilibria,
@@ -204,7 +208,7 @@ class TestEquilibriumCaches:
     def setup_method(self):
         clear_all_caches()
 
-    def test_cached_class_cap_matches_equilibrium_cap(self):
+    def test_class_cap_matches_equilibrium_cap(self):
         for make_population in (exponential_population,
                                 heterogeneous_population):
             population = make_population()
@@ -212,7 +216,7 @@ class TestEquilibriumCaches:
             mask = np.ones(len(population), dtype=bool)
             mask[0] = False
             for nu in (0.1 * load, 0.5 * load, 2.0 * load):
-                cap = cached_class_cap(population, mask, nu)
+                cap = class_cap(population, mask, nu)
                 equilibrium = solve_rate_equilibrium(
                     population.subset(np.flatnonzero(mask)), nu)
                 assert cap == equilibrium.common_cap
@@ -220,9 +224,9 @@ class TestEquilibriumCaches:
     def test_cached_class_cap_full_population_key(self):
         population = exponential_population()
         nu = 0.4 * population.unconstrained_per_capita_load
-        cap_by_mask = cached_class_cap(
+        cap_by_mask = class_cap(
             population, np.ones(len(population), dtype=bool), nu)
-        cap_full = cached_class_cap(population, None, nu)
+        cap_full = cached_class_cap(population, nu)
         assert cap_by_mask == cap_full
         assert cap_full == solve_rate_equilibrium(population, nu).common_cap
 
@@ -252,7 +256,7 @@ class TestEquilibriumCaches:
         caps = []
         for scale in (1.0, 0.5):
             instance = ScaledMaxMin(scale)
-            caps.append(cached_class_cap(population, None, nu, instance))
+            caps.append(cached_class_cap(population, nu, instance))
             del instance
         assert caps[0] != caps[1]
 
@@ -283,7 +287,7 @@ class TestEquilibriumCaches:
         for index, nu in enumerate(nus):
             direct = solve_rate_equilibrium(population, nu)
             np.testing.assert_array_equal(batch.thetas[index], direct.thetas)
-            assert cached_class_cap(population, None, nu) == direct.common_cap
+            assert cached_class_cap(population, nu) == direct.common_cap
         # Every lookup hit a seeded cap.
         assert all_cache_stats()["class_caps"]["misses"] == misses
 
@@ -416,8 +420,6 @@ class TestCapacityAxisBatching:
             assert profile.solve_cap(float(nu)) == cap
 
     def test_class_cap_for_mask_matches_index_form_exactly(self):
-        from repro.network.equilibrium import clear_equilibrium_caches
-
         population = exponential_population()
         load = population.unconstrained_per_capita_load
         rng = np.random.default_rng(3)
@@ -427,29 +429,41 @@ class TestCapacityAxisBatching:
                 if not mask.any():
                     mask[0] = True
                 indices = tuple(int(i) for i in np.nonzero(mask)[0])
-                by_mask = cached_class_cap(population, mask, nu)
-                clear_equilibrium_caches()
+                by_mask = class_cap(population, mask, nu)
                 by_indices = solve_rate_equilibrium(
                     population.subset(indices), nu).common_cap
                 assert by_mask == by_indices or (
                     np.isinf(by_mask) and np.isinf(by_indices))
 
-    def test_equal_masks_share_cache_entries(self):
+    def test_equal_masks_share_game_memo_entries(self, monkeypatch):
         from repro.cache import all_cache_stats
+        from repro.core.cp_game import CPPartitionGame
+        from repro.core.strategy import ISPStrategy
+        from repro.network.equilibrium import ExponentialMaxMinProfile
 
         population = exponential_population()
         nu = 0.3 * population.unconstrained_per_capita_load
+        game = CPPartitionGame(population, nu, ISPStrategy(0.5, 0.2))
         mask = np.zeros(len(population), dtype=bool)
         mask[::2] = True
-        cached_class_cap(population, mask, nu)
-        cached_class_cap(population, None, nu)
-        before = all_cache_stats()["class_caps"]["misses"]
-        # Equal membership hits the packed-bitmask key, whatever the array;
-        # an all-true mask is the full population's ``None`` key.
-        cached_class_cap(population, mask.copy(), nu)
-        cached_class_cap(population, np.ones(len(population), dtype=bool), nu)
-        after = all_cache_stats()["class_caps"]
-        assert after["misses"] == before
+        full = np.ones(len(population), dtype=bool)
+        caps = (game._class_cap(mask, nu), game._class_cap(full, nu))
+        # Only the full population's cap enters the shared cache.
+        assert all_cache_stats()["class_caps"]["size"] == 1
+        assert caps[1] == cached_class_cap(population, nu)
+        solves = []
+        original = ExponentialMaxMinProfile.solve_cap
+
+        def counted(self, *args, **kwargs):
+            solves.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExponentialMaxMinProfile, "solve_cap", counted)
+        # Equal membership hits the game's packed-bitmask memo, whatever
+        # the array.
+        assert (game._class_cap(mask.copy(), nu),
+                game._class_cap(full.copy(), nu)) == caps
+        assert solves == []
 
     def test_subset_profile_matches_constructor_exactly(self):
         from repro.network.equilibrium import ExponentialMaxMinProfile

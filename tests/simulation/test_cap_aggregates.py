@@ -272,7 +272,7 @@ class TestCapDefinedBatch:
         assert warm.aggregate_rates.tolist() == cold.aggregate_rates.tolist()
         # The game layer's cap lookups hit the seeded entries.
         for nu, cap in zip(nus, cold.common_caps):
-            assert cached_class_cap(population, None, nu) == cap
+            assert cached_class_cap(population, nu) == cap
         assert all_cache_stats()["class_caps"]["hits"] == hits + 2 * len(nus)
 
 

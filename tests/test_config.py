@@ -236,15 +236,16 @@ def test_bypass_policy_matches_shared_results(small_random_population):
 def test_bypass_policy_never_touches_registered_caches(
         small_random_population):
     from repro.cache import all_cache_stats
-    from repro.network.equilibrium import cached_class_cap
+    from repro.network.equilibrium import cached_class_cap, class_cap
 
     config = SolverConfig(cache_policy="bypass")
     before = all_cache_stats()
     mask = np.zeros(len(small_random_population), dtype=bool)
     mask[::2] = True
-    for members in (None, mask):
-        cached_class_cap(small_random_population, members, 123.456,
-                         MaxMinFairAllocation(), config=config)
+    cached_class_cap(small_random_population, 123.456,
+                     MaxMinFairAllocation(), config=config)
+    class_cap(small_random_population, mask, 123.456,
+              MaxMinFairAllocation(), config=config)
     after = all_cache_stats()
     for name, entry in after.items():
         assert entry["size"] == before[name]["size"], name
