@@ -221,6 +221,19 @@ class TestEquilibriumCaches:
                     population.subset(np.flatnonzero(mask)), nu)
                 assert cap == equilibrium.common_cap
 
+    def test_cached_class_cap_matches_equilibrium_cap(self):
+        for make_population in (exponential_population,
+                                heterogeneous_population):
+            population = make_population()
+            load = population.unconstrained_per_capita_load
+            for nu in (0.1 * load, 0.5 * load, 2.0 * load):
+                cap = cached_class_cap(population, nu)
+                assert cap == solve_rate_equilibrium(population, nu).common_cap
+                # A second lookup is a hit that returns the same cap.
+                misses = all_cache_stats()["class_caps"]["misses"]
+                assert cached_class_cap(population, nu) == cap
+                assert all_cache_stats()["class_caps"]["misses"] == misses
+
     def test_cached_class_cap_full_population_key(self):
         population = exponential_population()
         nu = 0.4 * population.unconstrained_per_capita_load
@@ -434,6 +447,31 @@ class TestCapacityAxisBatching:
                     population.subset(indices), nu).common_cap
                 assert by_mask == by_indices or (
                     np.isinf(by_mask) and np.isinf(by_indices))
+
+    def test_equal_masks_share_cache_entries(self):
+        from repro.cache import all_cache_stats
+        from repro.core.cp_game import CPPartitionGame
+        from repro.core.strategy import ISPStrategy
+
+        population = exponential_population()
+        nu = 0.3 * population.unconstrained_per_capita_load
+        strategy = ISPStrategy(0.5, 0.2)
+        first = CPPartitionGame(population, nu, strategy)
+        full = np.ones(len(population), dtype=bool)
+        mask = np.zeros(len(population), dtype=bool)
+        mask[::2] = True
+        caps = (first._class_cap(mask, nu), first._class_cap(full, nu))
+        before = all_cache_stats()["class_caps"]
+        # A second game over an equal (not identical) population hits the
+        # first game's full-population entry; its masked cap is solved in
+        # its own memo and never enters the shared cache.
+        second = CPPartitionGame(exponential_population(), nu, strategy)
+        assert second.population is not population
+        assert (second._class_cap(full.copy(), nu),
+                second._class_cap(mask.copy(), nu)) == (caps[1], caps[0])
+        after = all_cache_stats()["class_caps"]
+        assert after["misses"] == before["misses"]
+        assert after["size"] == before["size"] == 1
 
     def test_equal_masks_share_game_memo_entries(self, monkeypatch):
         from repro.cache import all_cache_stats
