@@ -213,10 +213,8 @@ def format_cache_stats(stats: Optional[Dict[str, Dict[str, Any]]] = None, *,
     lines = [header, "-" * len(header)]
     for name in sorted(stats):
         entry = stats[name]
-        maxsize = entry.get("maxsize")
         lines.append(
-            f"{name:<{width}} {entry['size']:>8} "
-            f"{(maxsize if maxsize is not None else 'inf'):>8} "
+            f"{name:<{width}} {entry['size']:>8} {entry['maxsize']:>8} "
             f"{entry['hits']:>10} {entry['misses']:>10} "
             f"{entry['hit_rate']:>9.1%}")
     return "\n".join(lines)

@@ -60,7 +60,7 @@ _POLL_SECONDS = 0.2
 #: ``/stats`` counters that are configuration, not activity — merged by
 #: taking the first worker's value instead of summing.
 _CONFIG_STAT_KEYS = frozenset({
-    "window_seconds", "naive", "maxsize", "max_bytes",
+    "window_seconds", "naive", "maxsize",
     "schema", "solver_threads",
 })
 

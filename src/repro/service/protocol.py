@@ -38,7 +38,10 @@ Populations are resolved through a registered LRU cache
 (``service_populations``): repeated requests for the same spec reuse the
 columnar population (and therefore every cap cached against its
 fingerprint), and each resolved population is indexed by fingerprint so
-follow-up requests can address it without re-sending the spec.
+follow-up requests can address it without re-sending the spec.  Each
+population takes two of the cache's 64 entries (spec and fingerprint), so
+it keeps the 32 most recently used; a fingerprint of an older population
+gets a 404 ``unknown_fingerprint`` error.
 """
 
 from __future__ import annotations

@@ -45,10 +45,7 @@ def _worker_payload(index, *, requests=10, coalesced=4, hits=6, misses=2,
         "caches": {"class_caps": {"size": 3, "maxsize": 16384, "hits": hits,
                                   "misses": misses,
                                   "hit_rate": hits / (hits + misses),
-                                  "current_bytes": 100, "max_bytes": None,
-                                  "evictions_maxsize": 0,
-                                  "evictions_bytes": 0,
-                                  "rejected_oversize": 0}},
+                                  "evictions_maxsize": 0}},
     }
 
 

@@ -177,10 +177,10 @@ class TestCacheStats:
         assert "class_caps" in capsys.readouterr().err
 
     def test_format_cache_stats_renders_given_mapping(self):
-        stats = {"demo": {"size": 1, "maxsize": None, "hits": 3,
+        stats = {"demo": {"size": 1, "maxsize": 4096, "hits": 3,
                           "misses": 1, "hit_rate": 0.75}}
         table = format_cache_stats(stats)
-        assert "demo" in table and "75.0%" in table and "inf" in table
+        assert "demo" in table and "75.0%" in table and "4096" in table
         assert json.loads(format_cache_stats(stats, as_json=True)) == stats
 
 
