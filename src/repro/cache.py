@@ -42,11 +42,12 @@ def all_cache_stats() -> Dict[str, Dict[str, Any]]:
 class LRUCache:
     """Mapping of at most ``maxsize`` entries with least-recently-used eviction.
 
-    Thread- and task-safe: a single lock serialises every read, insert,
-    eviction and counter update, so the caches can serve as warm shared
-    state for the equilibrium service, whose solves run on executor threads
-    while the event loop keeps accepting requests.  Single-threaded callers
-    (the games, sweeps and runner) observe exactly the pre-lock behaviour.
+    Thread-safe: a single lock serialises every read, insert, eviction and
+    counter update.  The equilibrium service solves on its event loop and
+    needs no lock, but the caches are process-wide, and library callers
+    may solve from several threads at once.  Single-threaded callers (the
+    games, sweeps, runner and service) observe exactly the unlocked
+    behaviour.
     """
 
     def __init__(self, maxsize: int = 1024, name: Optional[str] = None) -> None:

@@ -156,9 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="disable batching and coalescing (one "
                                    "solve per request); the benchmark "
                                    "baseline, not a production mode")
-    serve_parser.add_argument("--solver-threads", type=int, default=1,
-                              help="executor threads running solves "
-                                   "(default: 1)")
     serve_parser.add_argument("--max-requests", type=int, default=None,
                               help="shut down cleanly after serving this "
                                    "many /solve requests (for smoke tests; "
@@ -275,9 +272,6 @@ def _serve(args: argparse.Namespace) -> int:
     if args.window_ms < 0.0:
         print("error: --window-ms must be >= 0", file=sys.stderr)
         return 2
-    if args.solver_threads < 1:
-        print("error: --solver-threads must be >= 1", file=sys.stderr)
-        return 2
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
@@ -292,7 +286,6 @@ def _serve(args: argparse.Namespace) -> int:
             host=args.host, port=args.port,
             window_seconds=args.window_ms / 1000.0,
             naive=args.naive,
-            max_solver_threads=args.solver_threads,
             max_requests=args.max_requests,
             idle_timeout=idle_timeout)
         return serve_multiprocess(settings, args.workers)
@@ -302,7 +295,6 @@ def _serve(args: argparse.Namespace) -> int:
             args.host, args.port,
             window_seconds=args.window_ms / 1000.0,
             naive=args.naive,
-            max_solver_threads=args.solver_threads,
             max_requests=args.max_requests,
             idle_timeout=idle_timeout)
         loop = asyncio.get_running_loop()

@@ -7,8 +7,9 @@ service with cross-request performance structure:
   (documented in ARTIFACTS.md) and the population registry.
 * :mod:`repro.service.scheduler` — micro-batching (union-grid fusion of
   concurrent compatible requests) and coalescing of identical requests,
-  in flight or already answered; solves run on executor threads against the shared, lock-guarded
-  LRU caches, which become warm cross-request state.
+  in flight or already answered; solves run on the event loop in bounded
+  slices against the shared LRU caches, which become warm cross-request
+  state.
 * :mod:`repro.service.server` — the minimal stdlib HTTP/1.1 front end
   (``POST /solve``, ``GET /stats``, ``GET /healthz``) behind
   ``repro-netneutrality serve``.

@@ -2,8 +2,8 @@
 
 ``repro-netneutrality serve --workers N`` forks ``N`` worker processes that
 all accept on the same TCP port.  Each worker is a complete single-process
-server — its own event loop, :class:`~repro.service.scheduler.MicroBatchScheduler`,
-solver thread pool and (copy-on-write, therefore effectively private) LRU
+server — its own event loop, :class:`~repro.service.scheduler.MicroBatchScheduler`
+and (copy-on-write, therefore effectively private) LRU
 caches — so workers share *nothing* at runtime and scale across cores
 without locks.  Kernel-level connection distribution comes from
 ``SO_REUSEPORT``: every worker binds its own listening socket to the one
@@ -25,8 +25,8 @@ Coordination is deliberately minimal:
   level — so single-process consumers like the load generator keep working
   unchanged — plus a ``workers`` list with each worker's own payload).
 * **Shutdown** — SIGTERM/SIGINT to the parent forwards SIGTERM to every
-  worker; each worker drains gracefully (stops accepting, wakes idle
-  keep-alive readers, finishes in-flight solves) and exits 0; the parent
+  worker; each worker drains gracefully (stops accepting, closes idle
+  keep-alive connections, finishes in-flight solves) and exits 0; the parent
   reaps the group and exits 0 only when every worker drained cleanly.
 
 Served bytes are bit-identical to a single-process server (and therefore
@@ -60,8 +60,7 @@ _POLL_SECONDS = 0.2
 #: ``/stats`` counters that are configuration, not activity — merged by
 #: taking the first worker's value instead of summing.
 _CONFIG_STAT_KEYS = frozenset({
-    "window_seconds", "naive", "maxsize",
-    "schema", "solver_threads",
+    "window_seconds", "naive", "maxsize", "schema",
 })
 
 
@@ -73,7 +72,6 @@ class WorkerSettings:
     port: int
     window_seconds: float
     naive: bool
-    max_solver_threads: int
     max_requests: Optional[int]
     idle_timeout: Optional[float]
 
@@ -135,7 +133,6 @@ async def _worker_serve(index: int, settings: WorkerSettings,
         settings.host, settings.port,
         window_seconds=settings.window_seconds,
         naive=settings.naive,
-        max_solver_threads=settings.max_solver_threads,
         max_requests=settings.max_requests,
         idle_timeout=settings.idle_timeout,
         worker_index=index)

@@ -12,16 +12,19 @@ still in flight shares its awaitable future, so a thundering herd of equal
 queries costs one solve, and one already answered is served at once from a
 small per-scheduler LRU of completed outcomes (bounded by
 ``RETAINED_POINTS`` grid points in total).  A retained hit skips the
-window and the executor and returns the very batch that answered the first
+window and the solve and returns the very batch that answered the first
 request, with its memoised aggregates.  Only successful outcomes are
 retained, so a failed solve is retried by the next request; a retained
 batch holds its grid and caps, ``O(G)``, and references a population the
 ``class_caps`` cache keys already hold.
 
-Solves run on a small thread-pool executor, never on the event loop: the
-loop keeps reading sockets (and filling the next batch window) while a
-solve runs.  That is why :class:`repro.cache.LRUCache` is lock-guarded
-— the executor threads and any concurrent batches share the caches.
+Solves run on the event loop itself, cut into slices of at most
+``SOLVE_SLICE_CELLS`` grid points x CPs (always at least one point), one
+``warm_equilibrium_cache`` call each, with one loop turn between slices:
+a large union never holds the loop for more than one slice, so sockets are
+read, health checks and retained hits answered, and the next batch window
+filled while it solves.  A thread hop would buy no parallelism under the
+GIL, and the loop computes every response's aggregates itself.
 
 Batches close work-conservingly, the rule Nagle's algorithm (RFC 896)
 uses for small TCP segments: a batch is sent as soon as nothing else could
@@ -44,10 +47,11 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.config import SolverConfig, resolve_config
 from repro.network.allocation import RateAllocationMechanism
@@ -60,7 +64,7 @@ from repro.simulation.batch import (
 )
 
 __all__ = ["MicroBatchScheduler", "DEFAULT_WINDOW_SECONDS",
-           "RETAINED_POINTS"]
+           "RETAINED_POINTS", "SOLVE_SLICE_CELLS"]
 
 #: Default micro-batch window, the longest a request waits for companions:
 #: long enough to fuse a concurrent burst, short enough to be invisible
@@ -71,6 +75,10 @@ DEFAULT_WINDOW_SECONDS = 0.002
 #: grids, least recently used evicted first.  A point costs ~75 bytes (its
 #: key float, grid, cap and memoised aggregates): ~5 MB when full.
 RETAINED_POINTS = 1 << 16
+
+#: Most grid points x CPs one solve slice covers (at least one point per
+#: slice): the work a fused batch does between two turns of the event loop.
+SOLVE_SLICE_CELLS = 1 << 18
 
 _BatchKey = Tuple[Hashable, ...]
 _SolveKey = Tuple[_BatchKey, Tuple[float, ...]]
@@ -99,23 +107,16 @@ class MicroBatchScheduler:
 
     ``naive=True`` disables every serving-layer optimisation — no window,
     no fusion, no coalescing, no retained outcomes, no warm-cache reuse:
-    each request runs its own
-    ``solve_rate_equilibria`` on the executor.  The benchmark suite uses it
-    as the one-solve-per-request baseline.
+    each request runs its own ``solve_rate_equilibria``, unsliced.  The
+    benchmark suite uses it as the one-solve-per-request baseline.
     """
 
     def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS, *,
-                 naive: bool = False, max_solver_threads: int = 1) -> None:
+                 naive: bool = False) -> None:
         if window_seconds < 0.0:
             raise ValueError("window_seconds must be >= 0")
-        if max_solver_threads < 1:
-            raise ValueError("max_solver_threads must be >= 1")
         self.window_seconds = window_seconds
         self.naive = naive
-        self.max_solver_threads = max_solver_threads
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_solver_threads,
-            thread_name_prefix="repro-solver")
         self._pending: Dict[_BatchKey, _PendingBatch] = {}
         # Requests the server holds, and those of them awaiting a future.
         self._admitted = 0
@@ -156,9 +157,14 @@ class MicroBatchScheduler:
         self.requests += 1
         self.requested_points += len(nus)
         if self.naive:
-            batch, size = await self._solve_naive(population, nus, mechanism,
-                                                  config)
-            return batch, size, False
+            self.engine_solves += 1
+            try:
+                batch = solve_rate_equilibria(population, nus, mechanism,
+                                              config)
+            except Exception:
+                self.errors += 1
+                raise
+            return batch, 1, False
         batch_key: _BatchKey = (population.fingerprint(),
                                 mechanism_cache_key(mechanism),
                                 config.cache_key())
@@ -213,7 +219,6 @@ class MicroBatchScheduler:
         return {
             "window_seconds": self.window_seconds,
             "naive": self.naive,
-            "solver_threads": self.max_solver_threads,
             "requests": self.requests,
             "requested_points": self.requested_points,
             "coalesced": self.coalesced,
@@ -237,30 +242,9 @@ class MicroBatchScheduler:
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
-    async def aclose(self) -> None:
-        """Drain outstanding work and release the executor threads."""
-        await self.drain()
-        self._executor.shutdown(wait=True)
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    async def _solve_naive(self, population: Population,
-                           nus: Tuple[float, ...],
-                           mechanism: Optional[RateAllocationMechanism],
-                           config: SolverConfig) -> _Outcome:
-        loop = asyncio.get_running_loop()
-        self.engine_solves += 1
-        try:
-            batch = await loop.run_in_executor(
-                self._executor,
-                partial(solve_rate_equilibria, population, nus, mechanism,
-                        config))
-        except Exception:
-            self.errors += 1
-            raise
-        return batch, 1
-
     def _settle(self, solve_key: _SolveKey,
                 future: "asyncio.Future[_Outcome]") -> None:
         """Move a completed solve from in-flight to retained on success."""
@@ -280,11 +264,13 @@ class MicroBatchScheduler:
     async def _wait(self, future: "asyncio.Future[_Outcome]") -> _Outcome:
         """Await a shared future as one waiting request.
 
-        Shielded, so the future survives this waiter's cancellation.
+        Shielded, so the future survives this waiter's cancellation.  The
+        idle check runs one loop turn later, so requests whose bytes arrived
+        together are all admitted and waiting before it flushes.
         """
         self._waiting += 1
         try:
-            self._flush_if_idle()
+            asyncio.get_running_loop().call_soon(self._flush_if_idle)
             return await asyncio.shield(future)
         finally:
             self._waiting -= 1
@@ -319,18 +305,28 @@ class MicroBatchScheduler:
         union = sorted({nu for entry in entries for nu in entry.nus})
         self.union_points += len(union)
         self.engine_solves += 1
-        loop = asyncio.get_running_loop()
+        step = max(1, SOLVE_SLICE_CELLS // max(1, len(pending.population)))
         try:
-            solved = await loop.run_in_executor(
-                self._executor,
-                partial(warm_equilibrium_cache, pending.population, union,
-                        pending.mechanism, config=pending.config))
+            slices: List[BatchRateEquilibrium] = []
+            # An empty union (library callers only) is one empty slice.
+            for start in range(0, max(1, len(union)), step):
+                if slices:
+                    await asyncio.sleep(0)  # let the loop serve others
+                slices.append(warm_equilibrium_cache(
+                    pending.population, union[start:start + step],
+                    pending.mechanism, config=pending.config))
         except Exception as error:
             self.errors += 1
             for entry in entries:
                 if not entry.future.done():
                     entry.future.set_exception(error)
             return
+        solved = BatchRateEquilibrium(
+            population=pending.population,
+            nus=np.concatenate([part.nus for part in slices]),
+            common_caps=np.concatenate([part.common_caps
+                                        for part in slices]),
+            mechanism=slices[0].mechanism)
         # Each request gets its own rows of the union, in its grid order:
         # ``take`` copies the grid and caps, and every per-request series is
         # computed from those caps.  They are bit-identical to a direct solve
@@ -343,4 +339,3 @@ class MicroBatchScheduler:
             entry.future.set_result(
                 (solved.take([index_of[nu] for nu in entry.nus]),
                  len(entries)))
-

@@ -24,10 +24,11 @@ case-insensitively (RFC 9112 — ``Connection: Close`` closes), the request
 line's HTTP version decides the keep-alive *default* (HTTP/1.0 defaults to
 close, HTTP/1.1 to keep-alive), and idle keep-alive connections are closed
 after ``idle_timeout`` seconds so forgotten clients can neither pin a
-handler task forever nor stall a graceful shutdown.  Shutdown
+handler task forever nor stall a graceful shutdown; every header line and
+the body of a request get the same bound, each read its own.  Shutdown
 (:meth:`EquilibriumServer.close`, or :meth:`request_shutdown` from a
-signal handler) stops accepting, wakes every idle reader, lets in-flight
-requests finish their response, then drains the scheduler.
+signal handler) stops accepting, closes every idle connection, lets
+in-flight requests finish their response, then drains the scheduler.
 
 Malformed requests are answered with a structured JSON error and the
 configured 4xx status; the connection (and the server) stays up.  A
@@ -35,18 +36,18 @@ request whose body framing is unknown — a ``Content-Length`` that is not
 plain digits, conflicting ``Content-Length`` values, or any
 ``Transfer-Encoding`` — gets one 400 ``bad_http`` and the connection is
 closed (RFC 9112 §6), so unread body bytes never parse as a request.
-Requests are dispatched concurrently — each connection's reader keeps
-going while solves run — which is what gives micro-batching its
-cross-request reach.  The scheduler is told which requests the server
-holds (from the request line to the written response), so a batch closes
-as soon as all of them are waiting on solves instead of waiting out the
-window.
+Requests are dispatched concurrently on one event loop, which is what
+gives micro-batching its cross-request reach.  Solves run on that loop
+too, in bounded slices (see :mod:`repro.service.scheduler`), so every
+connection's reader keeps going between slices.  The scheduler is told
+which requests the server holds (from the request line to the written
+response), so a batch closes as soon as all of them are waiting on solves
+instead of waiting out the window.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import os
 import socket
@@ -111,7 +112,6 @@ class EquilibriumServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  window_seconds: float = DEFAULT_WINDOW_SECONDS,
                  naive: bool = False,
-                 max_solver_threads: int = 1,
                  max_requests: Optional[int] = None,
                  idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
                  worker_index: Optional[int] = None) -> None:
@@ -123,14 +123,14 @@ class EquilibriumServer:
         self._max_requests = max_requests
         self._idle_timeout = idle_timeout
         self.worker_index = worker_index
-        self.scheduler = MicroBatchScheduler(
-            window_seconds, naive=naive,
-            max_solver_threads=max_solver_threads)
+        self.scheduler = MicroBatchScheduler(window_seconds, naive=naive)
         self._server: Optional[asyncio.base_events.Server] = None
         self._direct_server: Optional[asyncio.base_events.Server] = None
         self._peers: List[Tuple[int, str, int]] = []
         self._closing = asyncio.Event()
         self._connections: Set["asyncio.Task[None]"] = set()
+        # Connections parked between requests, closed by a shutdown.
+        self._idle: Set[asyncio.StreamWriter] = set()
         self._shutdown_begun = False
         self._shutdown_complete = asyncio.Event()
         self.requests_total = 0
@@ -185,8 +185,11 @@ class EquilibriumServer:
         return str(host), int(port)
 
     async def serve_until_closed(self) -> None:
-        """Serve until :meth:`close` is called (or max_requests is hit)."""
-        if self._server is None:
+        """Serve until :meth:`close` is called (or max_requests is hit).
+
+        Binds nothing when a shutdown was already requested.
+        """
+        if self._server is None and not self._closing.is_set():
             await self.start()
         await self._closing.wait()
         await self._shutdown()
@@ -201,7 +204,7 @@ class EquilibriumServer:
         self._closing.set()
 
     async def close(self) -> None:
-        """Stop accepting, drain in-flight solves, release the executor."""
+        """Stop accepting, finish in-flight requests, drain the scheduler."""
         self._closing.set()
         # When nobody is inside serve_until_closed, shut down directly.
         await self._shutdown()
@@ -218,8 +221,10 @@ class EquilibriumServer:
                 if server is not None:
                     server.close()
                     await server.wait_closed()
-            # Idle readers wake on the closing event; in-flight requests
-            # get a grace period to finish their response.
+            # Idle connections close now; in-flight requests get a grace
+            # period to finish their response.
+            for writer in self._idle:
+                writer.close()
             current = asyncio.current_task()
             tasks = [task for task in self._connections if task is not current]
             if tasks:
@@ -229,7 +234,7 @@ class EquilibriumServer:
                     task.cancel()
                 if pending:
                     await asyncio.gather(*pending, return_exceptions=True)
-            await self.scheduler.aclose()
+            await self.scheduler.drain()
         finally:
             self._shutdown_complete.set()
 
@@ -257,7 +262,7 @@ class EquilibriumServer:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         while not self._closing.is_set():
-            request_line = await self._read_request_line(reader)
+            request_line = await self._read_request_line(reader, writer)
             if not request_line:  # clean EOF, idle timeout, or shutdown
                 break
             # The scheduler counts the request from its request line to its
@@ -284,7 +289,7 @@ class EquilibriumServer:
                 writer, 400, error_payload("bad_http", str(violation)),
                 keep_alive=False)
             return False
-        except asyncio.TimeoutError:
+        except TimeoutError:
             # Slow-loris guard: stalled mid-request, close quietly.
             self.idle_timeouts += 1
             return False
@@ -312,71 +317,55 @@ class EquilibriumServer:
         method, target, version = parts[0].upper(), parts[1], parts[2]
         headers: Dict[str, str] = {}
         lengths: List[str] = []
-        for _ in range(_MAX_HEADER_LINES):
-            line = await self._read_more(reader.readline())
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise _HttpViolation("connection closed inside headers")
-            name, _, value = line.decode("latin-1").partition(":")
-            name = name.strip().lower()
-            headers[name] = value.strip()
-            if name == "content-length":
-                lengths += value.split(",")
-        else:
-            raise _HttpViolation("too many header lines")
-        if "transfer-encoding" in headers:
-            # Only Content-Length framing is read; a coded body left unread
-            # would be parsed as the next request, so close instead.
-            raise _HttpViolation("Transfer-Encoding is not supported")
-        length = _content_length(lengths)
-        body = (await self._read_more(reader.readexactly(length))
-                if length else b"")
+        # One timeout for the whole request, moved before each read so
+        # that every read gets the full idle bound.
+        async with asyncio.timeout(None) as bound:
+            for _ in range(_MAX_HEADER_LINES):
+                bound.reschedule(self._read_deadline())
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n"):
+                    break
+                if not line:
+                    raise _HttpViolation("connection closed inside headers")
+                name, _, value = line.decode("latin-1").partition(":")
+                name = name.strip().lower()
+                headers[name] = value.strip()
+                if name == "content-length":
+                    lengths += value.split(",")
+            else:
+                raise _HttpViolation("too many header lines")
+            if "transfer-encoding" in headers:
+                # Only Content-Length framing is read; a coded body left
+                # unread would be parsed as the next request, so close.
+                raise _HttpViolation("Transfer-Encoding is not supported")
+            length = _content_length(lengths)
+            bound.reschedule(self._read_deadline())
+            body = await reader.readexactly(length) if length else b""
         return method, target, version, headers, body
 
-    async def _read_request_line(self, reader: asyncio.StreamReader
-                                 ) -> Optional[bytes]:
-        """The next request line, or ``None`` to close the connection.
+    async def _read_request_line(self, reader: asyncio.StreamReader,
+                                 writer: asyncio.StreamWriter) -> bytes:
+        """The next request line, or ``b""`` to close the connection.
 
-        Waits on the socket *and* the shutdown event, bounded by the idle
-        timeout: an idle keep-alive client can neither pin this handler
-        task forever nor stall a graceful drain (the pre-fix behaviour was
-        an unconditional ``readline()`` — ``_closing`` was only observed
-        between requests, so shutdown hung until every idle client went
-        away on its own).
+        Bounded by the idle timeout, and cut short by a shutdown, which
+        closes every connection parked here: an idle keep-alive client can
+        neither pin this handler task nor stall a graceful drain.
         """
-        if self._closing.is_set():
-            return None
-        read_task: "asyncio.Task[bytes]" = asyncio.ensure_future(
-            reader.readline())
-        closing_task: "asyncio.Task[bool]" = asyncio.ensure_future(
-            self._closing.wait())
+        self._idle.add(writer)
         try:
-            done, _pending = await asyncio.wait(
-                {read_task, closing_task}, timeout=self._idle_timeout,
-                return_when=asyncio.FIRST_COMPLETED)
-        finally:
-            closing_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await closing_task
-        if read_task in done:
-            return read_task.result()
-        # Shutdown or idle timeout: abandon the read and close.
-        if not done:
+            async with asyncio.timeout(self._idle_timeout):
+                return await reader.readline()
+        except TimeoutError:
             self.idle_timeouts += 1
-        read_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError, ConnectionError,
-                                 asyncio.IncompleteReadError):
-            await read_task
-        return None
+            return b""
+        finally:
+            self._idle.discard(writer)
 
-    async def _read_more(self, awaitable: Any) -> bytes:
-        """A mid-request read, bounded by the idle timeout."""
+    def _read_deadline(self) -> Optional[float]:
+        """Loop time by which a read starting now must finish, if bounded."""
         if self._idle_timeout is None:
-            result = await awaitable
-        else:
-            result = await asyncio.wait_for(awaitable, self._idle_timeout)
-        return bytes(result)
+            return None
+        return asyncio.get_running_loop().time() + self._idle_timeout
 
     # ------------------------------------------------------------------ #
     # Routing

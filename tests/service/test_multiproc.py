@@ -38,7 +38,7 @@ def _worker_payload(index, *, requests=10, coalesced=4, hits=6, misses=2,
                    "solve_requests": requests, "request_errors": 0,
                    "idle_timeouts": 1},
         "scheduler": {"window_seconds": 0.002, "naive": False,
-                      "solver_threads": 1, "requests": requests,
+                      "requests": requests,
                       "coalesced": coalesced,
                       "coalesce_rate": coalesced / requests,
                       "engine_solves": requests - coalesced, "errors": 0},
@@ -124,11 +124,12 @@ def worker_group():
     match = _BANNER.search(banner)
     if match is None:
         process.kill()
+        process.communicate()
         raise RuntimeError(f"no serving banner: {banner!r}")
     yield match.group(1), int(match.group(2)), process
     if process.poll() is None:
         process.send_signal(signal.SIGTERM)
-        process.wait(timeout=30)
+    process.communicate(timeout=30)  # reaps the group, closes its pipe
 
 
 async def _solve(host, port, payload):

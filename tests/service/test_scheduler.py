@@ -43,7 +43,7 @@ async def with_scheduler(body, **kwargs):
     try:
         return await body(scheduler)
     finally:
-        await scheduler.aclose()
+        await scheduler.drain()
 
 
 def assert_batches_equal(served, direct):
@@ -294,6 +294,81 @@ class TestUnionGridFusion:
         assert stats["fused_requests"] == 0
 
 
+class TestSolveSlices:
+    """A fused union is solved in slices of at most ``SOLVE_SLICE_CELLS``
+    grid points x CPs, one ``warm_equilibrium_cache`` call each."""
+
+    @staticmethod
+    def record_slices(monkeypatch, cells):
+        monkeypatch.setattr(scheduler_module, "SOLVE_SLICE_CELLS", cells)
+        real = batch_module.warm_equilibrium_cache
+        slices = []
+
+        def recording(population, nus, *args, **kwargs):
+            slices.append(list(nus))
+            return real(population, nus, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "warm_equilibrium_cache",
+                            recording)
+        return slices
+
+    @pytest.mark.parametrize("points_per_slice", [1, 3, 4, 10, 11])
+    def test_union_takes_ceil_cells_over_budget_slices(self, monkeypatch,
+                                                       points_per_slice):
+        cells = points_per_slice * len(POPULATION)
+        slices = self.record_slices(monkeypatch, cells)
+        grids = [tuple(10.0 * k for k in range(1, 7)),
+                 tuple(10.0 * k for k in range(5, 11))]
+        union = sorted(set(grids[0]) | set(grids[1]))
+
+        async def body(scheduler):
+            outcomes = await asyncio.gather(*[
+                scheduler.solve(POPULATION, grid, MAXMIN, CONFIG)
+                for grid in grids])
+            return outcomes, scheduler.stats()
+
+        outcomes, stats = run(with_scheduler(body, window_seconds=0.02))
+        assert len(slices) == -(-len(union) * len(POPULATION) // cells)
+        assert all(len(part) <= points_per_slice for part in slices)
+        assert [nu for part in slices for nu in part] == union
+        assert stats["engine_solves"] == 1
+        for grid, (batch, size, _) in zip(grids, outcomes):
+            assert size == 2
+            assert_batches_equal(batch, solve_rate_equilibria(
+                POPULATION, grid, MAXMIN, CONFIG))
+
+    def test_a_slice_holds_at_least_one_point(self, monkeypatch):
+        slices = self.record_slices(monkeypatch, len(POPULATION) // 2)
+        grid = (20.0, 40.0, 60.0)
+
+        async def body(scheduler):
+            return await scheduler.solve(POPULATION, grid, MAXMIN, CONFIG)
+
+        batch, _, _ = run(with_scheduler(body, window_seconds=0.0))
+        assert slices == [[nu] for nu in grid]
+        assert_batches_equal(batch, solve_rate_equilibria(
+            POPULATION, grid, MAXMIN, CONFIG))
+
+    def test_the_loop_turns_between_slices(self, monkeypatch):
+        slices = self.record_slices(monkeypatch, len(POPULATION))
+        grid = tuple(5.0 * k for k in range(1, 41))
+
+        async def body(scheduler):
+            solving = asyncio.create_task(
+                scheduler.solve(POPULATION, grid, MAXMIN, CONFIG))
+            turns = 0
+            while not solving.done():
+                turns += 1
+                await asyncio.sleep(0)
+            return turns, await solving
+
+        turns, (batch, _, _) = run(with_scheduler(body, window_seconds=0.0))
+        assert len(slices) == len(grid)
+        assert turns >= len(grid)  # the solve never held the loop
+        assert_batches_equal(batch, solve_rate_equilibria(
+            POPULATION, grid, MAXMIN, CONFIG))
+
+
 async def turn_loop(times=10):
     """Let every ready callback run ``times`` times over."""
     for _ in range(times):
@@ -456,8 +531,6 @@ class TestFailureAndLifecycle:
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
             MicroBatchScheduler(-0.001)
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(max_solver_threads=0)
 
 
 @settings(max_examples=15, deadline=None)

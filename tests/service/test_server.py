@@ -9,16 +9,20 @@ cache + scheduler + server counters.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import re
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.network.allocation import MaxMinFairAllocation
+from repro.service import scheduler as scheduler_module
 from repro.service.client import ServiceClient
 from repro.service.server import EquilibriumServer
+from repro.simulation import batch as batch_module
 from repro.simulation.batch import solve_rate_equilibria
 from repro.workloads.populations import paper_population
 
@@ -351,6 +355,26 @@ class TestStatsAndLifecycle:
 
         assert run(scenario()) == [200, 200]
 
+    def test_close_before_serving_binds_no_listener(self):
+        # ``close()`` can run before a ``serve_until_closed`` task is first
+        # scheduled; the task must then not bind a listener that nothing
+        # would ever close.
+        async def scenario():
+            server = EquilibriumServer(port=0, window_seconds=0.005)
+            serve_task = asyncio.create_task(server.serve_until_closed())
+            await server.close()
+            await asyncio.wait_for(serve_task, timeout=5.0)
+            with pytest.raises(RuntimeError, match="not listening"):
+                server.address
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(scenario())
+            gc.collect()
+        leaks = [str(warning.message) for warning in caught
+                 if issubclass(warning.category, ResourceWarning)]
+        assert leaks == []
+
     def test_naive_server_reports_no_coalescing(self):
         async def body(host, port, server):
             await asyncio.gather(*[
@@ -477,6 +501,107 @@ class TestWorkConservingFlush:
         assert closed == b""
         assert counters["idle_timeouts"] >= 1
         assert status == 200
+
+
+def post_bytes(payload, *headers):
+    body = json.dumps(payload).encode()
+    lines = ["POST /solve HTTP/1.1", "Host: t", "Connection: close",
+             f"Content-Length: {len(body)}", *headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"), body
+
+
+class TestRequestReadBounds:
+    """Every header line and the body get the idle timeout, each read its
+    own: slow but steady clients are served, stalled ones are closed."""
+
+    def test_slow_header_lines_inside_the_timeout_are_served(self):
+        head, body = post_bytes(BASE_REQUEST, "X-One: 1", "X-Two: 2")
+        lines = head.split(b"\r\n")
+
+        async def client(host, port, server):
+            reader, writer = await asyncio.open_connection(host, port)
+            # Seven pauses of 0.15 s: over a second in total, each pause
+            # well inside the 0.6 s bound.
+            for line in lines[:-2]:
+                writer.write(line + b"\r\n")
+                await writer.drain()
+                await asyncio.sleep(0.15)
+            writer.write(b"\r\n")
+            await asyncio.sleep(0.15)
+            writer.write(body)
+            raw = await asyncio.wait_for(reader.read(), timeout=10.0)
+            writer.close()
+            return raw, server.stats()["server"]
+
+        raw, counters = run(with_server(client, idle_timeout=0.6))
+        assert response_statuses(raw) == [200]
+        assert counters["idle_timeouts"] == 0
+
+    @pytest.mark.parametrize("cut", ["headers", "body"])
+    def test_stall_mid_request_closes_and_counts(self, cut):
+        head, body = post_bytes(BASE_REQUEST)
+        data = head[:-4] if cut == "headers" else head + body[:-5]
+
+        async def client(host, port, server):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(data)
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            return raw, server.stats()["server"]
+
+        raw, counters = run(with_server(client, idle_timeout=0.2))
+        assert raw == b""  # closed without an answer
+        assert counters["idle_timeouts"] == 1
+        assert counters["requests_total"] == 0
+
+
+class TestSolveSlicesOnTheLoop:
+    def test_other_requests_are_answered_between_slices(self, monkeypatch):
+        # One grid point per slice: the 200-point solve takes 200 slices,
+        # and the loop answers the health check and the retained hit sent
+        # after its first slice before it answers the solve itself.
+        count = POPULATION_SPEC["count"]
+        monkeypatch.setattr(scheduler_module, "SOLVE_SLICE_CELLS", count)
+        real = batch_module.warm_equilibrium_cache
+        first_slice = asyncio.Event()
+        slices = []
+
+        def recording(population, nus, *args, **kwargs):
+            if len(population) == count:
+                slices.append(len(nus))
+                first_slice.set()
+            return real(population, nus, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "warm_equilibrium_cache",
+                            recording)
+        wide = dict(BASE_REQUEST, nus=[1.0 + k for k in range(200)])
+        order = []
+
+        async def record(label, request):
+            status, _ = await request
+            order.append((label, status, len(slices)))
+
+        async def client(host, port, server):
+            await solve_once(host, port, BASE_REQUEST)  # retained from now
+            first_slice.clear()
+            slices.clear()
+            solve = asyncio.create_task(
+                record("solve", solve_once(host, port, wide)))
+            await first_slice.wait()
+            async with ServiceClient(host, port) as other:
+                await record("healthz", other.healthz())
+                await record("retained", other.solve(BASE_REQUEST))
+            await solve
+            return server.scheduler.stats()
+
+        stats = run(with_server(client))
+        assert [label for label, _, _ in order] == [
+            "healthz", "retained", "solve"]
+        assert all(status == 200 for _, status, _ in order)
+        assert order[1][2] < 200  # answered while the solve was slicing
+        assert slices == [1] * 200
+        assert stats["retained_hits"] == 1
 
 
 class TestRequestFraming:

@@ -47,19 +47,16 @@ class TestParser:
         assert args.port == 8787
         assert args.window_ms == 2.0
         assert args.naive is False
-        assert args.solver_threads == 1
         assert args.max_requests is None
         assert not hasattr(args, "backend")
 
     def test_serve_subcommand_flags(self):
         parser = build_parser()
         args = parser.parse_args(["serve", "--port", "0", "--window-ms",
-                                  "5", "--naive", "--solver-threads", "2",
-                                  "--max-requests", "100"])
+                                  "5", "--naive", "--max-requests", "100"])
         assert args.port == 0
         assert args.window_ms == 5.0
         assert args.naive is True
-        assert args.solver_threads == 2
         assert args.max_requests == 100
 
     def test_serve_unknown_backend_rejected(self):
@@ -205,9 +202,10 @@ class TestServe:
         assert main(["serve", "--window-ms", "-1"]) == 2
         assert "--window-ms" in capsys.readouterr().err
 
-    def test_invalid_solver_threads_rejected(self, capsys):
-        assert main(["serve", "--solver-threads", "0"]) == 2
-        assert "--solver-threads" in capsys.readouterr().err
+    def test_solver_threads_flag_is_gone(self):
+        # Solves run on the event loop: there is no solver thread pool.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--solver-threads", "2"])
 
     def test_serve_and_loadgen_end_to_end(self):
         """CLI server + load generator over real sockets, clean shutdown.
