@@ -21,7 +21,6 @@ Ties are always broken towards the ordinary class, as in the paper.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple
@@ -78,11 +77,6 @@ _MAX_ITERATIONS = 80
 
 #: Moves per CP the competitive solver's sequential repair may make in all.
 _REPAIR_MOVES_PER_CP = 4
-
-#: Largest population whose partitions the competitive solver searches when
-#: best responses stop at a partition that still has violators: ``2^10``
-#: evaluations of condition (8) at most, and only in that case.
-_SEARCH_MAX_CPS = 10
 
 #: Sequential best-response passes before the Nash solver gives up.
 _MAX_PASSES = 50
@@ -408,10 +402,8 @@ class CPPartitionGame:
         gap is ``|u_P - u_O|``.  An ordinary CP violates the condition when
         the premium class is better by more than its move slack; a premium
         CP when the ordinary class is at least as good up to its slack.
-        Exact ties (a gap within ``surplus_tolerance``) break towards the
-        ordinary class, the paper's rule, even though near-ties inside the
-        hysteresis band stay put: an ordinary CP whose slack is below the tie
-        band, as for a near-zero utility, does not move on a tied gap.
+        Exact ties break towards the ordinary class (the paper's rule), even
+        though near-ties inside the hysteresis band stay put.
         """
         premium_count = int(np.count_nonzero(mask))
         cap_ordinary = self._class_cap_for_mask(
@@ -428,9 +420,7 @@ class CPPartitionGame:
         wants_ordinary = (premium_utility
                           <= ordinary_utility - self._margin_into_ordinary * scale)
         gaps = np.abs(premium_utility - ordinary_utility)
-        tied = gaps <= self.config.surplus_tolerance * np.maximum(1.0, scale)
-        wants_premium &= ~tied
-        wants_ordinary |= tied
+        wants_ordinary |= gaps <= self.config.surplus_tolerance * np.maximum(1.0, scale)
         return np.where(mask, wants_ordinary, wants_premium), gaps
 
     def competitive_equilibrium(self) -> PartitionOutcome:
@@ -442,9 +432,6 @@ class CPPartitionGame:
         marginal CPs), it falls back to a sequential repair phase that moves
         one violating CP at a time, which terminates at a partition where at
         most a numerically negligible set of CPs would still want to switch.
-        For a population of at most ``_SEARCH_MAX_CPS`` CPs that set must be
-        empty whenever some partition allows it: the partitions nearest the
-        repaired one are searched for an equilibrium.
 
         Outcomes are memoised in a shared LRU cache: the game is
         deterministic, so identical queries return the identical outcome.
@@ -481,31 +468,8 @@ class CPPartitionGame:
         # Cycle (or iteration cap): repair sequentially.
         converged, moves = self._sequential_repair(
             mask, _REPAIR_MOVES_PER_CP * size)
-        if size <= _SEARCH_MAX_CPS and np.any(self._best_responses(mask)[0]):
-            nearest = self._nearest_competitive_partition(mask)
-            if nearest is not None:
-                mask, converged = nearest, True
         return self._build_outcome(mask, "competitive", converged,
                                    iterations + moves)
-
-    def _nearest_competitive_partition(self, mask: np.ndarray
-                                       ) -> Optional[np.ndarray]:
-        """The partition nearest ``mask`` that satisfies condition (8).
-
-        Best responses can stop short of an equilibrium that exists: a heavy
-        CP bouncing between the classes pins the repair phase while the
-        equilibrium needs two other CPs to swap.  Partitions are tried in
-        order of the number of CPs flipped from ``mask``; ``None`` when no
-        partition satisfies the condition.
-        """
-        size = len(mask)
-        for flips in range(1, size + 1):
-            for movers in itertools.combinations(range(size), flips):
-                candidate = mask.copy()
-                candidate[list(movers)] = ~candidate[list(movers)]
-                if not np.any(self._best_responses(candidate)[0]):
-                    return candidate
-        return None
 
     def _sequential_repair(self, mask: np.ndarray, budget: int
                            ) -> Tuple[bool, int]:

@@ -89,17 +89,22 @@ class ServiceClient:
         except ConnectionError:
             await self.close()
             raise
-        except (asyncio.IncompleteReadError, ValueError) as error:
-            # EOF inside a declared body, a line past the stream limit, or a
-            # body that is not UTF-8 JSON.
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
+                ValueError) as error:
+            # EOF inside a declared body, a head or line past the stream
+            # limit, or a body that is not UTF-8 JSON.
             await self.close()
             raise ConnectionError(f"malformed response: {error!r}") from error
 
     async def _read_framed_response(self) -> ServiceResponse:
         assert self._reader is not None
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed the connection")
+        try:
+            head = await self._reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as error:
+            if not error.partial:
+                raise ConnectionError("server closed the connection") from error
+            raise ConnectionError("connection closed inside headers") from error
+        status_line, *lines = head[:-4].split(b"\r\n")
         parts = status_line.decode("latin-1").split(None, 2)
         if (len(parts) < 2 or not parts[0].startswith("HTTP/1.")
                 or not _is_digits(parts[1], 3)):
@@ -108,12 +113,7 @@ class ServiceClient:
         lengths: list[str] = []
         encodings: list[str] = []
         close_after = False
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line.endswith(b"\n"):
-                raise ConnectionError("connection closed inside headers")
+        for line in lines:
             name, colon, value = line.decode("latin-1").partition(":")
             if not colon:
                 raise ConnectionError(f"malformed header line {line!r}")

@@ -47,10 +47,9 @@ gets a 404 ``unknown_fingerprint`` error.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
-
-import numpy as np
 
 from repro.cache import LRUCache
 from repro.config import SolverConfig, resolve_config
@@ -212,7 +211,7 @@ def _parse_nus(raw: Any) -> Tuple[float, ...]:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise RequestError("bad_grid", "nus entries must be numbers")
         nu = float(value)
-        if not np.isfinite(nu) or nu < 0.0:
+        if not math.isfinite(nu) or nu < 0.0:
             raise RequestError("bad_grid", "per-capita capacities must all "
                                "be finite and >= 0")
         nus.append(nu)
@@ -264,7 +263,7 @@ def parse_solve_request(payload: Any) -> SolveRequest:
                                                          (int, float)):
             raise RequestError("bad_price", "price must be a number")
         price = float(price_raw)
-        if not np.isfinite(price) or price < 0.0:
+        if not math.isfinite(price) or price < 0.0:
             raise RequestError("bad_price",
                                "price must be finite and >= 0")
     detail = body.get("detail", False)

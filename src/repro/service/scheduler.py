@@ -13,7 +13,8 @@ queries costs one solve, and one already answered is served at once from a
 small per-scheduler LRU of completed outcomes (bounded by
 ``RETAINED_POINTS`` grid points in total).  A retained hit skips the
 window and the solve and returns the very batch that answered the first
-request, with its memoised aggregates.  Only successful outcomes are
+request, with its memoised aggregates and the body the server encoded for
+the requests coalesced onto it.  Only successful outcomes are
 retained, so a failed solve is retried by the next request; a retained
 batch holds its grid and caps, ``O(G)``, and references a population the
 ``class_caps`` cache keys already hold.

@@ -25,7 +25,8 @@ line's HTTP version decides the keep-alive *default* (HTTP/1.0 defaults to
 close, HTTP/1.1 to keep-alive), and idle keep-alive connections are closed
 after ``idle_timeout`` seconds so forgotten clients can neither pin a
 handler task forever nor stall a graceful shutdown; every header line and
-the body of a request get the same bound, each read its own.  Shutdown
+the body of a request get the same bound, each read its own (at least
+15/16 of it: a deadline is moved only when it lags by more).  Shutdown
 (:meth:`EquilibriumServer.close`, or :meth:`request_shutdown` from a
 signal handler) stops accepting, closes every idle connection, lets
 in-flight requests finish their response, then drains the scheduler.
@@ -74,6 +75,10 @@ _MAX_HEADER_LINES = 64
 #: the server was configured otherwise (``--idle-timeout``).
 DEFAULT_IDLE_TIMEOUT = 30.0
 
+#: Share of the idle bound by which a request's read deadline may lag
+#: before it is moved (see ``EquilibriumServer._extend_bound``).
+_BOUND_SLACK = 1 / 16
+
 #: Grace period for in-flight requests to finish during shutdown before
 #: their connection tasks are cancelled outright.
 _DRAIN_GRACE_SECONDS = 10.0
@@ -87,9 +92,10 @@ _STATUS_PHRASES = {
     500: "Internal Server Error",
 }
 
-#: A handler's response body: a JSON object, or an iterator of pre-encoded
-#: fragments to stream with chunked transfer encoding.
-_Payload = Union[Dict[str, Any], Iterator[bytes]]
+#: A handler's response body: a JSON object, its encoded bytes, or an
+#: iterator of pre-encoded fragments to stream with chunked transfer
+#: encoding.
+_Payload = Union[Dict[str, Any], bytes, Iterator[bytes]]
 #: ``(method, target, http version, headers, body)`` of one parsed request.
 _ParsedRequest = Tuple[str, str, str, Dict[str, str], bytes]
 
@@ -215,12 +221,12 @@ class EquilibriumServer:
             return
         self._shutdown_begun = True
         try:
-            for server_attr in ("_server", "_direct_server"):
-                server = getattr(self, server_attr)
-                setattr(self, server_attr, None)
-                if server is not None:
-                    server.close()
-                    await server.wait_closed()
+            listeners = [server for server in (self._server,
+                                               self._direct_server)
+                         if server is not None]
+            self._server = self._direct_server = None
+            for server in listeners:
+                server.close()
             # Idle connections close now; in-flight requests get a grace
             # period to finish their response.
             for writer in self._idle:
@@ -234,6 +240,10 @@ class EquilibriumServer:
                     task.cancel()
                 if pending:
                     await asyncio.gather(*pending, return_exceptions=True)
+            # Only now: since Python 3.12 ``wait_closed`` also waits for
+            # every connection a listener accepted to close.
+            for server in listeners:
+                await server.wait_closed()
             await self.scheduler.drain()
         finally:
             self._shutdown_complete.set()
@@ -318,10 +328,10 @@ class EquilibriumServer:
         headers: Dict[str, str] = {}
         lengths: List[str] = []
         # One timeout for the whole request, moved before each read so
-        # that every read gets the full idle bound.
+        # that every read gets the idle bound.
         async with asyncio.timeout(None) as bound:
             for _ in range(_MAX_HEADER_LINES):
-                bound.reschedule(self._read_deadline())
+                self._extend_bound(bound)
                 line = await reader.readline()
                 if line in (b"\r\n", b"\n"):
                     break
@@ -339,7 +349,7 @@ class EquilibriumServer:
                 # unread would be parsed as the next request, so close.
                 raise _HttpViolation("Transfer-Encoding is not supported")
             length = _content_length(lengths)
-            bound.reschedule(self._read_deadline())
+            self._extend_bound(bound)
             body = await reader.readexactly(length) if length else b""
         return method, target, version, headers, body
 
@@ -361,11 +371,18 @@ class EquilibriumServer:
         finally:
             self._idle.discard(writer)
 
-    def _read_deadline(self) -> Optional[float]:
-        """Loop time by which a read starting now must finish, if bounded."""
+    def _extend_bound(self, bound: asyncio.Timeout) -> None:
+        """Give the next read of a request the idle bound from now, lazily
+        as nginx moves its timers: a deadline lagging by at most
+        ``_BOUND_SLACK`` of the bound stays put, so a request head that
+        arrived in one segment re-arms no timer."""
         if self._idle_timeout is None:
-            return None
-        return asyncio.get_running_loop().time() + self._idle_timeout
+            return
+        deadline = asyncio.get_running_loop().time() + self._idle_timeout
+        current = bound.when()
+        if (current is None
+                or deadline - current > _BOUND_SLACK * self._idle_timeout):
+            bound.reschedule(deadline)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -422,8 +439,19 @@ class EquilibriumServer:
             return 200, solve_response_chunks(request, batch,
                                               coalesced=coalesced,
                                               batch_size=batch_size)
-        return 200, build_solve_response(request, batch, coalesced=coalesced,
-                                         batch_size=batch_size)
+
+        def body() -> bytes:
+            return _encode(build_solve_response(
+                request, batch, coalesced=coalesced, batch_size=batch_size))
+
+        if coalesced and request.price is None and not request.detail:
+            # Every request coalesced onto this batch shares its population,
+            # grid, solver key, mechanism and batch size, hence its body:
+            # encode that once, beside the batch's memoised aggregates.
+            return 200, batch.memoised(
+                ("coalesced_body", request.mechanism_name,
+                 request.config.cache_key(), batch_size), body)
+        return 200, body()
 
     def stats(self) -> Dict[str, Any]:
         """The ``/stats`` payload: cache + scheduler + server counters."""
@@ -510,50 +538,36 @@ def _wants_keep_alive(version: str, headers: Dict[str, str]) -> bool:
 
 
 
+def _encode(payload: Dict[str, Any]) -> bytes:
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
 async def _write_response(writer: asyncio.StreamWriter, status: int,
-                          payload: _Payload, *,
-                          keep_alive: bool) -> None:
-    if isinstance(payload, dict):
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        await _write_buffered(writer, status, body, keep_alive=keep_alive)
-    else:
-        await _write_chunked(writer, status, payload, keep_alive=keep_alive)
+                          payload: _Payload, *, keep_alive: bool) -> None:
+    """Write one response: a buffered body, or a chunked stream.
 
-
-async def _write_buffered(writer: asyncio.StreamWriter, status: int,
-                          body: bytes, *, keep_alive: bool) -> None:
-    phrase = _STATUS_PHRASES.get(status, "Unknown")
-    connection = "keep-alive" if keep_alive else "close"
-    head = (f"HTTP/1.1 {status} {phrase}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {connection}\r\n\r\n").encode("latin-1")
-    writer.write(head + body)
-    await writer.drain()
-
-
-async def _write_chunked(writer: asyncio.StreamWriter, status: int,
-                         chunks: Iterator[bytes], *,
-                         keep_alive: bool) -> None:
-    """Stream a response with chunked transfer encoding.
-
-    Each fragment becomes one HTTP chunk and the transport is drained
-    after every write, so the server's buffering stays bounded by one
-    fragment (plus the socket buffer) no matter how large the body — the
-    point of the ``detail: true`` streaming mode.
+    A stream writes each fragment as one HTTP chunk and drains the
+    transport after every write, so the server's buffering stays bounded
+    by one fragment (plus the socket buffer) no matter how large the body
+    — the point of the ``detail: true`` streaming mode.
     """
-    phrase = _STATUS_PHRASES.get(status, "Unknown")
-    connection = "keep-alive" if keep_alive else "close"
-    head = (f"HTTP/1.1 {status} {phrase}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Transfer-Encoding: chunked\r\n"
-            f"Connection: {connection}\r\n\r\n").encode("latin-1")
-    writer.write(head)
-    await writer.drain()
-    for chunk in chunks:
-        if not chunk:
-            continue  # a zero-length chunk would terminate the stream
-        writer.write(f"{len(chunk):x}\r\n".encode("latin-1") + chunk + b"\r\n")
+    if isinstance(payload, dict):
+        payload = _encode(payload)
+    framing = (f"Content-Length: {len(payload)}"
+               if isinstance(payload, bytes) else "Transfer-Encoding: chunked")
+    head = (f"HTTP/1.1 {status} {_STATUS_PHRASES.get(status, 'Unknown')}\r\n"
+            f"Content-Type: application/json\r\n{framing}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+            ).encode("latin-1")
+    if isinstance(payload, bytes):
+        writer.write(head + payload)
+    else:
+        writer.write(head)
         await writer.drain()
-    writer.write(b"0\r\n\r\n")
+        for chunk in payload:
+            if chunk:  # a zero-length chunk would terminate the stream
+                writer.write(f"{len(chunk):x}\r\n".encode("latin-1") + chunk
+                             + b"\r\n")
+                await writer.drain()
+        writer.write(b"0\r\n\r\n")
     await writer.drain()

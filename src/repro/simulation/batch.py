@@ -31,7 +31,8 @@ across mechanisms and demand families.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
+from typing import (Any, Callable, Hashable, Iterator, Optional, Sequence,
+                    TypeVar)
 
 import numpy as np
 
@@ -87,10 +88,10 @@ class BatchRateEquilibrium:
     common_caps: np.ndarray
     mechanism: CommonCapAllocation = field(
         default_factory=MaxMinFairAllocation)
-    # Lazily computed arrays by name.  Every value is a pure function of the
-    # fields above, so threads racing on one key store equal arrays.
-    _memo: dict[str, Any] = field(default_factory=dict, init=False,
-                                  repr=False, compare=False)
+    # Lazily computed values.  Every value is a pure function of the fields
+    # above and its key, so threads racing on one key store equal values.
+    _memo: dict[Hashable, Any] = field(default_factory=dict, init=False,
+                                       repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nus)
@@ -112,12 +113,12 @@ class BatchRateEquilibrium:
         return common_cap_row(self.population, self.mechanism,
                               float(self.common_caps[index]))
 
-    def _memoised(self, name: str, compute: Callable[[], _T]) -> _T:
-        """``compute()``, evaluated at most once per batch (idempotent)."""
-        value: Optional[_T] = self._memo.get(name)
+    def memoised(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()`` (a function of this batch and ``key``), at most once."""
+        value: Optional[_T] = self._memo.get(key)
         if value is None:
             value = compute()
-            self._memo[name] = value
+            self._memo[key] = value
         return value
 
     def _stack_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -130,12 +131,12 @@ class BatchRateEquilibrium:
     @property
     def thetas(self) -> np.ndarray:
         """Equilibrium throughputs ``theta_i``, shape ``(G, n)``."""
-        return self._memoised("matrices", self._stack_rows)[0]
+        return self.memoised("matrices", self._stack_rows)[0]
 
     @property
     def demands(self) -> np.ndarray:
         """Equilibrium demand fractions ``d_i(theta_i)``, shape ``(G, n)``."""
-        return self._memoised("matrices", self._stack_rows)[1]
+        return self.memoised("matrices", self._stack_rows)[1]
 
     @property
     def rhos(self) -> np.ndarray:
@@ -199,16 +200,16 @@ class BatchRateEquilibrium:
     @property
     def aggregate_rates(self) -> np.ndarray:
         """Per-capita aggregate carried rate at each grid point, ``(G,)``."""
-        return self._memoised("sums", self._cap_sums)[0]
+        return self.memoised("sums", self._cap_sums)[0]
 
     @property
     def utilizations(self) -> np.ndarray:
         """Fraction of each capacity actually carried, ``(G,)``."""
-        return self._memoised("utilizations", self._utilizations)
+        return self.memoised("utilizations", self._utilizations)
 
     def consumer_surpluses(self) -> np.ndarray:
         """Per-capita consumer surplus ``Phi`` at each grid point, ``(G,)``."""
-        return self._memoised("sums", self._cap_sums)[1]
+        return self.memoised("sums", self._cap_sums)[1]
 
     def premium_revenues(self, price: float) -> np.ndarray:
         """Per-capita ISP revenue at each grid point if all paid ``price``."""

@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+# numpy loads ``np.random`` on its first use (~9 ms); load it with this
+# module, so a server pays for it at startup, not in its first request.
+import numpy.random  # noqa: F401
 
 from repro.errors import ModelValidationError
 from repro.network.provider import Population

@@ -24,15 +24,7 @@ The competitive solver is held to condition (8) only when some partition
 satisfies it: for example at ``count=2, seed=0, kappa=0.875, price=0,
 load_fraction=0.5`` one CP violates (8) in all four partitions, and the
 solver's repair phase still reports convergence after that CP has used its
-two moves.  At ``count=5, seed=1190, kappa=0.75, price=0,
-load_fraction=0.9`` best responses stop at a partition where a heavy CP
-bounces, while the one equilibrium needs two other CPs to swap classes; the
-solver finds it by searching the partitions nearest the repaired one.
-
-At ``count=4, seed=659, kappa=1.0, price=0, load_fraction=0.5`` an
-ordinary CP's premium utility is ``2.5e-13`` against ``0`` in its empty
-ordinary class: the gap exceeds its move slack (scaled by the utility-scale
-floor) but lies inside the tie band, so the CP stays in the ordinary class.
+two moves.
 """
 
 from __future__ import annotations
@@ -162,8 +154,6 @@ def _assert_agrees(reported_names, population, violators, undecided):
        price=st.floats(min_value=0.0, max_value=1.0),
        load_fraction=st.sampled_from([0.02, 0.2, 0.5, 0.9, 1.5]))
 @example(count=2, seed=0, kappa=0.875, price=0.0, load_fraction=0.5)
-@example(count=4, seed=659, kappa=1.0, price=0.0, load_fraction=0.5)
-@example(count=5, seed=1190, kappa=0.75, price=0.0, load_fraction=0.9)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_exhaustive_partition_audit(count, seed, kappa, price, load_fraction):

@@ -122,6 +122,36 @@ class TestSolveEndpoint:
             assert body["series"]["consumer_surpluses"] == (
                 direct.consumer_surpluses().tolist())
 
+    def test_coalesced_body_is_encoded_once_per_batch(self, monkeypatch):
+        from repro.service import server as server_module
+
+        built = []
+        real = server_module.build_solve_response
+
+        def counting(request, batch, **kwargs):
+            built.append(kwargs["coalesced"])
+            return real(request, batch, **kwargs)
+
+        monkeypatch.setattr(server_module, "build_solve_response", counting)
+        priced = dict(BASE_REQUEST, price=1.5)
+
+        async def body(host, port, server):
+            async with ServiceClient(host, port) as client:
+                plain = [await client.solve(BASE_REQUEST) for _ in range(3)]
+                with_price = [await client.solve(priced) for _ in range(2)]
+            return plain, with_price
+
+        plain, with_price = run(with_server(body))
+        # Solved, then encoded once for the retained hits, then reused; a
+        # priced request (a retained hit on the same grid) is encoded each
+        # time.
+        assert built == [False, True, True, True]
+        assert plain[1] == plain[2]
+        assert plain[2][1]["served"] == {"coalesced": True, "batch_size": 1}
+        assert plain[0][1]["series"] == plain[2][1]["series"]
+        assert with_price[0] == with_price[1]
+        assert "premium_revenues" in with_price[1][1]["series"]
+
     def test_fingerprint_follow_up_hits_resident_population(self):
         async def body(host, port, server):
             _, first = await solve_once(host, port, BASE_REQUEST)
@@ -534,6 +564,28 @@ class TestRequestReadBounds:
             return raw, server.stats()["server"]
 
         raw, counters = run(with_server(client, idle_timeout=0.6))
+        assert response_statuses(raw) == [200]
+        assert counters["idle_timeouts"] == 0
+
+    def test_trickled_header_lines_are_served(self):
+        """Lines closer together than the bound's slack move the deadline
+        lazily, but never let it fall behind by more than the slack."""
+        extra = [f"X-Line-{index}: {index}" for index in range(40)]
+        head, body = post_bytes(BASE_REQUEST, *extra)
+
+        async def client(host, port, server):
+            reader, writer = await asyncio.open_connection(host, port)
+            # 40+ lines 0.02 s apart: 0.8 s in all against a 0.5 s bound.
+            for line in head.split(b"\r\n")[:-2]:
+                writer.write(line + b"\r\n")
+                await writer.drain()
+                await asyncio.sleep(0.02)
+            writer.write(b"\r\n" + body)
+            raw = await asyncio.wait_for(reader.read(), timeout=10.0)
+            writer.close()
+            return raw, server.stats()["server"]
+
+        raw, counters = run(with_server(client, idle_timeout=0.5))
         assert response_statuses(raw) == [200]
         assert counters["idle_timeouts"] == 0
 

@@ -245,7 +245,7 @@ class TestServe:
         finally:
             if server.poll() is None:
                 server.kill()
-                server.wait()
+            server.communicate()  # reaps it and closes both pipes
 
 
 class TestErrorExitCodes:
