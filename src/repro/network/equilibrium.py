@@ -79,13 +79,15 @@ _UNCONGESTED_SLACK = 1e-15
 #: Slack on the congestion predicate ``nu < unconstrained_load`` exposed by
 #: :attr:`RateEquilibrium.is_congested`.
 _CONGESTION_SLACK = 1e-12
-#: Caps below this fraction of the largest ``theta_hat`` take the
-#: overflow-safe exponential tail pass.  There ``theta_hat / cap`` may
-#: overflow to ``inf``, and a ``beta = 0`` column would then give
-#: ``exp(-0 * inf) = NaN``; the safe pass sets those terms to their exact
-#: value ``alpha * cap``.  Above the threshold the ratio stays below 1e200,
-#: so the fast pass needs no floating-point error guard.
+#: Caps below this fraction of the largest ``theta_hat`` (or below the
+#: smallest normal float) take the overflow-safe exponential tail pass.
+#: There ``theta_hat / cap`` or ``1 / cap`` may overflow to ``inf``, and a
+#: ``beta = 0`` column would then give ``exp(-0 * inf) = NaN``; the safe
+#: pass sets those terms to their exact value ``alpha * cap``.  Above the
+#: threshold the ratio stays below 1e200 and ``1 / cap`` is finite, so the
+#: fast passes need no floating-point error guard.
 _TINY_CAP = 1e-200
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -357,10 +359,15 @@ class ExponentialMaxMinProfile(CommonCapProfile):
     evaluation is therefore one cheap scalar pass, and :meth:`solve_cap`
     needs fewer than ten of them per capacity on the paper's workload.
 
-    The tail pass runs through ``out=`` kernels into one buffer per call
-    and sums with ``np.add.reduce`` (the pairwise summation ``ndarray.sum``
-    dispatches to).  A profile is never written after construction, so one
-    profile may be solved from several threads at once.
+    The tail's rates ``alpha_i d_i(cap) cap`` are evaluated as
+    ``cap * exp(log_w_i + nbt_i / cap)`` from two columns fixed at
+    construction, ``log_w = log(alpha) + beta`` and ``nbt = -beta *
+    theta_hat``: a multiply, an add and ``exp`` through ``out=`` kernels
+    into one buffer, then one ``np.add.reduce`` (the pairwise summation
+    ``ndarray.sum`` dispatches to).  ``log_w`` stays finite where ``alpha
+    e^beta`` would overflow.  A profile is never written after
+    construction, so one profile may be solved from several threads at
+    once.
 
     :meth:`carried_and_surplus` also returns the consumer surplus from the
     same tail pass, given the utility-rate columns of
@@ -371,52 +378,59 @@ class ExponentialMaxMinProfile(CommonCapProfile):
 
     def __init__(self, alphas: np.ndarray, theta_hats: np.ndarray,
                  betas: np.ndarray) -> None:
-        order = np.argsort(theta_hats, kind="stable")
+        order, theta_hats = _stable_order(theta_hats)
         order.flags.writeable = False
-        self._init_sorted(np.ascontiguousarray(alphas[order]),
-                          np.ascontiguousarray(theta_hats[order]),
-                          np.ascontiguousarray(betas[order]), order)
+        alphas = alphas[order]
+        betas = betas[order]
+        neg_betas = -betas
+        self._init_sorted(order, alphas, theta_hats, neg_betas,
+                          np.log(alphas) + betas, neg_betas * theta_hats)
 
     @classmethod
-    def from_sorted(cls, alphas: np.ndarray, theta_hats: np.ndarray,
-                    betas: np.ndarray, order: np.ndarray
+    def from_sorted(cls, order: np.ndarray, alphas: np.ndarray,
+                    theta_hats: np.ndarray, neg_betas: np.ndarray,
+                    log_weights: np.ndarray, neg_beta_thetas: np.ndarray
                     ) -> "ExponentialMaxMinProfile":
-        """Profile from arrays already in stable ``theta_hat`` order;
-        ``order[k]`` is the population index of sorted position ``k``."""
+        """Profile from contiguous columns already in stable ``theta_hat``
+        order: ``order[k]`` is the population index of sorted position
+        ``k``, and the last three columns are ``-beta``, ``log(alpha) +
+        beta`` and ``-beta * theta_hat``."""
         self = object.__new__(cls)
-        self._init_sorted(np.ascontiguousarray(alphas),
-                          np.ascontiguousarray(theta_hats),
-                          np.ascontiguousarray(betas), order)
+        self._init_sorted(order, alphas, theta_hats, neg_betas, log_weights,
+                          neg_beta_thetas)
         return self
 
-    def _init_sorted(self, alphas: np.ndarray, theta_hats: np.ndarray,
-                     betas: np.ndarray, order: np.ndarray) -> None:
+    def _init_sorted(self, order: np.ndarray, alphas: np.ndarray,
+                     theta_hats: np.ndarray, neg_betas: np.ndarray,
+                     log_weights: np.ndarray, neg_beta_thetas: np.ndarray
+                     ) -> None:
         #: Population index of each sorted position.
         self.order = order
-        self._theta_hats = theta_hats
         self._alphas = alphas
-        self._betas = betas
-        self._prefix = np.concatenate(
-            ([0.0], np.cumsum(self._alphas * self._theta_hats)))
-        self.size = len(self._theta_hats)
-        self.upper = float(self._theta_hats[-1]) if self.size else 0.0
+        self._theta_hats = theta_hats
+        self._neg_betas = neg_betas
+        self._log_weights = log_weights
+        self._neg_beta_thetas = neg_beta_thetas
+        self._prefix = np.concatenate(([0.0], np.cumsum(alphas * theta_hats)))
+        self.size = len(theta_hats)
+        self.upper = float(theta_hats[-1]) if self.size else 0.0
         self.unconstrained_load = float(self._prefix[-1])
-        # ``-beta`` is precomputed for the tail pass (multiplying by the
-        # negated factor is bit-identical to negating the product).
-        self._neg_betas = -self._betas
-        self._tiny_cap = self.upper * _TINY_CAP
+        self._tiny_cap = max(self.upper * _TINY_CAP, _SMALLEST_NORMAL)
 
     def restricted(self, mask: np.ndarray) -> "ExponentialMaxMinProfile":
         """Profile of the providers a population-length ``mask`` selects.
 
-        Filtering the sorted arrays keeps the stable ``theta_hat`` order (a
-        class's indices are ascending, so ties resolve as in a fresh
-        argsort): the result equals the constructor's profile of the class,
-        float for float, without building a ``Population`` or re-sorting.
+        Filtering the sorted columns keeps the stable ``theta_hat`` order (a
+        class's indices are ascending, so ties resolve as in a fresh stable
+        sort): the result equals the constructor's profile of the class,
+        float for float, without building a ``Population``, re-sorting or
+        taking a logarithm.
         """
         keep = mask[self.order]
-        return self.from_sorted(self._alphas[keep], self._theta_hats[keep],
-                                self._betas[keep], self.order[keep])
+        return self.from_sorted(self.order[keep], self._alphas[keep],
+                                self._theta_hats[keep], self._neg_betas[keep],
+                                self._log_weights[keep],
+                                self._neg_beta_thetas[keep])
 
     def carried_at_upper(self) -> float:
         # At the saturation cap every provider is saturated: the tail is
@@ -429,10 +443,12 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         The tail is every provider from sorted position ``count`` on (those
         with ``theta_hat > cap``).  Same arithmetic as the expression form
         ``exp(-beta * (theta/cap - 1))``, evaluated through ``out=`` kernels
-        into the one buffer the division allocates.  Below the profile's
+        into the one buffer the division allocates, so :meth:`rhos_at`
+        equals ``demands_at`` bit for bit.  Below the profile's
         ``_tiny_cap`` the ratio ``theta / cap`` may overflow:
         ``exp(-beta * inf)`` is 0 for ``beta > 0``, and ``beta = 0`` terms
-        get their exact demand 1 instead of ``NaN``.
+        get their exact demand 1 instead of ``NaN``.  The carried-load
+        passes use the fused columns instead, above ``_tiny_cap``.
         """
         neg_betas = self._neg_betas[count:]
         if cap >= self._tiny_cap:
@@ -444,12 +460,17 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         buffer[neg_betas == 0.0] = 0.0
         return np.exp(buffer, out=buffer)
 
-    def _tail_terms(self, cap: float, count: int) -> np.ndarray:
-        """Per-consumer rates ``alpha_i d_i(cap) cap`` of the congested tail."""
+    def _tail_weights(self, cap: float, count: int) -> np.ndarray:
+        """``alpha_i d_i(cap)`` of the congested tail, whose rates are
+        ``cap`` times these: ``exp(log_w + nbt / cap)`` in four passes, or
+        the guarded :meth:`_tail_demands` below ``_tiny_cap`` (where
+        ``1 / cap`` may overflow)."""
+        if cap >= self._tiny_cap:
+            buffer = np.multiply(self._neg_beta_thetas[count:], 1.0 / cap)
+            np.add(buffer, self._log_weights[count:], out=buffer)
+            return np.exp(buffer, out=buffer)
         buffer = self._tail_demands(cap, count)
-        np.multiply(self._alphas[count:], buffer, out=buffer)
-        np.multiply(buffer, cap, out=buffer)
-        return buffer
+        return np.multiply(self._alphas[count:], buffer, out=buffer)
 
     def rhos_at(self, cap: float) -> np.ndarray:
         """``rho_i = d_i(t_i) t_i`` at ``t = min(theta_hat, cap)``, in
@@ -471,10 +492,11 @@ class ExponentialMaxMinProfile(CommonCapProfile):
 
         Finite for every cap; ``0.0`` for ``cap <= 0``.  The congestion tail
         (``theta > cap``) cannot overflow ``exp`` (exponents are
-        non-positive; underflow is ignored by default), and only caps below
-        the profile's ``_tiny_cap`` can overflow the ratio ``theta / cap``;
-        those take a separate guarded pass.  The tail buffer is allocated
-        per call, so concurrent calls on one profile never share memory.
+        non-positive up to rounding; underflow is ignored by default), and
+        only caps below the profile's ``_tiny_cap`` can overflow ``1 /
+        cap``; those take a separate guarded pass.  The tail buffer is
+        allocated per call, so concurrent calls on one profile never share
+        memory.
         """
         if cap <= 0.0:
             return 0.0
@@ -482,7 +504,8 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         saturated = self._prefix[count]
         if count == self.size:
             return float(saturated)
-        return float(saturated + np.add.reduce(self._tail_terms(cap, count)))
+        return float(saturated
+                     + cap * np.add.reduce(self._tail_weights(cap, count)))
 
     def surplus_weights(self, sorted_utility_rates: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -505,7 +528,7 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         ``weights`` comes from :meth:`surplus_weights`.  The carried load is
         computed exactly as :meth:`carried_scalar` computes it (bit for bit);
         the surplus adds the saturated providers' ``phi``-weighted prefix to
-        ``dot(phi_tail, tail)``.
+        ``cap * dot(phi_tail, tail)`` over the same tail weights.
         """
         phis, phi_prefix = weights
         if cap <= 0.0:
@@ -514,9 +537,9 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         saturated = self._prefix[count]
         if count == self.size:
             return float(saturated), float(phi_prefix[count])
-        tail = self._tail_terms(cap, count)
-        return (float(saturated + np.add.reduce(tail)),
-                float(phi_prefix[count] + np.dot(phis[count:], tail)))
+        tail = self._tail_weights(cap, count)
+        return (float(saturated + cap * np.add.reduce(tail)),
+                float(phi_prefix[count] + cap * np.dot(phis[count:], tail)))
 
     def carried(self, caps: np.ndarray) -> np.ndarray:
         caps = np.asarray(caps, dtype=float)
@@ -526,6 +549,29 @@ class ExponentialMaxMinProfile(CommonCapProfile):
     # Looked up in this class's own namespace, so it can be wrapped here
     # without touching the generic profiles.
     solve_cap = CommonCapProfile.solve_cap
+
+
+def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(values, kind="stable")`` and ``values`` in that order.
+
+    The default (SIMD) argsort is several times faster than the stable
+    merge sort but orders equal values arbitrarily.  One vectorised repair
+    then sorts the positions of every run of equal values by population
+    index, which is exactly the stable order.  Real populations do have
+    ties (the ``theta_hat`` floor of ``random_population``).
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    # ``ordered`` ascends, so ``<=`` between neighbours means equal.
+    tied = ordered[1:] <= ordered[:-1]
+    in_run = np.zeros(len(ordered), dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    runs = np.flatnonzero(in_run)
+    order[runs] = order[runs][np.lexsort((order[runs], ordered[runs]))]
+    # Equal values are identical floats (``theta_hat > 0`` has no -0.0),
+    # so ``ordered`` is already the repaired order's values.
+    return order, ordered
 
 
 def common_cap_profile(population: Population,

@@ -97,18 +97,32 @@ class TestChunkGenerator:
         batch = solve_rate_equilibria(request.population, request.nus,
                                       request.mechanism, request.config)
 
-        tracemalloc.start()
-        for chunk in solve_response_chunks(request, batch, coalesced=False,
+        def streamed():
+            for _ in solve_response_chunks(request, batch, coalesced=False,
                                            batch_size=1):
-            pass
-        _, streamed_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+                pass
 
-        tracemalloc.start()
-        json.dumps(build_solve_response(request, batch, coalesced=False,
-                                        batch_size=1), sort_keys=True)
-        _, buffered_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        def buffered():
+            json.dumps(build_solve_response(request, batch, coalesced=False,
+                                            batch_size=1), sort_keys=True)
+
+        # Each peak is taken after ``reset_peak()`` and relative to the size
+        # traced just before, so it holds under ``python -X tracemalloc``
+        # too, where tracing is already on (and is left on).
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            peaks = []
+            for serialize in (streamed, buffered):
+                start, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                serialize()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        streamed_peak, buffered_peak = peaks
 
         assert streamed_peak < buffered_peak / 2, (
             f"streamed serialization peaked at {streamed_peak} bytes vs "

@@ -515,9 +515,10 @@ class TestCapacityAxisBatching:
             population.alphas[mask], theta_hats[mask], betas[mask])
         order = np.argsort(theta_hats, kind="stable")
         sub_order = order[mask[order]]
+        sub_alphas, sub_betas = population.alphas[sub_order], betas[sub_order]
         filtered = ExponentialMaxMinProfile.from_sorted(
-            population.alphas[sub_order], theta_hats[sub_order],
-            betas[sub_order], sub_order)
+            sub_order, sub_alphas, theta_hats[sub_order], -sub_betas,
+            np.log(sub_alphas) + sub_betas, -sub_betas * theta_hats[sub_order])
         restricted = ExponentialMaxMinProfile(
             population.alphas, theta_hats, betas).restricted(mask)
         np.testing.assert_array_equal(restricted.order, sub_order)
