@@ -517,8 +517,11 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         providers.
         """
         phis = np.ascontiguousarray(sorted_utility_rates, dtype=float)
+        # ``phi`` weights the rate ``alpha * theta_hat``: one rounding per
+        # product.  ``(phi * alpha) * theta_hat`` would round a subnormal
+        # ``phi * alpha`` and then scale that error by ``theta_hat``.
         return phis, np.concatenate(
-            ([0.0], np.cumsum(phis * self._alphas * self._theta_hats)))
+            ([0.0], np.cumsum(phis * (self._alphas * self._theta_hats))))
 
     def carried_and_surplus(self, cap: float,
                             weights: tuple[np.ndarray, np.ndarray]
@@ -528,7 +531,11 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         ``weights`` comes from :meth:`surplus_weights`.  The carried load is
         computed exactly as :meth:`carried_scalar` computes it (bit for bit);
         the surplus adds the saturated providers' ``phi``-weighted prefix to
-        ``cap * dot(phi_tail, tail)`` over the same tail weights.
+        ``cap * dot(phi_tail, tail)`` over the same tail weights.  A
+        subnormal dot has rounded each product to a multiple of the
+        smallest subnormal, an error that ``cap > 1`` would scale up; there
+        the rates ``cap * tail`` are weighted instead, one rounding per
+        product.
         """
         phis, phi_prefix = weights
         if cap <= 0.0:
@@ -538,8 +545,14 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         if count == self.size:
             return float(saturated), float(phi_prefix[count])
         tail = self._tail_weights(cap, count)
-        return (float(saturated + cap * np.add.reduce(tail)),
-                float(phi_prefix[count] + cap * np.dot(phis[count:], tail)))
+        carried = float(saturated + cap * np.add.reduce(tail))
+        tail_surplus = np.dot(phis[count:], tail)
+        if tail_surplus < _SMALLEST_NORMAL:
+            tail_surplus = np.dot(phis[count:], np.multiply(tail, cap,
+                                                            out=tail))
+        else:
+            tail_surplus = cap * tail_surplus
+        return carried, float(phi_prefix[count] + tail_surplus)
 
     def carried(self, caps: np.ndarray) -> np.ndarray:
         caps = np.asarray(caps, dtype=float)

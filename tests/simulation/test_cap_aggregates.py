@@ -128,6 +128,9 @@ class TestAggregatesMatchExplicitSums:
     @example(population=Population([ContentProvider(
         "cp0", alpha=0.5, theta_hat=1.0, beta=1.0, revenue_rate=0.5,
         utility_rate=5.0)]), fractions=[1e-323])  # surplus 5 ulps off
+    @example(population=Population([ContentProvider(
+        "cp0", alpha=0.3, theta_hat=10.0, beta=0.0, revenue_rate=0.5,
+        utility_rate=7.77e-315)]), fractions=[1.0, 0.9])  # 4 ulps off
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_exponential_populations(self, name, population, fractions):
