@@ -531,11 +531,9 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         ``weights`` comes from :meth:`surplus_weights`.  The carried load is
         computed exactly as :meth:`carried_scalar` computes it (bit for bit);
         the surplus adds the saturated providers' ``phi``-weighted prefix to
-        ``cap * dot(phi_tail, tail)`` over the same tail weights.  A
-        subnormal dot has rounded each product to a multiple of the
-        smallest subnormal, an error that ``cap > 1`` would scale up; there
-        the rates ``cap * tail`` are weighted instead, one rounding per
-        product.
+        ``dot(phi_tail, cap * tail)`` over the same tail weights: each
+        provider's rate is weighted once, so a subnormal product is rounded
+        once rather than rounded and then scaled by ``cap``.
         """
         phis, phi_prefix = weights
         if cap <= 0.0:
@@ -546,13 +544,8 @@ class ExponentialMaxMinProfile(CommonCapProfile):
             return float(saturated), float(phi_prefix[count])
         tail = self._tail_weights(cap, count)
         carried = float(saturated + cap * np.add.reduce(tail))
-        tail_surplus = np.dot(phis[count:], tail)
-        if tail_surplus < _SMALLEST_NORMAL:
-            tail_surplus = np.dot(phis[count:], np.multiply(tail, cap,
-                                                            out=tail))
-        else:
-            tail_surplus = cap * tail_surplus
-        return carried, float(phi_prefix[count] + tail_surplus)
+        np.multiply(tail, cap, out=tail)
+        return carried, float(phi_prefix[count] + np.dot(phis[count:], tail))
 
     def carried(self, caps: np.ndarray) -> np.ndarray:
         caps = np.asarray(caps, dtype=float)

@@ -515,21 +515,16 @@ class TestCapacityAxisBatching:
             population.alphas[mask], theta_hats[mask], betas[mask])
         order = np.argsort(theta_hats, kind="stable")
         sub_order = order[mask[order]]
-        sub_alphas, sub_betas = population.alphas[sub_order], betas[sub_order]
-        filtered = ExponentialMaxMinProfile.from_sorted(
-            sub_order, sub_alphas, theta_hats[sub_order], -sub_betas,
-            np.log(sub_alphas) + sub_betas, -sub_betas * theta_hats[sub_order])
         restricted = ExponentialMaxMinProfile(
             population.alphas, theta_hats, betas).restricted(mask)
         np.testing.assert_array_equal(restricted.order, sub_order)
         caps = np.array([0.1, 0.3, 0.7, 1.5]) * direct.upper
         load = direct.unconstrained_load
-        for profile in (filtered, restricted):
-            for cap in caps:
-                assert direct.carried_scalar(float(cap)) == \
-                    profile.carried_scalar(float(cap))
-            for nu in (0.2 * load, 0.8 * load):
-                assert direct.solve_cap(nu) == profile.solve_cap(nu)
+        for cap in caps:
+            assert direct.carried_scalar(float(cap)) == \
+                restricted.carried_scalar(float(cap))
+        for nu in (0.2 * load, 0.8 * load):
+            assert direct.solve_cap(nu) == restricted.solve_cap(nu)
 
     def test_capacity_sweep_matches_per_point_outcomes(self):
         population = random_population(PopulationSpec(count=50), seed=9)
