@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 from repro.errors import ModelValidationError
 from repro.core.cp_game import CPPartitionGame
 from repro.core.strategy import ISPStrategy
-from repro.network.allocation import RateAllocationMechanism
+from repro.network.allocation import CommonCapAllocation
 from repro.network.provider import Population
 
 __all__ = [
@@ -83,7 +83,7 @@ def market_share_discontinuity(shares: Sequence[float],
 
 def capacity_surplus_profile(population: Population, strategy: ISPStrategy,
                              nus: Iterable[float],
-                             mechanism: Optional[RateAllocationMechanism] = None,
+                             mechanism: Optional[CommonCapAllocation] = None,
                              ) -> Tuple[list, list]:
     """Sample ``Phi(nu, N, s_I)`` over a capacity grid for one strategy.
 

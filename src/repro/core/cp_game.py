@@ -34,15 +34,14 @@ from repro.core.strategy import ISPStrategy
 from repro.network.allocation import (
     CommonCapAllocation,
     MaxMinFairAllocation,
-    RateAllocationMechanism,
+    StrictPriorityAllocation,
 )
 from repro.network.equilibrium import (
-    RateEquilibrium,
+    ExponentialMaxMinProfile,
     cached_class_cap,
     class_cap,
-    exponential_profile,
+    common_cap_profile,
     mechanism_cache_key,
-    solve_rate_equilibrium,
 )
 from repro.network.provider import Population
 
@@ -210,18 +209,20 @@ class CPPartitionGame:
         The ISP's first-stage strategy ``(kappa, c)``.
     mechanism:
         Rate-allocation mechanism inside each class; defaults to max-min
-        fairness as in the paper.
+        fairness as in the paper.  Strict priority is rejected with
+        :class:`ModelValidationError`: its level is a position in one
+        population's priority order, with no meaning shared by the CPs of
+        different classes.
     config:
         Solver configuration (tolerances, cache policy); ``None`` uses the
         ambient/default config.
 
     Under the competitive equilibrium (Definition 3) a CP estimates its
-    ex-post throughput in a class from the class's congestion level: a
-    :class:`~repro.network.allocation.CommonCapAllocation` mechanism gives
-    every CP ``min(theta_hat_i, t)`` at the class's equilibrium cap ``t``
-    (``+inf`` when the class is uncongested); any other mechanism gives the
-    largest member throughput, the paper's literal rule, which coincides
-    with the cap whenever the class is congested.
+    ex-post throughput in a class from the class's congestion level: it
+    takes ``mechanism.theta_at_cap(population, t)`` at the class's
+    Theorem-1 cap ``t`` (``+inf`` when the class is uncongested) — under
+    max-min fairness ``min(theta_hat_i, t)``.  A member's estimate is
+    therefore exactly its own throughput at the class's rate equilibrium.
 
     That equilibrium is an idealisation for a large number of *small* CPs:
     a provider whose own traffic is comparable to a class's capacity shifts
@@ -237,31 +238,35 @@ class CPPartitionGame:
     ``(class nu, packed class mask)``: its best-response rounds revisit the
     same classes many times, while another game almost never asks for one
     of them.  Only a class holding every CP reads the shared full-population
-    cap cache.  Every ``rho`` row of the throughput-taking utilities comes
-    from the population's sorted profile when every CP has Equation-(3)
-    demand.
+    cap cache.  Under max-min fairness every ``rho`` row of the
+    throughput-taking utilities comes from the population's sorted profile
+    when every CP has Equation-(3) demand.
     """
 
     def __init__(self, population: Population, nu: float, strategy: ISPStrategy,
-                 mechanism: Optional[RateAllocationMechanism] = None,
+                 mechanism: Optional[CommonCapAllocation] = None,
                  config: Optional[SolverConfig] = None) -> None:
         if not math.isfinite(nu) or nu < 0.0:
             raise ModelValidationError(f"nu must be non-negative, got {nu!r}")
+        if isinstance(mechanism, StrictPriorityAllocation):
+            raise ModelValidationError(
+                "strict priority has no class level shared across classes")
         self.population = population
         self.nu = float(nu)
         self.strategy = strategy
         self.mechanism = mechanism if mechanism is not None else MaxMinFairAllocation()
         self.config = resolve_config(config)
-        self._theta_hats = population.theta_hats
         self._alphas = population.alphas
         self._revenues = population.revenue_rates
         self._premium_margins = self._revenues - strategy.price
-        own_load = self._alphas * self._theta_hats
+        own_load = self._alphas * population.theta_hats
         self._margin_into_premium = self._move_slack(own_load, self.premium_nu)
         self._margin_into_ordinary = self._move_slack(own_load, self.ordinary_nu)
         # No outcome refers back to the game, so this memo dies with it.
         self._caps: dict[tuple[float, bytes], float] = {}
-        self._profile = exponential_profile(population)
+        profile = common_cap_profile(population, self.mechanism)
+        self._profile = (profile if isinstance(profile, ExponentialMaxMinProfile)
+                         else None)
 
     # ------------------------------------------------------------------ #
     # Class-level helpers
@@ -296,17 +301,14 @@ class CPPartitionGame:
                             class_nu: float) -> float:
         """Throughput level a joining CP would take as given (Assumption 3).
 
-        ``mask`` selects the class's ``count`` members; under a cap
-        mechanism the cap comes from :meth:`_class_cap`, so no index tuples
-        or class ``Population`` objects are built per iteration.
+        ``mask`` selects the class's ``count`` members; the cap comes from
+        :meth:`_class_cap`, so no index tuples are built per iteration.
         """
         if class_nu <= 0.0:
             return 0.0
         if count == 0:
             return math.inf
-        if isinstance(self.mechanism, CommonCapAllocation):
-            return self._class_cap(mask, class_nu)
-        return float(np.max(self._class_equilibrium(mask, class_nu).thetas))
+        return self._class_cap(mask, class_nu)
 
     def _class_cap(self, mask: np.ndarray, class_nu: float) -> float:
         """Theorem-1 cap of the non-empty class ``mask`` at ``class_nu > 0``,
@@ -324,36 +326,25 @@ class CPPartitionGame:
             self._caps[key] = cap
         return cap
 
-    def _class_equilibrium(self, mask: np.ndarray, class_nu: float
-                           ) -> RateEquilibrium:
-        """Rate equilibrium of the class ``mask`` selects, solved directly."""
-        members = (self.population if mask.all()
-                   else self.population.subset(np.flatnonzero(mask)))
-        return solve_rate_equilibrium(members, class_nu, self.mechanism,
-                                      self.config)
-
     def _class_rhos(self, mask: np.ndarray, class_nu: float) -> np.ndarray:
         """``rho_i = d_i theta_i`` of the class members at the class's rate
-        equilibrium, in index order.
-
-        Under max-min fairness the equilibrium is ``theta_i = min(theta_hat_i,
-        cap)`` at the class's Theorem-1 cap, so the row is read off
-        :meth:`_rho_at_cap` — the arrays the best-response loops already
-        hold.  Other mechanisms solve the class's sub-population.
-        """
-        if not mask.any():
+        equilibrium, in index order: the members' entries of
+        :meth:`_rho_at_cap` at the class's Theorem-1 cap — the arrays the
+        best-response loops already hold."""
+        count = int(np.count_nonzero(mask))
+        if count == 0:
             return np.zeros(0)
-        if type(self.mechanism) is MaxMinFairAllocation:
-            cap = self._class_cap(mask, class_nu) if class_nu > 0.0 else 0.0
-            return self._rho_at_cap(cap)[mask]
-        return self._class_equilibrium(mask, class_nu).rhos
+        return self._rho_at_cap(
+            self._class_cap_for_mask(mask, count, class_nu))[mask]
 
     def _rho_at_cap(self, cap: float) -> np.ndarray:
-        """Per-user-base throughput ``rho_i`` every CP expects at a class cap
-        (off the sorted profile when every CP has Equation-(3) demand)."""
+        """Per-user-base throughput ``rho_i`` every CP expects at a class
+        cap: off the sorted profile under max-min fairness when every CP
+        has Equation-(3) demand, otherwise at the mechanism's throughputs
+        :meth:`~repro.network.allocation.CommonCapAllocation.theta_at_cap`."""
         if self._profile is not None:
             return self._profile.rhos_at(cap)
-        thetas = np.minimum(self._theta_hats, cap)
+        thetas = self.mechanism.theta_at_cap(self.population, cap)
         return self.population.demands_at(thetas) * thetas
 
     def _build_outcome(self, mask: np.ndarray, kind: str, converged: bool,
@@ -565,9 +556,9 @@ class CPPartitionGame:
         procedure stops when a full pass produces no move, and reports
         non-convergence after 50 passes.  Intended for small populations
         (tests, illustrations); the competitive equilibrium is the
-        work-horse for the paper's 1000-CP experiments.  Under max-min
-        fairness the class cap of every candidate deviation is solved once
-        per game (:meth:`_class_cap`), and the outcome itself is memoised.
+        work-horse for the paper's 1000-CP experiments.  The class cap of
+        every candidate deviation is solved once per game
+        (:meth:`_class_cap`), and the outcome itself is memoised.
         """
         return self._memoised("nash", self._solve_nash)
 
@@ -596,7 +587,7 @@ class CPPartitionGame:
 
 def competitive_equilibrium(population: Population, nu: float,
                             strategy: ISPStrategy,
-                            mechanism: Optional[RateAllocationMechanism] = None,
+                            mechanism: Optional[CommonCapAllocation] = None,
                             config: Optional[SolverConfig] = None
                             ) -> PartitionOutcome:
     """Convenience wrapper: competitive equilibrium of ``(M, mu, N, s_I)``."""
@@ -605,7 +596,7 @@ def competitive_equilibrium(population: Population, nu: float,
 
 
 def nash_equilibrium(population: Population, nu: float, strategy: ISPStrategy,
-                     mechanism: Optional[RateAllocationMechanism] = None,
+                     mechanism: Optional[CommonCapAllocation] = None,
                      config: Optional[SolverConfig] = None) -> PartitionOutcome:
     """Convenience wrapper: Nash equilibrium of ``(M, mu, N, s_I)``."""
     game = CPPartitionGame(population, nu, strategy, mechanism, config=config)

@@ -28,7 +28,7 @@ from repro.errors import ModelValidationError
 from repro.core.cp_game import PartitionOutcome
 from repro.core.migration import IspConfig, MarketSplit, solve_market_split
 from repro.core.strategy import ISPStrategy, PUBLIC_OPTION_STRATEGY
-from repro.network.allocation import RateAllocationMechanism
+from repro.network.allocation import CommonCapAllocation
 from repro.network.provider import Population
 
 __all__ = ["DuopolyOutcome", "DuopolyGame", "STRATEGIC_ISP",
@@ -134,7 +134,7 @@ class DuopolyGame:
 
     def __init__(self, population: Population, total_nu: float,
                  strategic_capacity_share: float = 0.5,
-                 mechanism: Optional[RateAllocationMechanism] = None,
+                 mechanism: Optional[CommonCapAllocation] = None,
                  *, config: Optional[SolverConfig] = None) -> None:
         if not math.isfinite(total_nu) or total_nu < 0.0:
             raise ModelValidationError(

@@ -29,7 +29,7 @@ from repro.config import SolverConfig, _check_tolerance, resolve_config
 from repro.errors import ModelValidationError
 from repro.core.cp_game import CPPartitionGame, PartitionOutcome
 from repro.core.strategy import ISPStrategy
-from repro.network.allocation import RateAllocationMechanism
+from repro.network.allocation import CommonCapAllocation
 from repro.network.provider import Population
 
 __all__ = ["IspConfig", "MarketSplit", "solve_market_split",
@@ -124,7 +124,7 @@ class MarketSplit:
 
 def isp_outcome_at_share(population: Population, total_nu: float, isp: IspConfig,
                          share: float,
-                         mechanism: Optional[RateAllocationMechanism] = None,
+                         mechanism: Optional[CommonCapAllocation] = None,
                          config: Optional[SolverConfig] = None
                          ) -> PartitionOutcome:
     """Second-stage outcome at ISP ``isp`` when it holds market share ``share``.
@@ -145,7 +145,7 @@ def isp_outcome_at_share(population: Population, total_nu: float, isp: IspConfig
 
 def _surplus_at_share(population: Population, total_nu: float, isp: IspConfig,
                       share: float,
-                      mechanism: Optional[RateAllocationMechanism],
+                      mechanism: Optional[CommonCapAllocation],
                       config: Optional[SolverConfig] = None) -> float:
     """Consumer surplus at an ISP holding ``share`` of the consumers.
 
@@ -162,7 +162,7 @@ def _surplus_at_share(population: Population, total_nu: float, isp: IspConfig,
 
 def _build_split(population: Population, total_nu: float,
                  isps: Sequence[IspConfig], shares: Dict[str, float],
-                 mechanism: Optional[RateAllocationMechanism],
+                 mechanism: Optional[CommonCapAllocation],
                  converged: bool, iterations: int,
                  config: Optional[SolverConfig] = None) -> MarketSplit:
     outcomes = {
@@ -189,7 +189,7 @@ def _build_split(population: Population, total_nu: float,
 
 def _solve_duopoly(population: Population, total_nu: float,
                    first: IspConfig, second: IspConfig,
-                   mechanism: Optional[RateAllocationMechanism],
+                   mechanism: Optional[CommonCapAllocation],
                    tolerance: float, max_iterations: int,
                    config: Optional[SolverConfig] = None) -> MarketSplit:
     """Bisection on the first ISP's market share for the two-ISP case."""
@@ -248,7 +248,7 @@ def _solve_duopoly(population: Population, total_nu: float,
 
 def _solve_multi(population: Population, total_nu: float,
                  isps: Sequence[IspConfig],
-                 mechanism: Optional[RateAllocationMechanism],
+                 mechanism: Optional[CommonCapAllocation],
                  tolerance: float, max_iterations: int,
                  config: Optional[SolverConfig] = None) -> MarketSplit:
     """Tatonnement on market shares for three or more ISPs.
@@ -294,7 +294,7 @@ def _solve_multi(population: Population, total_nu: float,
 
 def solve_market_split(population: Population, total_nu: float,
                        isps: Sequence[IspConfig],
-                       mechanism: Optional[RateAllocationMechanism] = None,
+                       mechanism: Optional[CommonCapAllocation] = None,
                        *, tolerance: Optional[float] = None,
                        max_iterations: int = 60,
                        config: Optional[SolverConfig] = None) -> MarketSplit:

@@ -28,7 +28,7 @@ from repro.errors import ModelValidationError
 from repro.core.cp_game import CPPartitionGame, PartitionOutcome
 from repro.core.strategy import ISPStrategy, NEUTRAL_STRATEGY
 from repro.core.surplus import SurplusBreakdown, welfare_report
-from repro.network.allocation import RateAllocationMechanism
+from repro.network.allocation import CommonCapAllocation
 from repro.network.provider import Population
 
 __all__ = ["MonopolyOutcome", "MonopolyGame"]
@@ -87,7 +87,7 @@ class MonopolyGame:
     """
 
     def __init__(self, population: Population, nu: float,
-                 mechanism: Optional[RateAllocationMechanism] = None,
+                 mechanism: Optional[CommonCapAllocation] = None,
                  equilibrium_kind: str = "competitive",
                  config: Optional[SolverConfig] = None) -> None:
         if not math.isfinite(nu) or nu < 0.0:

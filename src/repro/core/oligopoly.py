@@ -28,7 +28,7 @@ from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.core.migration import IspConfig, MarketSplit, solve_market_split
 from repro.core.strategy import ISPStrategy
-from repro.network.allocation import RateAllocationMechanism
+from repro.network.allocation import CommonCapAllocation
 from repro.network.provider import Population
 
 __all__ = ["OligopolyOutcome", "OligopolyGame",
@@ -110,7 +110,7 @@ class OligopolyGame:
 
     def __init__(self, population: Population, total_nu: float,
                  capacity_shares: Mapping[str, float],
-                 mechanism: Optional[RateAllocationMechanism] = None,
+                 mechanism: Optional[CommonCapAllocation] = None,
                  *, config: Optional[SolverConfig] = None) -> None:
         if not math.isfinite(total_nu) or total_nu < 0.0:
             raise ModelValidationError(

@@ -27,7 +27,7 @@ from repro.core.strategy import (
     PUBLIC_OPTION_STRATEGY,
     strategy_grid,
 )
-from repro.network.allocation import RateAllocationMechanism
+from repro.network.allocation import CommonCapAllocation
 from repro.network.provider import Population
 
 __all__ = ["RegimeResult", "RegimeComparison", "compare_regimes"]
@@ -89,7 +89,7 @@ class RegimeComparison:
 
 def compare_regimes(population: Population, nu: float,
                     strategies: Optional[Sequence[ISPStrategy]] = None,
-                    mechanism: Optional[RateAllocationMechanism] = None,
+                    mechanism: Optional[CommonCapAllocation] = None,
                     *, duopoly_capacity_share: float = 0.5,
                     include_competition: bool = True,
                     config: Optional[SolverConfig] = None) -> RegimeComparison:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.cp_game import PartitionOutcome
-from repro.network.allocation import RateAllocationMechanism
+from repro.network.allocation import CommonCapAllocation
 from repro.network.equilibrium import solve_rate_equilibrium
 from repro.network.provider import Population
 
@@ -68,7 +68,7 @@ def welfare_report(outcome: PartitionOutcome) -> SurplusBreakdown:
 
 
 def neutral_consumer_surplus(population: Population, nu: float,
-                             mechanism: Optional[RateAllocationMechanism] = None
+                             mechanism: Optional[CommonCapAllocation] = None
                              ) -> float:
     """Per-capita consumer surplus of a single neutral class at capacity ``nu``.
 

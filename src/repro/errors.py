@@ -7,7 +7,6 @@ raised by the individual subsystems:
 * model-construction problems (bad parameters, demand functions that violate
   Assumption 1, strategies outside the feasible region) raise
   :class:`ModelValidationError`;
-* numerical solvers that fail to converge raise :class:`ConvergenceError`;
 * rate-allocation mechanisms that produce allocations violating the paper's
   axioms raise :class:`AxiomViolationError`;
 * game solvers that cannot certify an equilibrium raise
@@ -19,7 +18,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ModelValidationError",
-    "ConvergenceError",
     "AxiomViolationError",
     "EquilibriumError",
 ]
@@ -37,20 +35,6 @@ class ModelValidationError(ReproError, ValueError):
     (violating Assumption 1) or an ISP strategy with ``kappa`` outside
     ``[0, 1]``.
     """
-
-
-class ConvergenceError(ReproError, RuntimeError):
-    """Raised when an iterative numerical solver does not converge.
-
-    Carries the last iterate and the residual so callers can decide whether
-    the partial answer is acceptable.
-    """
-
-    def __init__(self, message: str, *, residual: float | None = None,
-                 iterations: int | None = None) -> None:
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 class AxiomViolationError(ReproError, AssertionError):

@@ -18,7 +18,10 @@ fair mechanism (the first-order model of TCP's AIMD behaviour, following
 Mo & Walrand); we additionally provide weighted-fair, alpha-proportional
 fair, proportional-to-demand and strict-priority mechanisms, both as
 alternative substrates and as counter-examples for the axiom checker (strict
-priority is work-conserving and monotone but decidedly not neutral).
+priority is work-conserving and monotone but decidedly not neutral).  Every
+shipped mechanism is a :class:`CommonCapAllocation`: its rate equilibrium is
+one point of a scalar congestion level, which the Theorem-1 cap solver of
+:mod:`repro.network.equilibrium` finds.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConvergenceError, ModelValidationError
+from repro.errors import ModelValidationError
 from repro.network.provider import Population
 
 __all__ = [
@@ -46,20 +49,23 @@ __all__ = [
 _BISECTION_ITERATIONS = 200
 _BISECTION_TOLERANCE = 1e-12
 
+#: Halvings that take any bracket ``[0, theta_hat]`` of doubles down to
+#: adjacent doubles: 2098 binades from the largest double to the smallest
+#: subnormal, plus the 53 bits of one binade.
+_INVERSION_ITERATIONS = 2151
+
 #: Slack allowed on the demand-profile range check (rounding noise from the
 #: demand kernels may leave values epsilon outside [0, 1]).
 _DEMAND_RANGE_SLACK = 1e-12
 
-#: Slack below the offered load within which a capacity counts as
-#: uncongested (every provider then gets its unconstrained throughput).
+#: Slack below the offered load, relative to it, within which a capacity
+#: counts as uncongested (every provider then gets its unconstrained
+#: throughput).
 _UNCONGESTED_SLACK = 1e-15
 
 #: Division guard for zero allocation weights (never reached for positive
 #: weights; keeps the vectorised quotient finite).
 _WEIGHT_FLOOR = 1e-300
-
-#: Smallest damping factor the fixed-point iteration backs off to.
-_DAMPING_FLOOR = 1e-4
 
 
 def _validate_inputs(population: Population, demands: Sequence[float],
@@ -131,22 +137,55 @@ class RateAllocationMechanism(ABC):
         return float(np.sum(population.alphas * demands * thetas))
 
 
-class CommonCapAllocation(RateAllocationMechanism):
-    """Mechanisms whose allocation is ``theta_i = min(theta_hat_i, g_i(cap))``.
+def _throughputs_at_rhos(population: Population,
+                         rhos: np.ndarray) -> np.ndarray:
+    """Each provider's smallest ``theta_i`` with ``d_i(theta_i) theta_i >=
+    rhos_i``: the generalised inverse of ``rho_i(theta) = d_i(theta) theta``.
 
-    ``g_i`` must be continuous and non-decreasing in the scalar ``cap`` and
-    independent of the demand profile; for a fixed demand profile
-    :meth:`allocate` finds the smallest cap at which the carried load
-    reaches ``min(nu, offered load)``.  The max-min fair, weighted-fair and
-    proportional-to-demand mechanisms are all of this form.  The
-    rate-equilibrium solver finds the equilibrium cap of any such mechanism
-    from scalar :meth:`theta_at_cap` evaluations (see
-    :mod:`repro.network.equilibrium`).
+    ``rho_i`` is continuous and non-decreasing (Assumption 1), from
+    ``rho_i(0) = 0`` to ``rho_i(theta_hat_i) = theta_hat_i``, so a target
+    ``<= 0`` gives 0, one ``>= theta_hat_i`` gives ``theta_hat_i``, and the
+    rest come from one bisection over :meth:`Population.demands_at`, run
+    until no bracket can shrink.  An entry depends only on its own
+    provider's column values, so a class's row equals the population's row
+    restricted to the class.
+    """
+    theta_hats = population.theta_hats
+    low = np.where(rhos >= theta_hats, theta_hats, 0.0)
+    high = np.where(rhos > 0.0, theta_hats, 0.0)
+    for _ in range(_INVERSION_ITERATIONS):
+        mid = 0.5 * (low + high)
+        if not np.any((low < mid) & (mid < high)):
+            break
+        reached = population.demands_at(mid) * mid >= rhos
+        high = np.where(reached, mid, high)
+        low = np.where(reached, low, mid)
+    return high
+
+
+class CommonCapAllocation(RateAllocationMechanism):
+    """Mechanisms whose rate equilibrium is a function of one congestion level.
+
+    :meth:`theta_at_cap` returns the equilibrium throughputs at a scalar
+    level ``cap >= 0`` (``+inf`` means uncongested): continuous and
+    non-decreasing in ``cap``, reaching every ``theta_hat`` at
+    :meth:`cap_upper_bound`, and free to use the providers' demand
+    functions.  The equilibrium at capacity ``nu`` is then the profile at
+    the level whose carried load is ``min(nu, unconstrained load)`` — the
+    Theorem-1 cap, which the solver of :mod:`repro.network.equilibrium`
+    finds from scalar :meth:`theta_at_cap` evaluations.
+
+    When ``theta_at_cap`` does not read the demand functions (max-min,
+    weighted-fair, proportional-to-demand: ``theta_i = min(theta_hat_i,
+    g_i(cap))``), the same profile also solves Definition 1 for any fixed
+    demand profile, and the generic :meth:`allocate` below bisects on
+    the level; mechanisms whose levels use the demand functions
+    override :meth:`allocate`.
     """
 
     @abstractmethod
     def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
-        """Throughput profile at scalar cap level ``cap >= 0``."""
+        """Equilibrium throughput profile at congestion level ``cap >= 0``."""
 
     def cap_upper_bound(self, population: Population) -> float:
         """A cap value at which every provider reaches ``theta_hat``."""
@@ -167,7 +206,7 @@ class CommonCapAllocation(RateAllocationMechanism):
         upper = self.cap_upper_bound(population)
         if self.carried_load(population, demands_arr,
                              self.theta_at_cap(population, upper)
-                             ) <= target + _UNCONGESTED_SLACK:
+                             ) <= target * (1.0 + _UNCONGESTED_SLACK):
             return population.theta_hats.copy()
         low, high = 0.0, upper
         for _ in range(_BISECTION_ITERATIONS):
@@ -249,22 +288,25 @@ class WeightedFairAllocation(CommonCapAllocation):
 class ProportionalToDemandAllocation(CommonCapAllocation):
     """Every provider gets the same *fraction* of its unconstrained throughput.
 
-    ``theta_i = omega * theta_hat_i`` with a common fraction ``omega``; under
-    congestion heavy applications are squeezed proportionally harder in
-    absolute terms.  This mimics a fair-queueing discipline that weights
-    flows by their offered rate.
+    ``theta_i = min(1, omega) * theta_hat_i``: the cap is the common
+    fraction ``omega`` itself, so a provider's throughput at a level does
+    not depend on which providers share the link.  Under congestion heavy
+    applications are squeezed proportionally harder in absolute terms.
+    This mimics a fair-queueing discipline that weights flows by their
+    offered rate.
     """
 
     def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
-        theta_max = float(np.max(population.theta_hats))
-        omega = min(1.0, cap / theta_max) if theta_max > 0 else 0.0
-        return omega * population.theta_hats
+        return min(1.0, cap) * population.theta_hats
+
+    def cap_upper_bound(self, population: Population) -> float:
+        return 1.0
 
     def cache_key(self) -> tuple[Any, ...]:
         return ("ProportionalToDemandAllocation",)
 
 
-class AlphaFairAllocation(RateAllocationMechanism):
+class AlphaFairAllocation(CommonCapAllocation):
     """Alpha-proportional fairness over provider *aggregates* (Mo & Walrand).
 
     The mechanism maximises ``sum_i U_alpha(Lambda_i)`` over the per-capita
@@ -274,6 +316,12 @@ class AlphaFairAllocation(RateAllocationMechanism):
     ``Lambda_i = min(alpha_i d_i theta_hat_i, ell)``, independent of the value
     of ``alpha > 0`` (the family differs only through dynamics, not through
     the static optimum, when each aggregate is treated as one flow).
+
+    At equilibrium a provider whose unconstrained aggregate ``alpha_i
+    theta_hat_i`` is at most the water level ``ell`` is saturated, and
+    every other one carries ``alpha_i rho_i(theta_i) = ell``: the level is
+    the cap, :meth:`theta_at_cap` inverts ``rho_i`` there, and
+    :meth:`cap_upper_bound` is the largest unconstrained aggregate.
 
     Note the contrast with :class:`MaxMinFairAllocation`: there fairness is
     applied per *user*, so popular providers receive proportionally more
@@ -295,6 +343,16 @@ class AlphaFairAllocation(RateAllocationMechanism):
         # but keep it in the key so the identification stays conservative.
         return ("AlphaFairAllocation", self.alpha, self.per_user)
 
+    def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
+        if self.per_user:
+            return self._per_user_mechanism.theta_at_cap(population, cap)
+        return _throughputs_at_rhos(population, cap / population.alphas)
+
+    def cap_upper_bound(self, population: Population) -> float:
+        if self.per_user or len(population) == 0:
+            return super().cap_upper_bound(population)
+        return float(np.max(population.alphas * population.theta_hats))
+
     def allocate(self, population: Population, demands: Sequence[float],
                  nu: float) -> np.ndarray:
         demands_arr = _validate_inputs(population, demands, nu)
@@ -306,7 +364,7 @@ class AlphaFairAllocation(RateAllocationMechanism):
         unconstrained = weights * population.theta_hats
         offered = float(np.sum(unconstrained))
         target = min(nu, offered)
-        if target >= offered - _UNCONGESTED_SLACK:
+        if offered - target <= _UNCONGESTED_SLACK * offered:
             return population.theta_hats.copy()
         if target <= 0.0:
             return np.where(weights > 0.0, 0.0, population.theta_hats)
@@ -335,7 +393,7 @@ class ProportionalFairAllocation(AlphaFairAllocation):
         super().__init__(alpha=1.0, per_user=per_user)
 
 
-class StrictPriorityAllocation(RateAllocationMechanism):
+class StrictPriorityAllocation(CommonCapAllocation):
     """Strict priority among providers, in a caller-supplied order.
 
     Providers earlier in ``priority_order`` are served to their unconstrained
@@ -344,6 +402,13 @@ class StrictPriorityAllocation(RateAllocationMechanism):
     paper's axioms — but it is the canonical example of a *non-neutral*
     discipline, and is used in tests and ablation benchmarks to show how the
     substrate changes the games' conclusions.
+
+    The cap is a position ``s`` in ``[0, n]`` along the population's own
+    priority order: the providers ranked below ``floor(s)`` are saturated,
+    the next one carries the fraction ``s - floor(s)`` of its
+    unconstrained load, and the rest get nothing.  A position only has a
+    meaning for one population, so the CP partition game, which reads
+    every class's level against the whole population, rejects it.
     """
 
     def __init__(self, priority_order: Optional[Sequence[str]] = None) -> None:
@@ -361,6 +426,15 @@ class StrictPriorityAllocation(RateAllocationMechanism):
             range(len(population)),
             key=lambda i: position.get(population.names[i], len(position)),
         )
+
+    def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
+        ranks = np.empty(len(population))
+        ranks[self._ordered_indices(population)] = np.arange(len(population))
+        fills = np.clip(cap - ranks, 0.0, 1.0)
+        return _throughputs_at_rhos(population, fills * population.theta_hats)
+
+    def cap_upper_bound(self, population: Population) -> float:
+        return float(len(population))
 
     def allocate(self, population: Population, demands: Sequence[float],
                  nu: float) -> np.ndarray:
@@ -388,60 +462,3 @@ class StrictPriorityAllocation(RateAllocationMechanism):
                 thetas[i] = remaining / weight
                 remaining = 0.0
         return thetas
-
-
-def fixed_point_allocation(mechanism: RateAllocationMechanism,
-                           population: Population, nu: float, *,
-                           damping: float = 0.5, max_iterations: int = 10_000,
-                           tolerance: float = 1e-9) -> np.ndarray:
-    """Solve the demand/allocation fixed point for an arbitrary mechanism.
-
-    This is the generic (slow) path used by the rate-equilibrium solver when
-    the mechanism is not cap-based: iterate
-    ``theta <- (1 - damping) * theta + damping * allocate(d(theta), nu)``
-    until the profile stabilises.  Steep demand functions can make the
-    un-damped map expansive, so the damping factor is halved whenever the
-    step size stops shrinking; this adaptive relaxation converges for every
-    mechanism satisfying the paper's axioms.
-
-    Raises
-    ------
-    ConvergenceError
-        If the iteration does not reach ``tolerance`` within
-        ``max_iterations`` steps.
-    """
-    if not 0.0 < damping <= 1.0:
-        raise ModelValidationError(f"damping must lie in (0, 1], got {damping!r}")
-    thetas = population.theta_hats.copy()
-    if len(population) == 0:
-        return thetas
-    scale = float(np.max(population.theta_hats))
-    gamma = damping
-    best_residual = math.inf
-    stalled = 0
-    residual = math.inf
-    for iteration in range(max_iterations):
-        demands = population.demands_at(thetas)
-        updated = mechanism.allocate(population, demands, nu)
-        step = gamma * (updated - thetas)
-        thetas = thetas + step
-        residual = float(np.max(np.abs(step)))
-        if residual <= tolerance * max(1.0, scale):
-            return thetas
-        # A period-two oscillation leaves the step size roughly constant, so
-        # progress is judged against the best residual seen so far rather
-        # than the immediately preceding one.
-        if residual < 0.9 * best_residual:
-            best_residual = residual
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 5:
-                gamma = max(gamma * 0.5, _DAMPING_FLOOR)
-                stalled = 0
-                best_residual = residual
-    raise ConvergenceError(
-        "fixed-point allocation did not converge",
-        residual=residual,
-        iterations=max_iterations,
-    )

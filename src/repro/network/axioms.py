@@ -3,9 +3,13 @@
 The paper's results hold for *any* mechanism satisfying the four axioms, so
 the library ships a checker that exercises a mechanism against a population
 over a grid of capacities and reports which axioms hold (within numerical
-tolerance).  This is used in the test-suite (including property-based tests)
-and lets downstream users validate custom mechanisms before plugging them
-into the game layer.
+tolerance).  A :class:`~repro.network.allocation.CommonCapAllocation` is
+checked at its rate equilibria.  Only such a mechanism can be solved or
+played; a plain :class:`~repro.network.allocation.RateAllocationMechanism`
+(a hand-written one, say) is still screened here, at its Definition-1
+allocation of unit demands, so a candidate can be checked against the
+axioms before it is given a Theorem-1 level.  This is used in the
+test-suite (including property-based tests).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import AxiomViolationError, ModelValidationError
-from repro.network.allocation import RateAllocationMechanism
+from repro.network.allocation import CommonCapAllocation, RateAllocationMechanism
 from repro.network.equilibrium import solve_rate_equilibrium
 from repro.network.provider import Population
 
@@ -62,12 +66,25 @@ class AxiomReport:
             raise AxiomViolationError(axiom, message)
 
 
+def _profile(mechanism: RateAllocationMechanism, population: Population,
+             nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(thetas, demands)`` the axioms are checked on at capacity ``nu``:
+    the rate equilibrium of a cap mechanism, otherwise the Definition-1
+    allocation of unit demands (the only way to screen a mechanism that
+    has no Theorem-1 level yet)."""
+    if isinstance(mechanism, CommonCapAllocation):
+        equilibrium = solve_rate_equilibrium(population, nu, mechanism)
+        return equilibrium.thetas, equilibrium.demands
+    demands = np.ones(len(population))
+    return mechanism.allocate(population, demands, nu), demands
+
+
 def check_axioms(mechanism: RateAllocationMechanism, population: Population,
                  nu_grid: Optional[Sequence[float]] = None, *,
                  tolerance: float = _DEFAULT_TOLERANCE,
                  scale_factors: Sequence[float] = (0.5, 2.0, 10.0),
                  ) -> AxiomReport:
-    """Check Axioms 1-4 on equilibrium allocations over a capacity grid.
+    """Check Axioms 1-4 on the mechanism's allocations over a capacity grid.
 
     Parameters
     ----------
@@ -104,8 +121,7 @@ def check_axioms(mechanism: RateAllocationMechanism, population: Population,
     theta_hats = population.theta_hats
 
     for nu in nu_values:
-        equilibrium = solve_rate_equilibrium(population, nu, mechanism)
-        thetas = equilibrium.thetas
+        thetas, demands = _profile(mechanism, population, nu)
 
         # Axiom 1: theta_i <= theta_hat_i.
         excess = np.max(thetas - theta_hats)
@@ -115,7 +131,7 @@ def check_axioms(mechanism: RateAllocationMechanism, population: Population,
 
         # Axiom 2: aggregate = min(nu, unconstrained load).
         expected = min(nu, full_load)
-        actual = equilibrium.aggregate_rate
+        actual = float(np.sum(population.alphas * (demands * thetas)))
         if abs(actual - expected) > tolerance * max(1.0, expected):
             report.record("Axiom2",
                           f"aggregate rate {actual:.6g} != min(nu, load) = "
@@ -135,14 +151,13 @@ def check_axioms(mechanism: RateAllocationMechanism, population: Population,
     # custom mechanism could still smuggle in absolute quantities, so verify
     # explicitly on a congested point of the grid.
     congested_nu = nu_values[len(nu_values) // 3]
-    base = solve_rate_equilibrium(population, congested_nu, mechanism)
+    base, _ = _profile(mechanism, population, congested_nu)
     for factor in scale_factors:
         if factor <= 0.0:
             raise ModelValidationError("scale factors must be positive")
-        scaled = solve_rate_equilibrium(population, congested_nu * factor / factor,
-                                        mechanism)
-        difference = float(np.max(np.abs(scaled.thetas - base.thetas))) \
-            if len(population) else 0.0
+        scaled, _ = _profile(mechanism, population,
+                             congested_nu * factor / factor)
+        difference = float(np.max(np.abs(scaled - base)))
         if difference > tolerance * max(1.0, float(np.max(theta_hats))):
             report.record("Axiom4",
                           f"allocation changes by {difference:.3e} under scale "

@@ -7,20 +7,16 @@ Axioms 1-3 (Theorem 1 of the paper).  By Axiom 4 the equilibrium depends on
 consumers and capacity only through the per-capita capacity ``nu = mu / M``
 (Lemma 1), so the solver works entirely in per-capita terms.
 
-Two solution paths are provided:
-
-* an exact path for :class:`~repro.network.allocation.CommonCapAllocation`
-  mechanisms (including the paper's max-min fair mechanism): the equilibrium
-  is characterised by a scalar throughput cap, the root of the
-  work-conservation equation of Axiom 2.  One bracketed Illinois secant
-  (:meth:`CommonCapProfile.solve_cap`) finds that root for every such
-  mechanism from a per-profile scalar carried-load evaluation; for the
-  paper's workload (max-min fairness with Equation-(3) demand) that
-  evaluation is a sorted-prefix lookup plus a tail pass and the root takes
-  about ten of them.  A capacity grid (:func:`solve_common_caps`) runs the
-  same solver once per point, so the batched engine of
-  :mod:`repro.simulation.batch` and the scalar path agree bit-for-bit;
-* a generic damped fixed-point iteration for arbitrary mechanisms.
+Every mechanism is a :class:`~repro.network.allocation.CommonCapAllocation`,
+so the equilibrium is characterised by a scalar congestion level (the cap),
+the root of the work-conservation equation of Axiom 2.  One bracketed
+Illinois secant (:meth:`CommonCapProfile.solve_cap`) finds that root for
+every mechanism from a per-profile scalar carried-load evaluation; for the
+paper's workload (max-min fairness with Equation-(3) demand) that
+evaluation is a sorted-prefix lookup plus a tail pass and the root takes
+about ten of them.  A capacity grid (:func:`solve_common_caps`) runs the
+same solver once per point, so the batched engine of
+:mod:`repro.simulation.batch` and the scalar path agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from repro.network.allocation import (
     CommonCapAllocation,
     MaxMinFairAllocation,
     RateAllocationMechanism,
-    fixed_point_allocation,
 )
 from repro.network.provider import Population
 
@@ -66,15 +61,15 @@ _BISECTION_ITERATIONS = 200
 #: ~47 steps of plain bisection.
 _SECANT_GRACE_STEPS = 10
 _SQRT_HALF = math.sqrt(0.5)
-#: Bracket-width stopping rule (relative to the cap upper bound).
+#: Bracket-width stopping rule (relative to the bracket's upper end).
 _CAP_WIDTH_TOLERANCE = 1e-14
 #: Carried-load residual stopping rule (relative to the target): the cap
 #: solvers exit as soon as the work-conservation equation is satisfied to
 #: this tolerance, instead of always burning the full iteration budget.
 _RESIDUAL_TOLERANCE = 1e-13
-#: Slack below the unconstrained load within which a capacity counts as
-#: uncongested (the solver would otherwise chase a root at the bracket
-#: edge that rounding already erased).
+#: Slack below the unconstrained load, relative to it, within which a
+#: capacity counts as uncongested (the solver would otherwise chase a root
+#: at the bracket edge that rounding already erased).
 _UNCONGESTED_SLACK = 1e-15
 #: Slack on the congestion predicate ``nu < unconstrained_load`` exposed by
 #: :attr:`RateEquilibrium.is_congested`.
@@ -111,9 +106,9 @@ class RateEquilibrium:
     thetas: np.ndarray
     demands: np.ndarray
     mechanism_name: str = "MaxMinFairAllocation"
-    #: For cap-parameterised mechanisms: the common throughput cap at
-    #: equilibrium (``+inf`` when the class is uncongested, ``0`` when it has
-    #: no capacity).  Used by the competitive-equilibrium "throughput-taking"
+    #: The mechanism's congestion level (Theorem-1 cap) at equilibrium
+    #: (``+inf`` when the class is uncongested, ``0`` when it has no
+    #: capacity).  Used by the competitive-equilibrium "throughput-taking"
     #: estimator of Definition 3.
     common_cap: float = float("inf")
 
@@ -185,28 +180,6 @@ class RateEquilibrium:
         }
 
 
-def _empty_equilibrium(population: Population, nu: float,
-                       mechanism: RateAllocationMechanism) -> RateEquilibrium:
-    return RateEquilibrium(
-        population=population,
-        nu=nu,
-        thetas=np.zeros(0),
-        demands=np.zeros(0),
-        mechanism_name=type(mechanism).__name__,
-    )
-
-
-def _zero_capacity_equilibrium(population: Population,
-                               mechanism: RateAllocationMechanism,
-                               nu: float) -> RateEquilibrium:
-    """Equilibrium when ``nu`` is zero: no throughput can be carried."""
-    thetas = np.zeros(len(population))
-    demands = population.demands_at(thetas)
-    return RateEquilibrium(population, nu, thetas, demands,
-                           mechanism_name=type(mechanism).__name__,
-                           common_cap=0.0)
-
-
 # --------------------------------------------------------------------------- #
 # Carried-load profiles and the cap solvers
 # --------------------------------------------------------------------------- #
@@ -266,7 +239,8 @@ class CommonCapProfile:
         The iteration exits when ``|carried(cap) - target|`` falls to
         ``residual_tolerance * target`` (relative: a fixed absolute bound
         would accept any tiny cap for a tiny target), when the bracket is
-        narrower than ``_CAP_WIDTH_TOLERANCE * max(1, upper)``, or after
+        narrower than ``_CAP_WIDTH_TOLERANCE * high`` (relative too: caps
+        far below 1 are resolved to the same precision), or after
         ``_BISECTION_ITERATIONS`` steps.  The result depends only on the
         profile and the arguments: it is never warm-started from an earlier
         cap, so cached caps do not depend on the order they were computed in.
@@ -276,11 +250,11 @@ class CommonCapProfile:
         if nu <= 0.0:
             return 0.0
         target = min(nu, self.unconstrained_load)
-        if (nu >= self.unconstrained_load - _UNCONGESTED_SLACK
-                or self.carried_at_upper() <= target + _UNCONGESTED_SLACK):
+        slack = _UNCONGESTED_SLACK * self.unconstrained_load
+        if (nu >= self.unconstrained_load - slack
+                or self.carried_at_upper() <= target + slack):
             return math.inf
         residual_tol = residual_tolerance * target
-        width_tol = _CAP_WIDTH_TOLERANCE * max(1.0, self.upper)
         low, high = 0.0, self.upper
         low_residual = -target
         high_residual = self.carried_at_upper() - target
@@ -307,7 +281,7 @@ class CommonCapProfile:
                 if moved > 0:
                     low_residual *= 0.5
                 moved = 1
-            if high - low <= width_tol:
+            if high - low <= _CAP_WIDTH_TOLERANCE * high:
                 return high
         return high
 
@@ -330,7 +304,8 @@ class GenericCapProfile(CommonCapProfile):
 
     Its carried load has no sorted-prefix shortcut: each evaluation
     recomputes the mechanism's throughput profile at the cap and the
-    demands there, one ``O(n)`` pass.
+    demands there, one ``O(n)`` pass (one per bisection step where the
+    profile inverts ``rho``: alpha-fair and strict priority).
     """
 
     def __init__(self, population: Population,
@@ -587,8 +562,15 @@ def common_cap_profile(population: Population,
     The max-min + all-exponential fast path (the paper's workload) is cached
     on the population; everything else gets the generic profile.  The
     choice is a function of (population, mechanism) only, so the scalar and
-    batched solvers always agree on the numerics.
+    batched solvers always agree on the numerics.  Every solver reaches its
+    mechanism through here, so a mechanism without a Theorem-1 level (a
+    plain :class:`~repro.network.allocation.RateAllocationMechanism`) is
+    rejected here with :class:`ModelValidationError`.
     """
+    if not isinstance(mechanism, CommonCapAllocation):
+        raise ModelValidationError(
+            f"{type(mechanism).__name__} is not a CommonCapAllocation: "
+            "only a mechanism with a Theorem-1 level can be solved")
     if type(mechanism) is MaxMinFairAllocation:
         profile = exponential_profile(population)
         if profile is not None:
@@ -636,40 +618,16 @@ def common_cap_row(population: Population, mechanism: CommonCapAllocation,
     The one per-row function behind every per-provider view of a
     cap-defined equilibrium (scalar solves, batch rows and matrices,
     streamed service rows), so they all agree bit for bit.  An infinite
-    (uncongested) cap is evaluated at the mechanism's saturation cap.
+    (uncongested) cap gives every provider exactly ``theta_hat``.
     """
     if len(population) == 0:
         return np.zeros(0), np.zeros(0)
-    if not math.isfinite(cap):
-        cap = mechanism.cap_upper_bound(population)
     thetas = mechanism.theta_at_cap(population, cap)
     return thetas, population.demands_at(thetas)
 
 
-def _common_cap_equilibrium(population: Population, nu: float,
-                            mechanism: CommonCapAllocation,
-                            config: Optional[SolverConfig] = None
-                            ) -> RateEquilibrium:
-    """Exact equilibrium for cap-parameterised mechanisms.
-
-    The equilibrium profile is ``theta_i = theta_i(cap)`` where the cap solves
-    the work-conservation equation
-    ``sum_i alpha_i d_i(theta_i(cap)) theta_i(cap) = min(nu, sum_i alpha_i theta_hat_i)``.
-    The left side is continuous and non-decreasing in the cap (demands are
-    non-decreasing in throughput by Assumption 1), so a bracketed root
-    search finds the unique solution of Theorem 1.  The cap comes from the
-    grid solver with a one-element grid and the profile from
-    :func:`common_cap_row`, so a scalar solve equals its batch row.
-    """
-    cap = float(solve_common_caps(population, (nu,), mechanism, config)[0])
-    thetas, demands = common_cap_row(population, mechanism, cap)
-    return RateEquilibrium(population, nu, thetas, demands,
-                           mechanism_name=type(mechanism).__name__,
-                           common_cap=cap)
-
-
 def solve_rate_equilibrium(population: Population, nu: float,
-                           mechanism: Optional[RateAllocationMechanism] = None,
+                           mechanism: Optional[CommonCapAllocation] = None,
                            config: Optional[SolverConfig] = None,
                            ) -> RateEquilibrium:
     """Compute the unique rate equilibrium of ``(M, mu, N)`` at ``nu = mu/M``.
@@ -694,21 +652,25 @@ def solve_rate_equilibrium(population: Population, nu: float,
     -------
     RateEquilibrium
         Equilibrium throughput/demand profile and derived surplus accessors.
+
+    The equilibrium profile is ``theta_i = theta_i(cap)`` where the cap solves
+    the work-conservation equation
+    ``sum_i alpha_i d_i(theta_i(cap)) theta_i(cap) = min(nu, sum_i alpha_i theta_hat_i)``.
+    The left side is continuous and non-decreasing in the cap (demands are
+    non-decreasing in throughput by Assumption 1), so a bracketed root
+    search finds the unique solution of Theorem 1.  The cap comes from the
+    grid solver with a one-element grid and the profile from
+    :func:`common_cap_row`, so a scalar solve equals its batch row.
     """
     if not math.isfinite(nu) or nu < 0.0:
         raise ModelValidationError(f"per-capita capacity must be >= 0, got {nu!r}")
     if mechanism is None:
         mechanism = MaxMinFairAllocation()
-    if len(population) == 0:
-        return _empty_equilibrium(population, nu, mechanism)
-    if nu == 0.0:
-        return _zero_capacity_equilibrium(population, mechanism, nu)
-    if isinstance(mechanism, CommonCapAllocation):
-        return _common_cap_equilibrium(population, nu, mechanism, config)
-    thetas = fixed_point_allocation(mechanism, population, nu)
-    demands = population.demands_at(thetas)
+    cap = float(solve_common_caps(population, (nu,), mechanism, config)[0])
+    thetas, demands = common_cap_row(population, mechanism, cap)
     return RateEquilibrium(population, nu, thetas, demands,
-                           mechanism_name=type(mechanism).__name__)
+                           mechanism_name=type(mechanism).__name__,
+                           common_cap=cap)
 
 
 # --------------------------------------------------------------------------- #

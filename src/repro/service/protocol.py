@@ -55,9 +55,9 @@ from repro.cache import LRUCache
 from repro.config import SolverConfig, resolve_config
 from repro.errors import ModelValidationError
 from repro.network.allocation import (
+    CommonCapAllocation,
     MaxMinFairAllocation,
     ProportionalToDemandAllocation,
-    RateAllocationMechanism,
 )
 from repro.network.provider import Population
 from repro.simulation.batch import BatchRateEquilibrium
@@ -77,7 +77,7 @@ __all__ = [
 #: (parameter-free) mechanisms, so equal names share solver-cache entries.
 MECHANISM_NAMES: Tuple[str, ...] = ("maxmin", "proportional_to_demand")
 
-_MECHANISMS: Dict[str, RateAllocationMechanism] = {
+_MECHANISMS: Dict[str, CommonCapAllocation] = {
     "maxmin": MaxMinFairAllocation(),
     "proportional_to_demand": ProportionalToDemandAllocation(),
 }
@@ -126,7 +126,7 @@ class SolveRequest:
 
     population: Population
     mechanism_name: str
-    mechanism: RateAllocationMechanism
+    mechanism: CommonCapAllocation
     nus: Tuple[float, ...]
     price: Optional[float]
     detail: bool

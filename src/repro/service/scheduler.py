@@ -55,7 +55,7 @@ from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.config import SolverConfig, resolve_config
-from repro.network.allocation import RateAllocationMechanism
+from repro.network.allocation import CommonCapAllocation
 from repro.network.equilibrium import mechanism_cache_key
 from repro.network.provider import Population
 from repro.simulation.batch import (
@@ -97,7 +97,7 @@ class _PendingEntry:
 @dataclass
 class _PendingBatch:
     population: Population
-    mechanism: Optional[RateAllocationMechanism]
+    mechanism: Optional[CommonCapAllocation]
     config: SolverConfig
     timer: asyncio.TimerHandle
     entries: List[_PendingEntry] = field(default_factory=list)
@@ -144,7 +144,7 @@ class MicroBatchScheduler:
     # Public API
     # ------------------------------------------------------------------ #
     async def solve(self, population: Population, nus: Tuple[float, ...],
-                    mechanism: Optional[RateAllocationMechanism],
+                    mechanism: Optional[CommonCapAllocation],
                     config: Optional[SolverConfig] = None
                     ) -> Tuple[BatchRateEquilibrium, int, bool]:
         """One request's equilibria: ``(batch, fused_batch_size, coalesced)``.

@@ -19,10 +19,8 @@ the Theorem-1 cap.  This module:
   service's repeated grids and any CP game whose class holds every CP share
   their caps.
 
-Only cap-parameterised mechanisms have a batch; the scalar
-:func:`repro.network.equilibrium.solve_rate_equilibrium` solves any other
-mechanism by fixed-point iteration.  For a cap mechanism it runs the same
-cap solver and builds its profile with the same row function
+The scalar :func:`repro.network.equilibrium.solve_rate_equilibrium` runs
+the same cap solver and builds its profile with the same row function
 (:func:`repro.network.equilibrium.common_cap_row`), so batch and scalar
 results are bit-for-bit identical — a property the test suite asserts
 across mechanisms and demand families.
@@ -38,11 +36,7 @@ import numpy as np
 
 from repro.config import SolverConfig
 from repro.errors import ModelValidationError
-from repro.network.allocation import (
-    CommonCapAllocation,
-    MaxMinFairAllocation,
-    RateAllocationMechanism,
-)
+from repro.network.allocation import CommonCapAllocation, MaxMinFairAllocation
 from repro.network.equilibrium import (
     ExponentialMaxMinProfile,
     RateEquilibrium,
@@ -225,12 +219,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _checked_grid(nus: Sequence[float],
-                  mechanism: Optional[RateAllocationMechanism],
+                  mechanism: Optional[CommonCapAllocation],
                   ) -> tuple[np.ndarray, CommonCapAllocation]:
     """The capacity grid as an array, and the (default max-min) mechanism.
 
-    Raises :class:`ModelValidationError` for an invalid grid or a mechanism
-    without a Theorem-1 cap.
+    Raises :class:`ModelValidationError` for an invalid grid.
     """
     nus_arr = np.asarray([float(nu) for nu in nus], dtype=float)
     if nus_arr.ndim != 1:
@@ -238,28 +231,20 @@ def _checked_grid(nus: Sequence[float],
     if np.any(~np.isfinite(nus_arr)) or np.any(nus_arr < 0.0):
         raise ModelValidationError(
             "per-capita capacities must all be finite and >= 0")
-    if mechanism is None:
-        return nus_arr, MaxMinFairAllocation()
-    if not isinstance(mechanism, CommonCapAllocation):
-        raise ModelValidationError(
-            f"{type(mechanism).__name__} has no Theorem-1 cap, so it has no "
-            "batched solve; use solve_rate_equilibrium per capacity")
-    return nus_arr, mechanism
+    return nus_arr, mechanism if mechanism is not None else MaxMinFairAllocation()
 
 
 def solve_rate_equilibria(population: Population, nus: Sequence[float],
-                          mechanism: Optional[RateAllocationMechanism] = None,
+                          mechanism: Optional[CommonCapAllocation] = None,
                           config: Optional[SolverConfig] = None,
                           ) -> BatchRateEquilibrium:
     """Rate equilibria of ``population`` at every capacity in ``nus`` at once.
 
     The batched counterpart of
-    :func:`~repro.network.equilibrium.solve_rate_equilibrium` for
-    cap-parameterised mechanisms (the paper's max-min fair mechanism
-    included): the grid's caps come from one ``solve_caps`` call and are
-    all the batch stores.  Degenerate grid points (``nu = 0``, uncongested
-    capacities, empty populations) are handled exactly like the scalar
-    path.  A mechanism without a cap raises :class:`ModelValidationError`.
+    :func:`~repro.network.equilibrium.solve_rate_equilibrium`: the grid's
+    caps come from one ``solve_caps`` call and are all the batch stores.
+    Degenerate grid points (``nu = 0``, uncongested capacities, empty
+    populations) are handled exactly like the scalar path.
     """
     nus_arr, mechanism = _checked_grid(nus, mechanism)
     caps = solve_common_caps(population, nus_arr, mechanism, config)
@@ -268,7 +253,7 @@ def solve_rate_equilibria(population: Population, nus: Sequence[float],
 
 
 def warm_equilibrium_cache(population: Population, nus: Sequence[float],
-                           mechanism: Optional[RateAllocationMechanism] = None,
+                           mechanism: Optional[CommonCapAllocation] = None,
                            config: Optional[SolverConfig] = None,
                            ) -> BatchRateEquilibrium:
     """:func:`solve_rate_equilibria` read through the class-cap cache.

@@ -22,7 +22,7 @@ from repro.config import SolverConfig
 from repro.core.duopoly import DuopolyGame
 from repro.core.monopoly import MonopolyGame
 from repro.core.strategy import ISPStrategy, PUBLIC_OPTION_STRATEGY
-from repro.network.allocation import RateAllocationMechanism
+from repro.network.allocation import CommonCapAllocation
 from repro.network.provider import Population
 from repro.simulation.results import Series, SweepResult
 
@@ -36,7 +36,7 @@ __all__ = [
 
 def monopoly_price_sweep(population: Population, nus: Iterable[float],
                          prices: Sequence[float], kappa: float = 1.0,
-                         mechanism: Optional[RateAllocationMechanism] = None,
+                         mechanism: Optional[CommonCapAllocation] = None,
                          config: Optional[SolverConfig] = None,
                          ) -> tuple[SweepResult, SweepResult]:
     """ISP surplus and consumer surplus versus premium price (Figure 4).
@@ -64,7 +64,7 @@ def monopoly_price_sweep(population: Population, nus: Iterable[float],
 def monopoly_capacity_sweep(population: Population,
                             strategies: Sequence[ISPStrategy],
                             nus: Sequence[float],
-                            mechanism: Optional[RateAllocationMechanism] = None,
+                            mechanism: Optional[CommonCapAllocation] = None,
                             config: Optional[SolverConfig] = None,
                             ) -> tuple[SweepResult, SweepResult]:
     """ISP surplus and consumer surplus versus capacity (Figure 5).
@@ -95,7 +95,7 @@ def duopoly_price_sweep(population: Population, nus: Iterable[float],
                         prices: Sequence[float], kappa: float = 1.0,
                         strategic_capacity_share: float = 0.5,
                         opponent_strategy: ISPStrategy = PUBLIC_OPTION_STRATEGY,
-                        mechanism: Optional[RateAllocationMechanism] = None,
+                        mechanism: Optional[CommonCapAllocation] = None,
                         config: Optional[SolverConfig] = None,
                         ) -> tuple[SweepResult, SweepResult, SweepResult]:
     """Market share, ISP surplus and consumer surplus vs price (Figure 7).
@@ -139,7 +139,7 @@ def duopoly_capacity_sweep(population: Population,
                            nus: Sequence[float],
                            strategic_capacity_share: float = 0.5,
                            opponent_strategy: ISPStrategy = PUBLIC_OPTION_STRATEGY,
-                           mechanism: Optional[RateAllocationMechanism] = None,
+                           mechanism: Optional[CommonCapAllocation] = None,
                            config: Optional[SolverConfig] = None,
                            ) -> tuple[SweepResult, SweepResult, SweepResult]:
     """Market share, ISP surplus and consumer surplus vs capacity (Figure 8)."""

@@ -15,7 +15,10 @@ from repro.core.cp_game import (
 from repro.core.strategy import ISPStrategy, PUBLIC_OPTION_STRATEGY
 from repro.network.allocation import (
     AlphaFairAllocation,
+    MaxMinFairAllocation,
     ProportionalToDemandAllocation,
+    StrictPriorityAllocation,
+    WeightedFairAllocation,
 )
 from repro.network.demand import (
     ConstantElasticityDemand,
@@ -31,7 +34,11 @@ from repro.network.equilibrium import (
     solve_rate_equilibrium,
 )
 from repro.network.provider import ContentProvider, Population
-from repro.workloads.populations import PopulationSpec, random_population
+from repro.workloads.populations import (
+    PopulationSpec,
+    paper_population,
+    random_population,
+)
 
 
 def rich_and_poor_population():
@@ -206,14 +213,54 @@ class TestCompetitiveEquilibrium:
         with pytest.raises(ModelValidationError):
             CPPartitionGame(two_provider_population, -1.0, ISPStrategy(0.5, 0.5))
 
-    def test_max_member_estimator_also_converges(self, medium_random_population):
-        """A mechanism without a common cap estimates a class's throughput
-        by its largest member throughput (the paper's literal rule)."""
+    def test_alpha_fair_game_converges(self, medium_random_population):
+        """Under alpha-fairness a CP estimates its throughput at the class's
+        water level, inverting its own ``rho``."""
         game = CPPartitionGame(medium_random_population, 3.0, ISPStrategy(0.6, 0.4),
                                AlphaFairAllocation(alpha=1.0))
         outcome = game.competitive_equilibrium()
         assert outcome.converged
         assert game.verify_competitive(outcome) == []
+
+    def test_strict_priority_rejected(self, two_provider_population):
+        # A priority position means something for one population only.
+        with pytest.raises(ModelValidationError, match="strict priority"):
+            CPPartitionGame(two_provider_population, 1.0, ISPStrategy(0.5, 0.5),
+                            StrictPriorityAllocation())
+
+
+#: Every cap mechanism a CP game accepts.
+GAME_MECHANISMS = [
+    pytest.param(MaxMinFairAllocation(), id="maxmin"),
+    pytest.param(WeightedFairAllocation({"cp-0000": 3.0, "cp-0001": 0.2}),
+                 id="weighted-fair"),
+    pytest.param(ProportionalToDemandAllocation(), id="proportional-to-demand"),
+    pytest.param(AlphaFairAllocation(alpha=1.0), id="alpha-fair"),
+    pytest.param(AlphaFairAllocation(per_user=True), id="alpha-fair-per-user"),
+]
+
+
+@pytest.mark.parametrize("mechanism", GAME_MECHANISMS)
+@pytest.mark.parametrize("premium_every", [0, 3])
+def test_member_estimates_equal_class_equilibrium(mechanism, premium_every):
+    """A member's throughput-taking estimate in its own class is exactly its
+    rho at the class's rate equilibrium, whatever mechanism runs inside."""
+    population = paper_population(50, seed=3)
+    nu = 0.4 * population.unconstrained_per_capita_load
+    game = CPPartitionGame(population, nu, ISPStrategy(0.5, 0.3), mechanism)
+    premium = np.zeros(len(population), dtype=bool)
+    if premium_every:
+        premium[::premium_every] = True
+    for members, class_nu in ((~premium, game.ordinary_nu),
+                              (premium, game.premium_nu)):
+        count = int(np.count_nonzero(members))
+        if count == 0:
+            continue
+        cap = game._class_cap_for_mask(members, count, class_nu)
+        estimates = game._rho_at_cap(cap)[members]
+        oracle = solve_rate_equilibrium(
+            population.subset(np.flatnonzero(members)), class_nu, mechanism)
+        assert estimates.tolist() == oracle.rhos.tolist()
 
 
 class TestClassCapMemo:
@@ -410,7 +457,7 @@ class TestOutcomesMatchClassOracle:
 
     @pytest.mark.parametrize("mechanism", [
         pytest.param(ProportionalToDemandAllocation(), id="common-cap"),
-        pytest.param(AlphaFairAllocation(alpha=1.0), id="fixed-point"),
+        pytest.param(AlphaFairAllocation(alpha=1.0), id="alpha-fair"),
     ])
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("load_fraction", [0.0, 0.3, 0.9])

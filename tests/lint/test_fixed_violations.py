@@ -33,7 +33,6 @@ class TestHoistedToleranceConstants:
         assert allocation._DEMAND_RANGE_SLACK == 1e-12
         assert allocation._UNCONGESTED_SLACK == 1e-15
         assert allocation._WEIGHT_FLOOR == 1e-300
-        assert allocation._DAMPING_FLOOR == 1e-4
 
     def test_migration_constants(self):
         from repro.core import migration

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError, ModelValidationError
+from repro.errors import ModelValidationError
 from repro.network.allocation import (
     AlphaFairAllocation,
     MaxMinFairAllocation,
@@ -13,7 +13,6 @@ from repro.network.allocation import (
     ProportionalToDemandAllocation,
     StrictPriorityAllocation,
     WeightedFairAllocation,
-    fixed_point_allocation,
 )
 from repro.network.provider import ContentProvider, Population
 
@@ -182,25 +181,3 @@ class TestStrictPriority:
         # elastic comes first in the population, load 1.0 == nu -> it saturates.
         assert thetas[0] == pytest.approx(1.0, rel=1e-6)
         assert thetas[1] == pytest.approx(0.0, abs=1e-9)
-
-
-class TestFixedPointAllocation:
-    def test_matches_cap_solver_for_maxmin(self, google_netflix_skype):
-        from repro.network.equilibrium import solve_rate_equilibrium
-
-        nu = 2.0
-        reference = solve_rate_equilibrium(google_netflix_skype, nu,
-                                           MaxMinFairAllocation())
-        iterated = fixed_point_allocation(MaxMinFairAllocation(),
-                                          google_netflix_skype, nu)
-        np.testing.assert_allclose(iterated, reference.thetas, rtol=1e-4, atol=1e-6)
-
-    def test_invalid_damping(self, google_netflix_skype):
-        with pytest.raises(ModelValidationError):
-            fixed_point_allocation(MaxMinFairAllocation(), google_netflix_skype,
-                                   1.0, damping=0.0)
-
-    def test_non_convergence_raises(self, google_netflix_skype):
-        with pytest.raises(ConvergenceError):
-            fixed_point_allocation(MaxMinFairAllocation(), google_netflix_skype,
-                                   1.0, max_iterations=1, tolerance=1e-15)

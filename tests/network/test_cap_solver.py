@@ -22,9 +22,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.network.allocation import (
+    AlphaFairAllocation,
     CommonCapAllocation,
     MaxMinFairAllocation,
     ProportionalToDemandAllocation,
+    StrictPriorityAllocation,
     WeightedFairAllocation,
 )
 from repro.network.demand import LinearDemand, SigmoidDemand, StepDemand
@@ -80,7 +82,8 @@ def check_against_oracle(profile: CommonCapProfile,
     assert evaluations <= MAX_EVALUATIONS
     target = min(nu, profile.unconstrained_load)
     if np.isinf(cap):
-        assert nu >= profile.unconstrained_load - 1e-15
+        # The uncongested slack is relative to the load.
+        assert nu >= profile.unconstrained_load * (1.0 - 1e-15)
         return
     width_tolerance = WIDTH_TOLERANCE * max(1.0, profile.upper)
     value = profile.carried_scalar(cap)
@@ -161,7 +164,8 @@ def mixed_family_population(count: int = 60) -> Population:
 
 
 @pytest.fixture(scope="module",
-                params=["proportional", "weighted", "maxmin-mixed"])
+                params=["proportional", "weighted", "maxmin-mixed",
+                        "alpha-fair", "strict-priority"])
 def generic_profile(request) -> CommonCapProfile:
     population = paper_population(count=200)
     if request.param == "proportional":
@@ -170,6 +174,10 @@ def generic_profile(request) -> CommonCapProfile:
         mechanism = WeightedFairAllocation(
             {name: 1.0 + index % 5
              for index, name in enumerate(population.names[::3])})
+    elif request.param == "alpha-fair":
+        population, mechanism = mixed_family_population(), AlphaFairAllocation()
+    elif request.param == "strict-priority":
+        mechanism = StrictPriorityAllocation(population.names[::-2])
     else:
         population, mechanism = mixed_family_population(), MaxMinFairAllocation()
     profile = common_cap_profile(population, mechanism)

@@ -9,13 +9,31 @@ from repro.errors import ModelValidationError
 from repro.network.allocation import (
     AlphaFairAllocation,
     MaxMinFairAllocation,
+    ProportionalFairAllocation,
     ProportionalToDemandAllocation,
     StrictPriorityAllocation,
     WeightedFairAllocation,
 )
 from repro.network.equilibrium import solve_rate_equilibrium
-from repro.network.provider import Population
+from repro.network.provider import ContentProvider, Population
 from repro.workloads.populations import paper_population
+
+#: Every shipped mechanism, built for a given population.
+DEFINITION_1_MECHANISMS = [
+    pytest.param(lambda population: MaxMinFairAllocation(), id="maxmin"),
+    pytest.param(lambda population: WeightedFairAllocation(
+        {name: 3.0 for name in population.names[::3]}), id="weighted-fair"),
+    pytest.param(lambda population: ProportionalToDemandAllocation(),
+                 id="proportional-to-demand"),
+    pytest.param(lambda population: AlphaFairAllocation(alpha=2.0),
+                 id="alpha-fair"),
+    pytest.param(lambda population: AlphaFairAllocation(per_user=True),
+                 id="alpha-fair-per-user"),
+    pytest.param(lambda population: ProportionalFairAllocation(),
+                 id="proportional-fair"),
+    pytest.param(lambda population: StrictPriorityAllocation(
+        population.names[1::2]), id="strict-priority"),
+]
 
 
 class TestBasicProperties:
@@ -66,13 +84,17 @@ class TestBasicProperties:
 class TestTheorem1Uniqueness:
     """The equilibrium is a true fixed point and is insensitive to the solver path."""
 
-    def test_fixed_point_property(self, small_random_population):
-        mechanism = MaxMinFairAllocation()
-        nu = 2.0
-        equilibrium = solve_rate_equilibrium(small_random_population, nu, mechanism)
-        # Re-allocating with the equilibrium demands reproduces the thetas.
-        reallocated = mechanism.allocate(small_random_population,
-                                         equilibrium.demands, nu)
+    @pytest.mark.parametrize("make_mechanism", DEFINITION_1_MECHANISMS)
+    @pytest.mark.parametrize("fraction", [0.05, 0.3, 0.8])
+    def test_fixed_point_property(self, small_random_population,
+                                  make_mechanism, fraction):
+        """Definition 1 as the oracle: each mechanism's own ``allocate``,
+        fed the equilibrium demands, reproduces the equilibrium thetas."""
+        population = small_random_population
+        mechanism = make_mechanism(population)
+        nu = fraction * population.unconstrained_per_capita_load
+        equilibrium = solve_rate_equilibrium(population, nu, mechanism)
+        reallocated = mechanism.allocate(population, equilibrium.demands, nu)
         np.testing.assert_allclose(reallocated, equilibrium.thetas,
                                    rtol=1e-6, atol=1e-9)
 
@@ -83,14 +105,15 @@ class TestTheorem1Uniqueness:
                                    rtol=1e-9, atol=1e-12)
 
     def test_generic_solver_agrees_with_cap_solver(self, google_netflix_skype):
-        """The damped fixed-point path reaches the same (unique) equilibrium."""
+        """Per-user alpha-fairness takes the generic profile and reaches the
+        same (unique) equilibrium as the sorted max-min profile."""
         nu = 2.5
         cap_based = solve_rate_equilibrium(google_netflix_skype, nu,
                                            MaxMinFairAllocation())
         generic = solve_rate_equilibrium(google_netflix_skype, nu,
                                          AlphaFairAllocation(per_user=True))
         np.testing.assert_allclose(generic.thetas, cap_based.thetas,
-                                   rtol=1e-4, atol=1e-6)
+                                   rtol=1e-9, atol=1e-12)
 
 
 class TestLemma1Monotonicity:
@@ -195,8 +218,13 @@ class TestAlternativeMechanisms:
         lambda population: ProportionalToDemandAllocation(),
         lambda population: WeightedFairAllocation(
             {name: 2.0 for name in population.names[::2]}),
-    ], ids=["proportional-to-demand", "weighted-fair"])
-    @pytest.mark.parametrize("fraction", [1e-15, 1e-13, 1e-6, 0.3])
+        lambda population: AlphaFairAllocation(alpha=2.0),
+        lambda population: StrictPriorityAllocation(population.names[::-3]),
+    ], ids=["proportional-to-demand", "weighted-fair", "alpha-fair",
+            "strict-priority"])
+    # Alpha-fair and strict-priority levels invert rho_i down to targets
+    # hundreds of halvings below theta_hat at 1e-100.
+    @pytest.mark.parametrize("fraction", [1e-100, 1e-15, 1e-13, 1e-6, 0.3])
     def test_work_conservation_at_tiny_capacity(self, make_mechanism,
                                                 fraction):
         # Axiom 2: a congested equilibrium carries exactly nu, however
@@ -206,6 +234,23 @@ class TestAlternativeMechanisms:
         equilibrium = solve_rate_equilibrium(population, nu,
                                              make_mechanism(population))
         assert abs(equilibrium.aggregate_rate / nu - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("make_mechanism", DEFINITION_1_MECHANISMS)
+    def test_load_below_the_old_absolute_slack_is_congested(self,
+                                                            make_mechanism):
+        # The whole load (1e-300) is far below 1e-15, so an absolute
+        # uncongested slack of that size would call every capacity
+        # uncongested; half the load is congested and carries exactly nu.
+        population = Population([ContentProvider(
+            "tiny", alpha=1e-300, theta_hat=1.0, beta=0.0)])
+        mechanism = make_mechanism(population)
+        nu = 0.5 * population.unconstrained_per_capita_load
+        equilibrium = solve_rate_equilibrium(population, nu, mechanism)
+        assert 0.0 < equilibrium.common_cap < float("inf")
+        assert equilibrium.aggregate_rate == pytest.approx(nu, rel=1e-12)
+        reallocated = mechanism.allocate(population, equilibrium.demands, nu)
+        np.testing.assert_allclose(reallocated, equilibrium.thetas,
+                                   rtol=1e-9)
 
     def test_strict_priority_equilibrium(self, two_provider_population):
         mechanism = StrictPriorityAllocation(priority_order=["elastic", "streaming"])

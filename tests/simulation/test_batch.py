@@ -22,11 +22,12 @@ from repro.network.allocation import (
     CommonCapAllocation,
     MaxMinFairAllocation,
     ProportionalToDemandAllocation,
+    RateAllocationMechanism,
+    StrictPriorityAllocation,
     WeightedFairAllocation,
 )
 from repro.network.demand import (
     ConstantElasticityDemand,
-    ExponentialSensitivityDemand,
     LinearDemand,
     PiecewiseLinearDemand,
     SigmoidDemand,
@@ -181,14 +182,41 @@ class TestBatchMatchesScalar:
         with pytest.raises(ModelValidationError):
             solve_rate_equilibria(population, (float("nan"),))
 
+    @pytest.mark.parametrize("solve", [
+        solve_rate_equilibria,
+        warm_equilibrium_cache,
+        lambda population, nus, mechanism: solve_rate_equilibrium(
+            population, nus[0], mechanism),
+        lambda population, nus, mechanism: CPPartitionGame(
+            population, nus[0], ISPStrategy(0.5, 0.3), mechanism),
+    ], ids=["batch", "warm", "scalar", "cp-game"])
+    @pytest.mark.parametrize("nu", [0.0, 0.5])
+    def test_rejects_mechanism_without_cap(self, solve, nu):
+        # Every solver needs a Theorem-1 level; a plain Definition-1
+        # mechanism is refused by name before any solve.
+        class Truncating(RateAllocationMechanism):
+            def allocate(self, population, demands, nu):
+                return np.minimum(population.theta_hats, nu)
+
+        population = exponential_population()
+        with pytest.raises(ModelValidationError, match="Truncating"):
+            solve(population, (nu,), Truncating())
+
     @pytest.mark.parametrize("solve", [solve_rate_equilibria,
                                        warm_equilibrium_cache])
-    def test_rejects_mechanism_without_cap(self, solve):
-        # A batch is a cap vector; mechanisms without a Theorem-1 cap are
-        # solved point by point with ``solve_rate_equilibrium``.
-        population = exponential_population()
-        with pytest.raises(ModelValidationError, match="AlphaFairAllocation"):
-            solve(population, (0.5,), AlphaFairAllocation(alpha=1.0))
+    @pytest.mark.parametrize("mechanism", [
+        pytest.param(AlphaFairAllocation(alpha=1.0), id="alpha-fair"),
+        pytest.param(StrictPriorityAllocation(["linear", "cp-0007", "unit"]),
+                     id="strict-priority"),
+    ])
+    @pytest.mark.parametrize("make_population", POPULATIONS)
+    def test_demand_level_mechanisms_match_scalar(self, solve, mechanism,
+                                                  make_population):
+        # Their levels invert each provider's rho through its demand
+        # function; a batch is still a cap vector equal to scalar solves.
+        population = make_population()
+        batch = solve(population, grid_for(population), mechanism)
+        assert_equilibria_match(batch, population, mechanism)
 
     @given(count=st.integers(min_value=1, max_value=10),
            seed=st.integers(min_value=0, max_value=10_000),
