@@ -27,7 +27,6 @@ Quickstart::
 from repro.config import SolverConfig, use_config
 from repro.errors import (
     AxiomViolationError,
-    EquilibriumError,
     ModelValidationError,
     ReproError,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "ReproError",
     "ModelValidationError",
     "AxiomViolationError",
-    "EquilibriumError",
     # network substrate
     "ContentProvider",
     "Population",

@@ -8,9 +8,7 @@ raised by the individual subsystems:
   Assumption 1, strategies outside the feasible region) raise
   :class:`ModelValidationError`;
 * rate-allocation mechanisms that produce allocations violating the paper's
-  axioms raise :class:`AxiomViolationError`;
-* game solvers that cannot certify an equilibrium raise
-  :class:`EquilibriumError`.
+  axioms raise :class:`AxiomViolationError`.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ __all__ = [
     "ReproError",
     "ModelValidationError",
     "AxiomViolationError",
-    "EquilibriumError",
 ]
 
 
@@ -43,7 +40,3 @@ class AxiomViolationError(ReproError, AssertionError):
     def __init__(self, axiom: str, message: str) -> None:
         super().__init__(f"{axiom}: {message}")
         self.axiom = axiom
-
-
-class EquilibriumError(ReproError, RuntimeError):
-    """Raised when a game solver cannot produce or certify an equilibrium."""

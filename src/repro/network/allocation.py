@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 _BISECTION_ITERATIONS = 200
+#: Bracket width, relative to the bracket's upper end, at which the
+#: ``allocate`` bisections stop, so a tiny cap is resolved as finely as a
+#: large one.
 _BISECTION_TOLERANCE = 1e-12
 
 #: Halvings that take any bracket ``[0, theta_hat]`` of doubles down to
@@ -217,7 +220,7 @@ class CommonCapAllocation(RateAllocationMechanism):
                 low = mid
             else:
                 high = mid
-            if high - low <= _BISECTION_TOLERANCE * max(1.0, upper):
+            if high - low <= _BISECTION_TOLERANCE * high:
                 break
         return self.theta_at_cap(population, high)
 
@@ -377,7 +380,7 @@ class AlphaFairAllocation(CommonCapAllocation):
                 low = mid
             else:
                 high = mid
-            if high - low <= _BISECTION_TOLERANCE * max(1.0, high):
+            if high - low <= _BISECTION_TOLERANCE * high:
                 break
         aggregates = np.minimum(unconstrained, high)
         thetas = np.where(weights > 0.0,

@@ -71,9 +71,6 @@ _RESIDUAL_TOLERANCE = 1e-13
 #: capacity counts as uncongested (the solver would otherwise chase a root
 #: at the bracket edge that rounding already erased).
 _UNCONGESTED_SLACK = 1e-15
-#: Slack on the congestion predicate ``nu < unconstrained_load`` exposed by
-#: :attr:`RateEquilibrium.is_congested`.
-_CONGESTION_SLACK = 1e-12
 #: Caps below this fraction of the largest ``theta_hat`` (or below the
 #: smallest normal float) take the overflow-safe exponential tail pass.
 #: There ``theta_hat / cap`` or ``1 / cap`` may overflow to ``inf``, and a
@@ -139,9 +136,9 @@ class RateEquilibrium:
 
     @property
     def is_congested(self) -> bool:
-        """True when the capacity cannot serve all unconstrained demand."""
-        return (self.nu
-                < self.population.unconstrained_per_capita_load - _CONGESTION_SLACK)
+        """True when the capacity cannot serve all unconstrained demand:
+        the solved congestion level (Theorem-1 cap) is finite."""
+        return self.common_cap < float("inf")
 
     @property
     def omegas(self) -> np.ndarray:

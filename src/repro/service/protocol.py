@@ -134,6 +134,8 @@ class SolveRequest:
 
 
 def _require_mapping(value: Any, label: str) -> Mapping[str, Any]:
+    if isinstance(value, dict):  # what json.loads makes: skip the ABC check
+        return value
     if not isinstance(value, Mapping):
         raise RequestError("bad_request", f"{label} must be a JSON object")
     return value
@@ -141,6 +143,8 @@ def _require_mapping(value: Any, label: str) -> Mapping[str, Any]:
 
 def _check_fields(payload: Mapping[str, Any], allowed: frozenset[str],
                   label: str) -> None:
+    if payload.keys() <= allowed:
+        return
     unknown = sorted(str(key) for key in payload if str(key) not in allowed)
     if unknown:
         raise RequestError(

@@ -12,12 +12,13 @@ still in flight shares its awaitable future, so a thundering herd of equal
 queries costs one solve, and one already answered is served at once from a
 small per-scheduler LRU of completed outcomes (bounded by
 ``RETAINED_POINTS`` grid points in total).  A retained hit skips the
-window and the solve and returns the very batch that answered the first
-request, with its memoised aggregates and the body the server encoded for
-the requests coalesced onto it.  Only successful outcomes are
-retained, so a failed solve is retried by the next request; a retained
-batch holds its grid and caps, ``O(G)``, and references a population the
-``class_caps`` cache keys already hold.
+window and the solve — :meth:`MicroBatchScheduler.retained` finds it
+without awaiting, so the server answers it at once — and returns the very
+batch that answered the first request, with its memoised aggregates and
+the body the server encoded for the requests coalesced onto it.  Only
+successful outcomes are retained, so a failed solve is retried by the next
+request; a retained batch holds its grid and caps, ``O(G)``, and
+references a population the ``class_caps`` cache keys already hold.
 
 Solves run on the event loop itself, cut into slices of at most
 ``SOLVE_SLICE_CELLS`` grid points x CPs (always at least one point), one
@@ -30,7 +31,7 @@ GIL, and the loop computes every response's aggregates itself.
 Batches close work-conservingly, the rule Nagle's algorithm (RFC 896)
 uses for small TCP segments: a batch is sent as soon as nothing else could
 join it.  The server tells the scheduler how many requests it holds
-(:meth:`MicroBatchScheduler.admit` once a request line is read,
+(:meth:`MicroBatchScheduler.admit` once a request is read,
 :meth:`~MicroBatchScheduler.release` once the response is written), and a
 request counts as *waiting* while it awaits a scheduler future — its own
 pending entry or a coalesced in-flight solve.  When every admitted request
@@ -103,6 +104,16 @@ class _PendingBatch:
     entries: List[_PendingEntry] = field(default_factory=list)
 
 
+def _keys(population: Population, nus: Tuple[float, ...],
+          mechanism: Optional[CommonCapAllocation],
+          config: SolverConfig) -> Tuple[_BatchKey, _SolveKey]:
+    """The batch key requests fuse on, and the solve key they coalesce on."""
+    batch_key: _BatchKey = (population.fingerprint(),
+                            mechanism_cache_key(mechanism),
+                            config.cache_key())
+    return batch_key, (batch_key, nus)
+
+
 class MicroBatchScheduler:
     """Fuses and coalesces concurrent equilibrium solves (see module doc).
 
@@ -153,8 +164,11 @@ class MicroBatchScheduler:
         bit-identical to a direct
         ``solve_rate_equilibria(population, nus, mechanism, config)`` call.
         """
+        hit = self.retained(population, nus, mechanism, config)
+        if hit is not None:
+            return hit
         config = resolve_config(config)
-        nus = tuple(float(nu) for nu in nus)
+        nus = tuple(map(float, nus))
         self.requests += 1
         self.requested_points += len(nus)
         if self.naive:
@@ -166,21 +180,11 @@ class MicroBatchScheduler:
                 self.errors += 1
                 raise
             return batch, 1, False
-        batch_key: _BatchKey = (population.fingerprint(),
-                                mechanism_cache_key(mechanism),
-                                config.cache_key())
-        solve_key: _SolveKey = (batch_key, nus)
+        batch_key, solve_key = _keys(population, nus, mechanism, config)
         existing = self._inflight.get(solve_key)
         if existing is not None:
             self.coalesced += 1
             batch, size = await self._wait(existing)
-            return batch, size, True
-        retained = self._retained.get(solve_key)
-        if retained is not None:
-            self._retained.move_to_end(solve_key)
-            self.coalesced += 1
-            self.retained_hits += 1
-            batch, size = retained
             return batch, size, True
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[_Outcome]" = loop.create_future()
@@ -197,8 +201,34 @@ class MicroBatchScheduler:
         batch, size = await self._wait(future)
         return batch, size, False
 
+    def retained(self, population: Population, nus: Tuple[float, ...],
+                 mechanism: Optional[CommonCapAllocation],
+                 config: Optional[SolverConfig] = None
+                 ) -> Optional[Tuple[BatchRateEquilibrium, int, bool]]:
+        """The retained outcome of a grid answered before, or ``None``.
+
+        The synchronous first step of :meth:`solve`: a hit is counted as a
+        coalesced request and returned as :meth:`solve` returns it, so the
+        server answers it without awaiting anything; a miss counts nothing.
+        """
+        if self.naive:
+            return None
+        nus = tuple(map(float, nus))
+        _, solve_key = _keys(population, nus, mechanism,
+                             resolve_config(config))
+        retained = self._retained.get(solve_key)
+        if retained is None:
+            return None
+        self._retained.move_to_end(solve_key)
+        self.requests += 1
+        self.requested_points += len(nus)
+        self.coalesced += 1
+        self.retained_hits += 1
+        batch, size = retained
+        return batch, size, True
+
     def admit(self) -> None:
-        """Count a request the server now holds (its request line is read).
+        """Count a request the server now holds (its head and body are read).
 
         Pair every call with one :meth:`release`.
         """

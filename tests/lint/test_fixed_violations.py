@@ -23,7 +23,6 @@ class TestHoistedToleranceConstants:
         from repro.cache import all_cache_stats
         from repro.network import equilibrium as eq
         assert eq._UNCONGESTED_SLACK == 1e-15
-        assert eq._CONGESTION_SLACK == 1e-12
         assert eq._RESIDUAL_TOLERANCE == 1e-13
         assert eq._CAP_WIDTH_TOLERANCE == 1e-14
 

@@ -15,6 +15,7 @@ from repro.network.allocation import (
     WeightedFairAllocation,
 )
 from repro.network.provider import ContentProvider, Population
+from repro.workloads.populations import paper_population
 
 MECHANISMS = [
     MaxMinFairAllocation(),
@@ -87,6 +88,26 @@ class TestCommonBehaviour:
         with pytest.raises(ModelValidationError):
             MaxMinFairAllocation().allocate(
                 two_provider_population, [1.0, 1.0], nu=-1.0)
+
+
+class TestWorkConservationAtTinyCapacity:
+    """Axiom 2 far below the load: the bisections stop on a bracket width
+    relative to the cap, so a tiny cap is found as exactly as a large one
+    (an absolute width let alpha-fair carry 3,299 nu at 1e-15 x load)."""
+
+    @pytest.mark.parametrize("mechanism", [
+        MaxMinFairAllocation(), ProportionalToDemandAllocation(),
+        AlphaFairAllocation(alpha=1.0), AlphaFairAllocation(alpha=3.0),
+        StrictPriorityAllocation(),
+    ], ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("fraction", [1e-15, 1e-13, 1e-6])
+    def test_carried_load_equals_capacity(self, mechanism, fraction):
+        population = paper_population(count=200)
+        nu = fraction * population.unconstrained_per_capita_load
+        demands = unit_demands(population)
+        thetas = mechanism.allocate(population, demands, nu)
+        carried = float(np.sum(population.alphas * demands * thetas))
+        assert abs(carried / nu - 1.0) <= 1e-9
 
 
 class TestMaxMinFair:

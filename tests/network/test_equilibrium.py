@@ -247,6 +247,7 @@ class TestAlternativeMechanisms:
         nu = 0.5 * population.unconstrained_per_capita_load
         equilibrium = solve_rate_equilibrium(population, nu, mechanism)
         assert 0.0 < equilibrium.common_cap < float("inf")
+        assert equilibrium.is_congested
         assert equilibrium.aggregate_rate == pytest.approx(nu, rel=1e-12)
         reallocated = mechanism.allocate(population, equilibrium.demands, nu)
         np.testing.assert_allclose(reallocated, equilibrium.thetas,

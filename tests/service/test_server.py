@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.network.allocation import MaxMinFairAllocation
 from repro.service import scheduler as scheduler_module
 from repro.service.client import ServiceClient
-from repro.service.server import EquilibriumServer
+from repro.service.server import EquilibriumServer, _HeadReader, _HttpViolation
 from repro.simulation import batch as batch_module
 from repro.simulation.batch import solve_rate_equilibria
 from repro.workloads.populations import paper_population
@@ -455,6 +455,20 @@ def response_statuses(data):
     return statuses
 
 
+def response_bodies(data):
+    """The decoded JSON body of every complete buffered response."""
+    bodies = []
+    while data:
+        head, found, rest = data.partition(b"\r\n\r\n")
+        if not found:
+            break
+        length = int(re.search(rb"(?im)^content-length: *(\d+)",
+                               head).group(1))
+        bodies.append(json.loads(rest[:length]))
+        data = rest[length:]
+    return bodies
+
+
 def healthz_bytes(*headers, body=b""):
     lines = ["GET /healthz HTTP/1.1", "Host: t", "Connection: close",
              *headers]
@@ -708,6 +722,45 @@ class TestRequestFraming:
         assert counters["requests_total"] == 0  # no second request parsed
 
 
+    def test_over_long_header_line_is_400_and_close(self):
+        # A line over 64 KiB used to escape the handler as a ValueError:
+        # no reply, and an unhandled exception in the loop's log.
+        async def body(host, port, server):
+            return await exchange_raw(host, port, healthz_bytes(
+                "X-Long: " + "a" * 70_000))
+
+        raw = run(with_server(body))
+        assert response_statuses(raw) == [400]
+        assert b"bad_http" in raw and b"Connection: close" in raw
+
+
+class TestPipelining:
+    def test_pipelined_hit_is_answered_after_the_cold_request(self):
+        hot = dict(BASE_REQUEST, nus=[50.0, 100.0])
+        cold = dict(BASE_REQUEST, nus=[30.0, 70.0, 120.0])
+
+        def request(payload):
+            body = json.dumps(payload).encode()
+            return (b"POST /solve HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body)) + body
+
+        async def body(host, port, server):
+            await solve_once(host, port, hot)  # retained from now on
+            # One segment: the hit could be answered at once, but must
+            # wait for the cold solve ahead of it on its connection.
+            raw = await exchange_raw(host, port,
+                                     request(cold) + request(hot))
+            return raw, server.scheduler.stats()
+
+        raw, stats = run(with_server(body))
+        assert response_statuses(raw) == [200, 200]
+        first, second = response_bodies(raw)
+        assert (first["nus"], second["nus"]) == (cold["nus"], hot["nus"])
+        assert first["served"]["coalesced"] is False
+        assert second["served"]["coalesced"] is True
+        assert stats["retained_hits"] == 1
+
+
 _FIELD = st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF),
                  max_size=12)
 _REQUEST_LINES = st.one_of(
@@ -758,3 +811,31 @@ def test_fuzzed_requests_never_get_5xx_or_hang(data):
     assert all(status < 500 for status in response_statuses(raw)), raw
     assert released
     assert head.startswith(b"HTTP/1.1 200 ")
+
+
+def read_head(segments, at_eof):
+    """What a :class:`_HeadReader` makes of ``segments`` arriving in turn."""
+    reader, buffer = _HeadReader(), bytearray()
+    for index, segment in enumerate(segments):
+        buffer += segment
+        try:
+            head = reader.read(buffer, at_eof and index == len(segments) - 1)
+        except _HttpViolation as violation:
+            return "refused", str(violation)
+        if head is not None:
+            return "head", head
+    return "incomplete", None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_RAW_REQUESTS,
+       cuts=st.lists(st.integers(min_value=0, max_value=200), max_size=6),
+       at_eof=st.booleans())
+def test_head_reader_result_does_not_depend_on_segmentation(data, cuts,
+                                                            at_eof):
+    """Each line is read once as it completes; however the bytes are cut
+    into segments, the head (or the refusal) is the one read at once."""
+    points = sorted({min(cut, len(data)) for cut in cuts})
+    segments = [data[start:end] for start, end
+                in zip([0, *points], [*points, len(data)])]
+    assert read_head(segments, at_eof) == read_head([data], at_eof)
