@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,12 +46,6 @@ __all__ = [
     "StrictPriorityAllocation",
 ]
 
-_BISECTION_ITERATIONS = 200
-#: Bracket width, relative to the bracket's upper end, at which the
-#: ``allocate`` bisections stop, so a tiny cap is resolved as finely as a
-#: large one.
-_BISECTION_TOLERANCE = 1e-12
-
 #: Halvings that take any bracket ``[0, theta_hat]`` of doubles down to
 #: adjacent doubles: 2098 binades from the largest double to the smallest
 #: subnormal, plus the 53 bits of one binade.
@@ -65,10 +59,6 @@ _DEMAND_RANGE_SLACK = 1e-12
 #: counts as uncongested (every provider then gets its unconstrained
 #: throughput).
 _UNCONGESTED_SLACK = 1e-15
-
-#: Division guard for zero allocation weights (never reached for positive
-#: weights; keeps the vectorised quotient finite).
-_WEIGHT_FLOOR = 1e-300
 
 
 def _validate_inputs(population: Population, demands: Sequence[float],
@@ -127,18 +117,6 @@ class RateAllocationMechanism(ABC):
             Axioms 1 and 2 for the given (fixed) demands.
         """
 
-    # Aggregate helpers shared by implementations -------------------------
-    @staticmethod
-    def offered_load(population: Population, demands: np.ndarray) -> float:
-        """Per-capita load if every active user got unconstrained throughput."""
-        return float(np.sum(population.alphas * demands * population.theta_hats))
-
-    @staticmethod
-    def carried_load(population: Population, demands: np.ndarray,
-                     thetas: np.ndarray) -> float:
-        """Per-capita aggregate rate ``sum_i alpha_i d_i theta_i``."""
-        return float(np.sum(population.alphas * demands * thetas))
-
 
 def _throughputs_at_rhos(population: Population,
                          rhos: np.ndarray) -> np.ndarray:
@@ -166,6 +144,35 @@ def _throughputs_at_rhos(population: Population,
     return high
 
 
+def _water_level(breakpoints: np.ndarray, weights: np.ndarray,
+                 target: float) -> float:
+    """The level ``ell`` with ``sum_i weights_i * min(breakpoints_i, ell) ==
+    target`` (inputs ``>= 0``, ``target > 0``), exact up to rounding.
+
+    The sum is linear between sorted breakpoints, so the load at each
+    breakpoint (saturated loads below it plus the breakpoint times the
+    weight above it, which is summed from the top so no difference of
+    totals cancels), one ``searchsorted`` and one linear solve give the
+    level at any scale.  A target at or above the total load gives the
+    largest breakpoint.
+    """
+    order = np.argsort(breakpoints)
+    levels = breakpoints[order]
+    slopes = weights[order]
+    saturated = np.cumsum(slopes * levels)
+    above = np.cumsum(slopes[::-1])[::-1]
+    loads = saturated + levels * np.append(above[1:], 0.0)
+    k = int(np.searchsorted(loads, target))
+    if k == len(levels):
+        return float(levels[-1])
+    # On segment k the load is ``saturated[k - 1] + ell * above[k]``, and
+    # ``loads[k - 1] < target <= loads[k]`` keeps ``above[k] > 0``.
+    below, floor = ((float(saturated[k - 1]), float(levels[k - 1])) if k
+                    else (0.0, 0.0))
+    level = (target - below) / float(above[k])
+    return min(max(level, floor), float(levels[k]))
+
+
 class CommonCapAllocation(RateAllocationMechanism):
     """Mechanisms whose rate equilibrium is a function of one congestion level.
 
@@ -174,69 +181,75 @@ class CommonCapAllocation(RateAllocationMechanism):
     non-decreasing in ``cap``, reaching every ``theta_hat`` at
     :meth:`cap_upper_bound`, and free to use the providers' demand
     functions.  The equilibrium at capacity ``nu`` is then the profile at
-    the level whose carried load is ``min(nu, unconstrained load)`` — the
-    Theorem-1 cap, which the solver of :mod:`repro.network.equilibrium`
-    finds from scalar :meth:`theta_at_cap` evaluations.
+    the level whose carried load (:meth:`carried_at_cap`) is ``min(nu,
+    unconstrained load)`` — the Theorem-1 cap, which the solver of
+    :mod:`repro.network.equilibrium` finds.
 
-    When ``theta_at_cap`` does not read the demand functions (max-min,
-    weighted-fair, proportional-to-demand: ``theta_i = min(theta_hat_i,
-    g_i(cap))``), the same profile also solves Definition 1 for any fixed
-    demand profile, and the generic :meth:`allocate` below bisects on
-    the level; mechanisms whose levels use the demand functions
-    override :meth:`allocate`.
+    Max-min, weighted-fair and proportional-to-demand have the level form
+    ``theta_i = min(theta_hat_i, k_i * cap)``, and each states only its
+    slope ``k_i`` (:meth:`cap_slopes`); :meth:`theta_at_cap`,
+    :meth:`cap_upper_bound` and the Definition-1 :meth:`allocate` (one
+    exact water-fill of ``sum_i alpha_i d_i k_i min(theta_hat_i / k_i,
+    cap)``) follow from it.  Alpha-fair and strict priority, whose levels
+    use the demand functions, override all three.
     """
 
-    @abstractmethod
+    def cap_slopes(self, population: Population) -> Union[float, np.ndarray]:
+        """Slopes ``k_i > 0`` of the level form; max-min's scalar ``1.0``
+        (one ``np.minimum`` pass in :meth:`theta_at_cap`) by default."""
+        return 1.0
+
     def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
         """Equilibrium throughput profile at congestion level ``cap >= 0``."""
+        return np.minimum(population.theta_hats,
+                          self.cap_slopes(population) * cap)
 
     def cap_upper_bound(self, population: Population) -> float:
         """A cap value at which every provider reaches ``theta_hat``."""
-        return float(np.max(population.theta_hats)) if len(population) else 0.0
+        if len(population) == 0:
+            return 0.0
+        return float(np.max(population.theta_hats / self.cap_slopes(population)))
+
+    def carried_at_cap(self, population: Population, cap: float) -> float:
+        """Per-capita carried load ``sum_i alpha_i d_i(theta_i) theta_i`` of
+        the equilibrium profile at level ``cap``."""
+        thetas = self.theta_at_cap(population, cap)
+        demands = population.demands_at(thetas)
+        return float(np.sum(population.alphas * demands * thetas))
 
     def allocate(self, population: Population, demands: Sequence[float],
                  nu: float) -> np.ndarray:
         demands_arr = _validate_inputs(population, demands, nu)
-        if len(population) == 0:
-            return np.zeros(0)
-        offered = self.offered_load(population, demands_arr)
+        weights = population.alphas * demands_arr
+        offered = float(np.sum(weights * population.theta_hats))
         target = min(nu, offered)
-        if target <= 0.0:
-            # No capacity or no demand: only providers with zero active users
-            # can be given their unconstrained rate without carrying load.
-            return np.where(demands_arr * population.alphas > 0.0,
-                            0.0, population.theta_hats)
-        upper = self.cap_upper_bound(population)
-        if self.carried_load(population, demands_arr,
-                             self.theta_at_cap(population, upper)
-                             ) <= target * (1.0 + _UNCONGESTED_SLACK):
+        if offered - target <= _UNCONGESTED_SLACK * offered:
             return population.theta_hats.copy()
-        low, high = 0.0, upper
-        for _ in range(_BISECTION_ITERATIONS):
-            mid = 0.5 * (low + high)
-            carried = self.carried_load(
-                population, demands_arr, self.theta_at_cap(population, mid))
-            if carried < target:
-                low = mid
-            else:
-                high = mid
-            if high - low <= _BISECTION_TOLERANCE * high:
-                break
-        return self.theta_at_cap(population, high)
+        if target <= 0.0:
+            # No capacity: only providers with zero active users can be
+            # given their unconstrained rate without carrying load.
+            return np.where(weights > 0.0, 0.0, population.theta_hats)
+        return self._allocate_congested(population, weights, target)
+
+    def _allocate_congested(self, population: Population,
+                            weights: np.ndarray, target: float) -> np.ndarray:
+        """Throughputs carrying ``0 < target < sum_i weights_i theta_hat_i``."""
+        slopes = self.cap_slopes(population)
+        level = _water_level(population.theta_hats / slopes,
+                             weights * slopes, target)
+        return self.theta_at_cap(population, level)
 
 
 class MaxMinFairAllocation(CommonCapAllocation):
     """Max-min fair sharing among *users* — the paper's default mechanism.
 
     Every active user receives the same throughput cap, truncated at the
-    application's unconstrained throughput: ``theta_i = min(theta_hat_i, t)``.
+    application's unconstrained throughput: ``theta_i = min(theta_hat_i, t)``,
+    the base class's level form with slope 1.
     This is the ``alpha = infinity`` member of the alpha-proportional-fair
     family and the first-order behaviour of TCP AIMD over a shared
     bottleneck.
     """
-
-    def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
-        return np.minimum(population.theta_hats, cap)
 
     def cache_key(self) -> tuple[Any, ...]:
         return ("MaxMinFairAllocation",)
@@ -267,25 +280,15 @@ class WeightedFairAllocation(CommonCapAllocation):
         self.weights = dict(weights)
         self.default_weight = float(default_weight)
 
-    def _weight_vector(self, population: Population) -> np.ndarray:
+    def cap_slopes(self, population: Population) -> np.ndarray:
         return np.array(
             [self.weights.get(name, self.default_weight) for name in population.names],
             dtype=float,
         )
 
-    def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
-        return np.minimum(population.theta_hats,
-                          self._weight_vector(population) * cap)
-
     def cache_key(self) -> tuple[Any, ...]:
         return ("WeightedFairAllocation",
                 tuple(sorted(self.weights.items())), self.default_weight)
-
-    def cap_upper_bound(self, population: Population) -> float:
-        if len(population) == 0:
-            return 0.0
-        weights = self._weight_vector(population)
-        return float(np.max(population.theta_hats / weights))
 
 
 class ProportionalToDemandAllocation(CommonCapAllocation):
@@ -299,11 +302,8 @@ class ProportionalToDemandAllocation(CommonCapAllocation):
     offered rate.
     """
 
-    def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
-        return min(1.0, cap) * population.theta_hats
-
-    def cap_upper_bound(self, population: Population) -> float:
-        return 1.0
+    def cap_slopes(self, population: Population) -> np.ndarray:
+        return population.theta_hats
 
     def cache_key(self) -> tuple[Any, ...]:
         return ("ProportionalToDemandAllocation",)
@@ -331,7 +331,8 @@ class AlphaFairAllocation(CommonCapAllocation):
     aggregate capacity; here fairness is applied per *provider aggregate*, so
     a provider's popularity does not help it.  When fairness per user is
     requested (``per_user=True``) the mechanism simply defers to max-min
-    fairness, which is the exact static optimum in that case.
+    fairness, the base class's level form, which is the exact static
+    optimum in that case.
     """
 
     def __init__(self, alpha: float = 1.0, per_user: bool = False) -> None:
@@ -339,7 +340,6 @@ class AlphaFairAllocation(CommonCapAllocation):
             raise ModelValidationError(f"alpha must be positive, got {alpha!r}")
         self.alpha = float(alpha)
         self.per_user = bool(per_user)
-        self._per_user_mechanism = MaxMinFairAllocation()
 
     def cache_key(self) -> tuple[Any, ...]:
         # The static optimum is independent of alpha (see the class docstring),
@@ -348,7 +348,7 @@ class AlphaFairAllocation(CommonCapAllocation):
 
     def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
         if self.per_user:
-            return self._per_user_mechanism.theta_at_cap(population, cap)
+            return super().theta_at_cap(population, cap)
         return _throughputs_at_rhos(population, cap / population.alphas)
 
     def cap_upper_bound(self, population: Population) -> float:
@@ -356,36 +356,22 @@ class AlphaFairAllocation(CommonCapAllocation):
             return super().cap_upper_bound(population)
         return float(np.max(population.alphas * population.theta_hats))
 
-    def allocate(self, population: Population, demands: Sequence[float],
-                 nu: float) -> np.ndarray:
-        demands_arr = _validate_inputs(population, demands, nu)
-        if len(population) == 0:
-            return np.zeros(0)
+    def carried_at_cap(self, population: Population, cap: float) -> float:
+        # Saturated aggregates carry alpha_i theta_hat_i, the rest the level.
         if self.per_user:
-            return self._per_user_mechanism.allocate(population, demands_arr, nu)
-        weights = population.alphas * demands_arr
-        unconstrained = weights * population.theta_hats
-        offered = float(np.sum(unconstrained))
-        target = min(nu, offered)
-        if offered - target <= _UNCONGESTED_SLACK * offered:
-            return population.theta_hats.copy()
-        if target <= 0.0:
-            return np.where(weights > 0.0, 0.0, population.theta_hats)
+            return super().carried_at_cap(population, cap)
+        return float(np.sum(np.minimum(population.alphas
+                                       * population.theta_hats, cap)))
+
+    def _allocate_congested(self, population: Population,
+                            weights: np.ndarray, target: float) -> np.ndarray:
+        if self.per_user:
+            return super()._allocate_congested(population, weights, target)
         # Water-fill a common cap ell over the aggregates.
-        low, high = 0.0, float(np.max(unconstrained))
-        for _ in range(_BISECTION_ITERATIONS):
-            mid = 0.5 * (low + high)
-            carried = float(np.sum(np.minimum(unconstrained, mid)))
-            if carried < target:
-                low = mid
-            else:
-                high = mid
-            if high - low <= _BISECTION_TOLERANCE * high:
-                break
-        aggregates = np.minimum(unconstrained, high)
-        thetas = np.where(weights > 0.0,
-                          aggregates / np.maximum(weights, _WEIGHT_FLOOR),
-                          population.theta_hats)
+        unconstrained = weights * population.theta_hats
+        level = _water_level(unconstrained, np.ones(len(population)), target)
+        thetas = np.divide(level, weights, out=population.theta_hats.copy(),
+                           where=unconstrained > level)
         return np.minimum(thetas, population.theta_hats)
 
 
@@ -421,34 +407,40 @@ class StrictPriorityAllocation(CommonCapAllocation):
         order = tuple(self.priority_order) if self.priority_order else None
         return ("StrictPriorityAllocation", order)
 
-    def _ordered_indices(self, population: Population) -> list[int]:
+    def _order(self, population: Population) -> np.ndarray:
+        """Provider indices in priority order: listed names by their place
+        in ``priority_order``, then the rest in index order."""
         if self.priority_order is None:
-            return list(range(len(population)))
+            return np.arange(len(population))
         position = {name: rank for rank, name in enumerate(self.priority_order)}
-        return sorted(
-            range(len(population)),
-            key=lambda i: position.get(population.names[i], len(position)),
-        )
+        return np.argsort([position.get(name, len(position))
+                           for name in population.names], kind="stable")
+
+    def _fills(self, population: Population, cap: float) -> np.ndarray:
+        """Fraction of its unconstrained load each provider carries at ``cap``."""
+        ranks = np.empty(len(population))
+        ranks[self._order(population)] = np.arange(len(population))
+        return np.clip(cap - ranks, 0.0, 1.0)
 
     def theta_at_cap(self, population: Population, cap: float) -> np.ndarray:
-        ranks = np.empty(len(population))
-        ranks[self._ordered_indices(population)] = np.arange(len(population))
-        fills = np.clip(cap - ranks, 0.0, 1.0)
-        return _throughputs_at_rhos(population, fills * population.theta_hats)
+        return _throughputs_at_rhos(
+            population, self._fills(population, cap) * population.theta_hats)
 
     def cap_upper_bound(self, population: Population) -> float:
         return float(len(population))
 
+    def carried_at_cap(self, population: Population, cap: float) -> float:
+        return float(np.sum(population.alphas * self._fills(population, cap)
+                            * population.theta_hats))
+
     def allocate(self, population: Population, demands: Sequence[float],
                  nu: float) -> np.ndarray:
         demands_arr = _validate_inputs(population, demands, nu)
-        if len(population) == 0:
-            return np.zeros(0)
         thetas = np.zeros(len(population))
         remaining = float(nu)
         alphas = population.alphas
         theta_hats = population.theta_hats
-        for i in self._ordered_indices(population):
+        for i in self._order(population).tolist():
             weight = alphas[i] * demands_arr[i]
             if weight <= 0.0:
                 # A provider with no active users carries no load; it can be

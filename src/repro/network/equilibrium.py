@@ -299,10 +299,11 @@ class CommonCapProfile:
 class GenericCapProfile(CommonCapProfile):
     """Profile for any :class:`CommonCapAllocation` over a full population.
 
-    Its carried load has no sorted-prefix shortcut: each evaluation
-    recomputes the mechanism's throughput profile at the cap and the
-    demands there, one ``O(n)`` pass (one per bisection step where the
-    profile inverts ``rho``: alpha-fair and strict priority).
+    Its carried load has no sorted-prefix shortcut: each evaluation is one
+    ``O(n)`` :meth:`~repro.network.allocation.CommonCapAllocation.carried_at_cap`
+    pass, the demands at the mechanism's throughput profile or, for
+    alpha-fair and strict priority, a closed form that needs no inversion
+    of ``rho``.
     """
 
     def __init__(self, population: Population,
@@ -314,9 +315,7 @@ class GenericCapProfile(CommonCapProfile):
         self.unconstrained_load = population.unconstrained_per_capita_load
 
     def carried_scalar(self, cap: float) -> float:
-        thetas = self._mechanism.theta_at_cap(self._population, cap)
-        demands = self._population.demands_at(thetas)
-        return float(np.sum(self._population.alphas * demands * thetas))
+        return self._mechanism.carried_at_cap(self._population, cap)
 
 
 class ExponentialMaxMinProfile(CommonCapProfile):

@@ -25,9 +25,11 @@ Coordination is deliberately minimal:
   level — so single-process consumers like the load generator keep working
   unchanged — plus a ``workers`` list with each worker's own payload).
 * **Shutdown** — SIGTERM/SIGINT to the parent forwards SIGTERM to every
-  worker; each worker drains gracefully (stops accepting, closes idle
-  keep-alive connections, finishes in-flight solves) and exits 0; the parent
-  reaps the group and exits 0 only when every worker drained cleanly.
+  worker (the parent holds both signals from before the first fork until
+  it forwards them, so one sent during start-up is not fatal); each worker
+  drains gracefully (stops accepting, closes idle keep-alive connections,
+  finishes in-flight solves) and exits 0; the parent reaps the group and
+  exits 0 only when every worker drained cleanly.
 
 Served bytes are bit-identical to a single-process server (and therefore
 to direct ``solve_rate_equilibria`` calls) for any worker count: workers
@@ -56,6 +58,9 @@ _READY_TIMEOUT_SECONDS = 30.0
 _DRAIN_TIMEOUT_SECONDS = 20.0
 #: Parent supervision poll interval while the group is serving.
 _POLL_SECONDS = 0.2
+
+#: Signals the coordinator forwards to its workers as a graceful drain.
+_SHUTDOWN_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 #: ``/stats`` counters that are configuration, not activity — merged by
 #: taking the first worker's value instead of summing.
@@ -137,8 +142,11 @@ async def _worker_serve(index: int, settings: WorkerSettings,
         idle_timeout=settings.idle_timeout,
         worker_index=index)
     loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
+    for signum in _SHUTDOWN_SIGNALS:
         loop.add_signal_handler(signum, server.request_shutdown)
+    # The coordinator forked this process with the shutdown signals held;
+    # one that arrived since is delivered to the drain handler now.
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _SHUTDOWN_SIGNALS)
     direct_host, direct_port = await server.start_direct()
     # Report readiness, then wait for the whole group's directory before
     # accepting: the first request a worker sees must already find the
@@ -166,19 +174,26 @@ def serve_multiprocess(settings: WorkerSettings, workers: int) -> int:
     """
     if workers < 2:
         raise ValueError("serve_multiprocess needs workers >= 2")
+    # Hold SIGTERM/SIGINT from before the first fork until _supervise
+    # forwards them: one delivered in between would kill this process and
+    # orphan the workers (each unblocks its own once its loop handles them).
+    previous_mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                           _SHUTDOWN_SIGNALS)
+    try:
+        return _start_and_supervise(settings, workers)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous_mask)
+
+
+def _start_and_supervise(settings: WorkerSettings, workers: int) -> int:
     context = multiprocessing.get_context("fork")
 
     # Resolve the port up front (port 0 must mean ONE ephemeral port shared
     # by the whole group, not one per worker) and decide the acceptor
     # strategy. The placeholder REUSEPORT socket stays bound until every
     # worker has bound its own, so the port cannot be stolen in between.
-    placeholder: Optional[socket.socket] = None
     inherited: Optional[socket.socket] = None
-    try:
-        placeholder = bind_reuseport(settings.host, settings.port)
-    except OSError:
-        placeholder = None
-        raise
+    placeholder = bind_reuseport(settings.host, settings.port)
     if placeholder is not None:
         resolved_port = int(placeholder.getsockname()[1])
     else:  # no SO_REUSEPORT: bind once here, workers inherit via fork
@@ -259,7 +274,8 @@ def _supervise(processes: List[multiprocessing.process.BaseProcess]) -> int:
                 os.kill(process.pid, signal.SIGTERM)
 
     previous = {signum: signal.signal(signum, forward)
-                for signum in (signal.SIGTERM, signal.SIGINT)}
+                for signum in _SHUTDOWN_SIGNALS}
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _SHUTDOWN_SIGNALS)
     try:
         while True:
             alive = [process for process in processes if process.is_alive()]

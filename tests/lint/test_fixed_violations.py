@@ -28,10 +28,8 @@ class TestHoistedToleranceConstants:
 
     def test_allocation_constants(self):
         from repro.network import allocation
-        assert allocation._BISECTION_TOLERANCE == 1e-12
         assert allocation._DEMAND_RANGE_SLACK == 1e-12
         assert allocation._UNCONGESTED_SLACK == 1e-15
-        assert allocation._WEIGHT_FLOOR == 1e-300
 
     def test_migration_constants(self):
         from repro.core import migration

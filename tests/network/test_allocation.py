@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.errors import ModelValidationError
 from repro.network.allocation import (
@@ -13,6 +16,7 @@ from repro.network.allocation import (
     ProportionalToDemandAllocation,
     StrictPriorityAllocation,
     WeightedFairAllocation,
+    _water_level,
 )
 from repro.network.provider import ContentProvider, Population
 from repro.workloads.populations import paper_population
@@ -90,24 +94,85 @@ class TestCommonBehaviour:
                 two_provider_population, [1.0, 1.0], nu=-1.0)
 
 
-class TestWorkConservationAtTinyCapacity:
-    """Axiom 2 far below the load: the bisections stop on a bracket width
-    relative to the cap, so a tiny cap is found as exactly as a large one
-    (an absolute width let alpha-fair carry 3,299 nu at 1e-15 x load)."""
+def mixed_demands(population):
+    """Every fourth provider idle, the rest at demands spread over (0, 1]."""
+    demands = np.linspace(0.05, 1.0, len(population))
+    demands[::4] = 0.0
+    return demands
 
-    @pytest.mark.parametrize("mechanism", [
-        MaxMinFairAllocation(), ProportionalToDemandAllocation(),
-        AlphaFairAllocation(alpha=1.0), AlphaFairAllocation(alpha=3.0),
-        StrictPriorityAllocation(),
+
+class TestWorkConservationAtTinyCapacity:
+    """Axiom 2 far below the load: every ``allocate`` finds its level by an
+    exact water-fill (or, for strict priority, in sequence), so a tiny level
+    is found as exactly as a large one.  A bracket width absolute in the
+    cap let alpha-fair carry 3,299 nu at 1e-15 x load, and a bisection
+    budget of 200 halvings let max-min carry 1.2e40 nu at 1e-100 x load."""
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS + [
+        WeightedFairAllocation(weights={f"cp-{index:04d}": 1.0 + index % 7
+                                        for index in range(0, 200, 3)}),
+        AlphaFairAllocation(alpha=3.0), StrictPriorityAllocation(),
     ], ids=lambda m: type(m).__name__)
-    @pytest.mark.parametrize("fraction", [1e-15, 1e-13, 1e-6])
-    def test_carried_load_equals_capacity(self, mechanism, fraction):
+    @pytest.mark.parametrize("fraction", [1e-300, 1e-100, 1e-15, 1e-13, 1e-6])
+    @pytest.mark.parametrize("demand_profile", [unit_demands, mixed_demands],
+                             ids=["unit", "mixed"])
+    def test_carried_load_equals_capacity(self, mechanism, fraction,
+                                          demand_profile):
         population = paper_population(count=200)
-        nu = fraction * population.unconstrained_per_capita_load
-        demands = unit_demands(population)
+        demands = demand_profile(population)
+        nu = fraction * float(np.sum(population.alphas * demands
+                                     * population.theta_hats))
         thetas = mechanism.allocate(population, demands, nu)
         carried = float(np.sum(population.alphas * demands * thetas))
         assert abs(carried / nu - 1.0) <= 1e-9
+
+
+def brute_load(breakpoints, weights, level):
+    return math.fsum(w * min(b, level) for b, w in zip(breakpoints, weights))
+
+
+water_columns = st.integers(min_value=1, max_value=20).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                           st.floats(min_value=1e-6, max_value=100.0)),
+                 min_size=n, max_size=n),
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                           st.floats(min_value=1e-6, max_value=10.0)),
+                 min_size=n, max_size=n)))
+
+
+@given(columns=water_columns,
+       fraction=st.floats(min_value=1e-12, max_value=1.0),
+       on_breakpoint=st.integers(min_value=-1, max_value=19))
+# Zero weights, equal breakpoints, and a target exactly on a breakpoint's
+# load (``on_breakpoint`` picks the breakpoint whose load is the target).
+@example(columns=([1.0, 2.0, 3.0], [0.0, 0.0, 1.0]), fraction=0.5,
+         on_breakpoint=-1)
+@example(columns=([2.0, 2.0, 2.0, 0.5], [1.0, 3.0, 0.5, 2.0]), fraction=0.3,
+         on_breakpoint=-1)
+@example(columns=([0.5, 1.0, 2.0], [1.0, 1.0, 1.0]), fraction=1.0,
+         on_breakpoint=1)
+@example(columns=([0.0, 1.0, 1.0, 4.0], [5.0, 0.0, 2.0, 0.0]), fraction=1.0,
+         on_breakpoint=2)
+@settings(max_examples=200, deadline=None)
+def test_water_level_is_exact_between_its_bracketing_breakpoints(
+        columns, fraction, on_breakpoint):
+    breakpoints, weights = (np.asarray(column, dtype=float)
+                            for column in columns)
+    total = brute_load(breakpoints, weights, math.inf)
+    target = (brute_load(breakpoints, weights, breakpoints[on_breakpoint])
+              if 0 <= on_breakpoint < len(breakpoints) else fraction * total)
+    assume(target > 0.0)
+    level = _water_level(breakpoints, weights, target)
+    assert 0.0 <= level <= breakpoints.max()
+    # The sum is linear between the breakpoints that bracket the level, so
+    # the brute-force loads there bracket the target and the level hits it.
+    below = max([b for b in breakpoints if b <= level], default=0.0)
+    above = min(b for b in breakpoints if b >= level)
+    slack = 1e-12 * target
+    assert brute_load(breakpoints, weights, below) <= target + slack
+    assert brute_load(breakpoints, weights, above) >= target - slack
+    assert abs(brute_load(breakpoints, weights, level) - target) <= slack
 
 
 class TestMaxMinFair:

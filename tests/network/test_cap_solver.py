@@ -8,7 +8,9 @@ nothing with the solver but ``carried_scalar``), check the solver's own
 exit conditions from the outside, bound its evaluation count, and check
 that grids and threads do not change a single bit of its answers.  The
 carried-load pass itself is checked at the degenerate caps: empty
-profiles, caps ``<= 0`` and subnormal caps.
+profiles, caps ``<= 0`` and subnormal caps; the closed-form carried loads
+of alpha-fair and strict priority are checked against the inversion of
+``rho`` that their rows use.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from repro.network.allocation import (
     AlphaFairAllocation,
     CommonCapAllocation,
     MaxMinFairAllocation,
+    ProportionalFairAllocation,
     ProportionalToDemandAllocation,
     StrictPriorityAllocation,
     WeightedFairAllocation,
+    _throughputs_at_rhos,
 )
 from repro.network.demand import LinearDemand, SigmoidDemand, StepDemand
 from repro.network.equilibrium import (
@@ -183,6 +187,58 @@ def generic_profile(request) -> CommonCapProfile:
     profile = common_cap_profile(population, mechanism)
     assert type(profile) is GenericCapProfile
     return profile
+
+
+def priority_fills(population, priority_order, cap):
+    """Strict priority's fill vector, ranked here by a plain stable sort."""
+    position = {name: rank for rank, name in enumerate(priority_order)}
+    order = sorted(range(len(population)),
+                   key=lambda i: position.get(population.names[i],
+                                              len(position)))
+    ranks = np.empty(len(population))
+    ranks[order] = np.arange(len(population))
+    return np.clip(cap - ranks, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("mechanism", [
+    AlphaFairAllocation(alpha=2.0), ProportionalFairAllocation(),
+    StrictPriorityAllocation(priority_order=["mixed-7", "mixed-3", "cp-0009",
+                                             "mixed-0", "cp-0001"]),
+], ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("population", [
+    paper_population(count=40), mixed_family_population(count=40),
+], ids=["equation3", "mixed-family"])
+@given(fraction=st.floats(min_value=1e-9, max_value=1.0))
+@example(fraction=1e-9)
+@example(fraction=1.0)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_carried_load_matches_inversion(mechanism, population,
+                                                    fraction):
+    """The closed-form ``carried_at_cap`` of alpha-fair and strict priority
+    equals ``sum_i alpha_i d_i(theta_i) theta_i`` at the throughputs that
+    invert ``rho_i`` at the level (the row path), to 1e-9 relative.
+
+    The inversion returns the smallest double ``theta_i`` with ``rho_i >=
+    rhos_i``, so the exact load lies between the loads at ``theta`` and at
+    the double below it.  Where ``rho_i`` is steep (the smoothed step
+    demand at a level near 1e-9 of the largest) those two differ by more
+    than 1e-9 (up to 4e-8 seen), and the closed form must lie between them.
+    """
+    cap = fraction * mechanism.cap_upper_bound(population)
+    if isinstance(mechanism, StrictPriorityAllocation):
+        rhos = (priority_fills(population, mechanism.priority_order, cap)
+                * population.theta_hats)
+    else:
+        rhos = cap / population.alphas
+    thetas = _throughputs_at_rhos(population, rhos)
+    below = np.nextafter(thetas, 0.0)
+    reference, floor = (
+        float(np.sum(population.alphas * population.demands_at(row) * row))
+        for row in (thetas, below))
+    carried = mechanism.carried_at_cap(population, cap)
+    assert floor - 1e-9 * reference <= carried <= reference * (1.0 + 1e-9)
+    np.testing.assert_array_equal(mechanism.theta_at_cap(population, cap),
+                                  thetas)
 
 
 @pytest.mark.parametrize("fraction", [1e-15, 1e-9, 1e-3, 0.05, 0.3, 0.7,

@@ -107,18 +107,23 @@ class TestMergeWorkerStats:
         assert any(w.get("unreachable") for w in merged["workers"])
 
 
-@pytest.fixture(scope="module")
-def worker_group():
-    """A real ``serve --workers 2`` subprocess on an ephemeral port."""
+def _spawn(*args):
+    """A Python subprocess of the repository's ``src`` tree, its stdout
+    and stderr on one text pipe."""
     root = Path(__file__).resolve().parent.parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--workers", "2",
-         "--port", "0", "--idle-timeout", "30"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
-        text=True, cwd=str(root))
+    return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, env=env, text=True,
+                            cwd=str(root))
+
+
+@pytest.fixture(scope="module")
+def worker_group():
+    """A real ``serve --workers 2`` subprocess on an ephemeral port."""
+    process = _spawn("-m", "repro.cli", "serve", "--workers", "2",
+                     "--port", "0", "--idle-timeout", "30")
     assert process.stdout is not None
     banner = process.stdout.readline()
     match = _BANNER.search(banner)
@@ -206,6 +211,62 @@ class TestWorkerGroup:
             return exit_code
 
         assert asyncio.run(park_and_terminate()) == 0
+
+
+#: ``serve --workers 2`` with ``_supervise`` entered a second late, which
+#: widens the start-up window between the banner and the coordinator's
+#: signal handling.
+_LATE_SUPERVISOR = """
+import sys, time
+from repro.cli import main
+from repro.service import multiproc
+supervise = multiproc._supervise
+def late_supervise(processes):
+    time.sleep(1.0)
+    return supervise(processes)
+multiproc._supervise = late_supervise
+sys.exit(main(["serve", "--workers", "2", "--port", "0"]))
+"""
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_at_the_banner_drains_the_group():
+    """A SIGTERM that arrives before the coordinator forwards signals is
+    held, not fatal: the group still drains to exit 0 and leaves no
+    worker behind."""
+    process = _spawn("-c", _LATE_SUPERVISOR)
+    pids = []
+    try:
+        assert process.stdout is not None
+        match = _BANNER.search(process.stdout.readline())
+        assert match is not None
+        host, port = match.group(1), int(match.group(2))
+
+        async def worker_pids():
+            async with ServiceClient(host, port) as client:
+                _, merged = await client.stats()
+            return [worker["worker"]["pid"] for worker in merged["workers"]]
+
+        pids = asyncio.run(worker_pids())
+        assert len(pids) == 2
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30) == 0
+        assert not [pid for pid in pids if _alive(pid)]
+    finally:
+        # Orphans of a coordinator the signal killed hold its stdout open.
+        for pid in pids:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        if process.poll() is None:
+            process.kill()
+        process.communicate(timeout=30)
 
 
 def test_single_worker_cli_rejects_bad_flags():
